@@ -2253,9 +2253,10 @@ class DistributedSorter {
         // membership (not just this scope), and the level-1 merge destroys
         // per-source contiguity — audit origin distinctness instead: a
         // dropped-then-rehedged or duplicated delivery shows up as a
-        // repeated (machine, index) pair. Global coverage (every origin
-        // index present exactly once, cluster-wide) is the host validator's
-        // job; per-partition the strongest invariant is distinctness.
+        // repeated (machine, index) pair. Per partition the strongest
+        // invariant is distinctness; cluster-wide coverage (every origin
+        // index named exactly once) is checked after the run by
+        // core::validate_sorted's exactly-once slot map.
         std::vector<std::vector<std::uint64_t>> prev_indices(p);
         for (const ItemT& item : out) {
           PGXD_CHECK(item.prov.prev_machine < p);

@@ -126,8 +126,8 @@ class Comm {
   Comm(sim::Simulator& sim, net::Fabric& fabric, ReliableConfig rcfg = {})
       : sim_(sim), fabric_(fabric), machines_(fabric.machines()), rcfg_(rcfg),
         barrier_(sim, fabric.machines()), mailboxes_(fabric.machines()),
-        inflight_(machines_ * machines_), next_seq_(machines_ * machines_, 0),
-        dedup_(machines_ * machines_), unreachable_(fabric.machines(), 0),
+        inflight_(reliable_pairs()), next_seq_(reliable_pairs(), 0),
+        dedup_(reliable_pairs()), unreachable_(fabric.machines(), 0),
         inflight_to_(fabric.machines()), at_barrier_(fabric.machines(), 0) {
     PGXD_CHECK(rcfg_.initial_rto > 0 && rcfg_.max_rto >= rcfg_.initial_rto);
     PGXD_CHECK(rcfg_.max_attempts >= 1);
@@ -494,6 +494,12 @@ class Comm {
     return src * machines_ + dst;
   }
 
+  // Size of the per-pair reliable-mode state: only the reliable paths index
+  // it, and at p=1024 the p^2 maps and dedup windows cost ~117 MB.
+  std::size_t reliable_pairs() const {
+    return rcfg_.enabled ? machines_ * machines_ : 0;
+  }
+
   std::uint64_t enqueue(std::size_t src, std::size_t dst, Msg msg,
                         std::uint64_t bytes) {
     const std::size_t pi = pair_index(src, dst);
@@ -753,7 +759,8 @@ class Comm {
   ReliableStats rstats_;
   sim::Barrier barrier_;
   std::vector<std::map<int, std::unique_ptr<sim::Channel<Msg>>>> mailboxes_;
-  // Reliable-mode state, indexed by pair_index(src, dst).
+  // Reliable-mode state, indexed by pair_index(src, dst); empty when
+  // reliable delivery is off.
   std::vector<std::map<std::uint64_t, std::shared_ptr<InFlight>>> inflight_;
   std::vector<std::uint64_t> next_seq_;
   std::vector<DedupWindow> dedup_;
