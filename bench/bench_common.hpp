@@ -133,13 +133,6 @@ struct PgxdRun {
   std::vector<std::uint64_t> peak_temp;
 };
 
-// Benches used to read step timings straight out of the raw per-machine
-// stats; PgxdRun::report.phases is the supported surface now.
-[[deprecated("read phase timings from PgxdRun::report.phases instead")]]
-inline const core::StepTimings& private_step_timings(const PgxdRun& run) {
-  return run.stats.steps_max;
-}
-
 inline PgxdRun run_pgxd(const BenchEnv& env, std::size_t p,
                         std::vector<std::vector<Key>> shards,
                         core::SortConfig cfg = {},

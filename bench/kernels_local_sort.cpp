@@ -238,9 +238,10 @@ void BM_BalancedMergeTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedMergeTree)->Arg(4)->Arg(8)->Arg(32);
 
-// AoS final merge as the distributed sorter's fallback path runs it:
-// full key+provenance records (24 bytes with padding) through every level
-// of the Fig. 2 tree. Baseline for BM_BalancedMergeSoaTree.
+// Array-of-records final merge: full key+provenance records (24 bytes with
+// padding) through every level of the Fig. 2 tree — the layout the
+// distributed sorter's structure-of-arrays merge avoids. Baseline for
+// BM_BalancedMergeSoaTree.
 void BM_BalancedMergeItemTree(benchmark::State& state) {
   struct FatItem {
     std::uint64_t key;

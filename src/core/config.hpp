@@ -14,8 +14,10 @@
 
 namespace pgxd::core {
 
-// Final-merge strategy for step (6). All three run on real data; they only
-// differ in data movement and intra-merge parallelism.
+// Final-merge strategy for step (6). All three run on real data over the
+// same structure-of-arrays planes (bare keys plus a u32 permutation) and
+// emit bit-identical output; they only differ in data movement and
+// intra-merge parallelism.
 enum class MergeAlgo {
   // Fig. 2 pairwise balanced merge tree (the paper's handler): every
   // element moves once per level, ceil(log2 R) levels, merges parallel.
@@ -23,9 +25,11 @@ enum class MergeAlgo {
   // Single-pass parallel loser-tree k-way merge
   // (sort/parallel_kway_merge.hpp): splitter search cuts the output into
   // per-thread ranges, each merged by one loser tree — one move per
-  // element. Bit-identical output to the tree. The default.
+  // element. The default.
   kParallelKway,
-  // One sequential loser tree (the historical k-way ablation).
+  // The same kernel with one range: a single sequential loser tree over
+  // the whole partition, charged as a naive k-way merge (the
+  // no-parallelism ablation).
   kSequentialKway,
 };
 const char* merge_algo_name(MergeAlgo a);
@@ -134,35 +138,19 @@ struct SortConfig {
   double sample_factor = 1.0;
   // Fig. 3c duplicate-splitter investigator.
   bool use_investigator = true;
-  // Final-merge strategy (see MergeAlgo). kParallelKway and kPairwiseTree
-  // produce bit-identical output; kSequentialKway is the no-parallelism
-  // ablation.
+  // Final-merge strategy (see MergeAlgo). All three produce bit-identical
+  // output; kSequentialKway is the no-parallelism ablation.
   MergeAlgo final_merge = MergeAlgo::kParallelKway;
   // Local-sort strategy for step (1): comparison sort, radix, or the
   // adaptive per-shard crossover (default). Non-integer keys and custom
   // comparators always take the comparison path.
   LocalSortAlgo local_sort = LocalSortAlgo::kAdaptive;
-  // Legacy merge-ablation switch: false forces kSequentialKway regardless
-  // of `final_merge` (the pre-strategy-enum CLI and tests flip this one
-  // bool). Use effective_final_merge() when dispatching.
-  bool balanced_final_merge = true;
   // Send-while-receive exchange; false = send everything, barrier, then
   // receive (bulk-synchronous ablation).
   bool async_exchange = true;
   // Stream exchange data in read-buffer-sized chunks through the data
   // manager; false sends each range as a single message.
   bool buffered_exchange = true;
-  // Post-merge exactly-once audit: every element's provenance is checked to
-  // appear exactly once (no chunk lost, duplicated, or misplaced by the
-  // exchange). Cheap real work outside the simulated cost model.
-  bool audit_exchange = true;
-  // Structure-of-arrays final merge: bare keys plus a compact u32
-  // permutation travel through the Fig. 2 tree and provenance is
-  // reconstructed once at the end — each level moves sizeof(Key) + 4 bytes
-  // per element instead of sizeof(Item). false = merge full Item records
-  // (ablation). Only applies with balanced_final_merge; partitions beyond
-  // u32 indexing fall back to the AoS path automatically.
-  bool soa_final_merge = true;
   // Lease exchange chunk buffers from a recycling pool instead of
   // allocating one vector per chunk; false = fresh allocation per chunk
   // (ablation).
@@ -196,10 +184,6 @@ struct SortConfig {
   // Refinement round budget for kHistogramRefine; the refiner stops early
   // once every boundary is certified within epsilon. Must be >= 1.
   int partition_max_rounds = 10;
-
-  MergeAlgo effective_final_merge() const {
-    return balanced_final_merge ? final_merge : MergeAlgo::kSequentialKway;
-  }
 
   // Rejects contradictory knob combinations; returns an empty string when
   // the configuration is valid, else a one-line reason. The sorter checks

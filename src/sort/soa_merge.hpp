@@ -1,8 +1,8 @@
 // Structure-of-arrays variant of the Fig. 2 balanced merge for the
 // distributed final merge (paper step 6).
 //
-// The AoS path merges full Item{key, provenance} records through every tree
-// level, moving sizeof(Item) bytes per element per level. Here the runs are
+// Merging full Item{key, provenance} records through every tree level would
+// move sizeof(Item) bytes per element per level. Here the runs are
 // split into a Key array and a compact u32 permutation: the Merge-Path
 // kernel merges the keys and carries the permutation alongside, so each
 // level moves only sizeof(Key) + 4 bytes per element, and provenance is

@@ -256,7 +256,7 @@ TEST(ExchangePool, PoolSurvivesFaultInjectedRetransmits) {
   ccfg.reliable.enabled = true;
   rt::Cluster<Msg> cluster(ccfg);
   Sorter sorter(cluster, cfg);
-  sorter.run(uniform_shards(30000, p));  // audit_exchange checks exactly-once
+  sorter.run(uniform_shards(30000, p));  // the sorter audits exactly-once
 
   const auto& rs = cluster.comm().reliable_stats();
   EXPECT_GT(rs.retransmits, 0u);

@@ -299,7 +299,7 @@ TEST(DistributedSort, UnbufferedExchangeStillCorrect) {
 TEST(DistributedSort, NaiveFinalMergeAblationCorrectButSlower) {
   auto shards = make_shards(gen::Distribution::kUniform, 60000, 8);
   SortConfig balanced, naive;
-  naive.balanced_final_merge = false;
+  naive.final_merge = MergeAlgo::kSequentialKway;
   rt::Cluster<Sorter::Msg> c1(test_cluster(8, /*threads=*/32));
   Sorter s1(c1, balanced);
   s1.run(shards);
@@ -404,6 +404,36 @@ TEST(DistributedSort, SimultaneousCheaperThanSequentialRuns) {
   t2.run(b);
   // Interleaving overlaps one sort's communication with the other's compute.
   EXPECT_LT(together, t1.stats().total_time + t2.stats().total_time);
+}
+
+// A simultaneous run has no recovery supervisor, so it refuses to start on
+// a cluster that schedules a crash or with a sorter that expects recovery.
+TEST(DistributedSortDeathTest, SimultaneousRejectsCrashSchedule) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::size_t machines = 4;
+  auto ccfg = test_cluster(machines);
+  ccfg.net.faults.crashes = {net::CrashEvent{1, sim::kMillisecond}};
+  rt::Cluster<Sorter::Msg> cluster(ccfg);
+  Sorter s1(cluster, SortConfig{}, /*sort_id=*/0);
+  Sorter s2(cluster, SortConfig{}, /*sort_id=*/1);
+  s1.set_input(make_shards(gen::Distribution::kUniform, 4000, machines, 1));
+  s2.set_input(make_shards(gen::Distribution::kUniform, 4000, machines, 2));
+  EXPECT_DEATH(sort_simultaneously<Key>(cluster, {&s1, &s2}),
+               "crash schedules are unsupported");
+}
+
+TEST(DistributedSortDeathTest, SimultaneousRejectsRecoveryEnabledSorter) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::size_t machines = 4;
+  rt::Cluster<Sorter::Msg> cluster(test_cluster(machines));
+  SortConfig recovering;
+  recovering.recovery.enabled = true;
+  Sorter s1(cluster, SortConfig{}, /*sort_id=*/0);
+  Sorter s2(cluster, recovering, /*sort_id=*/1);
+  s1.set_input(make_shards(gen::Distribution::kUniform, 4000, machines, 1));
+  s2.set_input(make_shards(gen::Distribution::kUniform, 4000, machines, 2));
+  EXPECT_DEATH(sort_simultaneously<Key>(cluster, {&s1, &s2}),
+               "recovery-enabled sorters are unsupported");
 }
 
 // The sorter is generic over the key type: a composite struct key with a

@@ -161,7 +161,7 @@ TEST_P(ChaosSweep, SortsCorrectlyOverFaultyFabric) {
 
   rt::Cluster<Msg> cluster(faulty_cluster(p, profile.faults));
   Sorter sorter(cluster, chunky_sort_config());
-  sorter.run(shards);  // audit_exchange asserts exactly-once internally
+  sorter.run(shards);  // the exactly-once audit runs inside the sorter
   verify_sorted(sorter, shards);
 
   const auto& rs = cluster.comm().reliable_stats();
@@ -440,7 +440,7 @@ TEST_P(CrashChaos, KilledRankRecoversToACorrectSort) {
   // Datagen stands in for durable storage: the supervisor regenerates the
   // dead rank's input shard from its seed instead of reading a dead disk.
   sorter.set_shard_source([&shards](std::size_t r) { return shards[r]; });
-  sorter.run(shards);  // audit_exchange asserts exactly-once internally
+  sorter.run(shards);  // the exactly-once audit runs inside the sorter
   verify_sorted(sorter, shards);
 
   const auto& rec = sorter.stats().recovery;
@@ -664,7 +664,7 @@ TEST_P(SchemeCrash, KilledRankRecoversUnderTheScheme) {
   rt::Cluster<Msg> cluster(recovery_cluster(p, fc));
   Sorter sorter(cluster, scheme_recovery_config(scheme, 0.10));
   sorter.set_shard_source([&shards](std::size_t r) { return shards[r]; });
-  sorter.run(shards);  // audit_exchange asserts exactly-once internally
+  sorter.run(shards);  // the exactly-once audit runs inside the sorter
   verify_sorted(sorter, shards);
 
   const auto& rec = sorter.stats().recovery;

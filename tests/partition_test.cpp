@@ -452,10 +452,11 @@ std::vector<Key> run_scheme(PartitionScheme scheme,
 
   std::size_t total_n = 0;
   for (const auto& s : shards) total_n += s.size();
-  if (max_imbalance >= 0.0)
+  if (max_imbalance >= 0.0) {
     EXPECT_LE(imbalance(sorter, total_n), max_imbalance)
         << "scheme " << partition_scheme_name(scheme) << " at p="
         << shards.size();
+  }
 
   const auto& pt = sorter.stats().partition;
   EXPECT_EQ(pt.scheme, scheme);
@@ -514,13 +515,13 @@ INSTANTIATE_TEST_SUITE_P(
         E2eParam{gen::Distribution::kRightSkewed, 0.75, 0.25, 0.75},
         E2eParam{gen::Distribution::kZipf, 1.5, 0.25, 1.5},
         E2eParam{gen::Distribution::kFewDistinct, -1.0, 0.25, -1.0}),
-    [](const ::testing::TestParamInfo<E2eParam>& info) -> std::string {
-      switch (info.param.dist) {
+    [](const ::testing::TestParamInfo<E2eParam>& param_info) -> std::string {
+      switch (param_info.param.dist) {
         case gen::Distribution::kUniform: return "Uniform";
         case gen::Distribution::kRightSkewed: return "Skewed";
         case gen::Distribution::kZipf: return "Zipf";
         case gen::Distribution::kFewDistinct: return "FewDistinct";
-        default: return "Other" + std::to_string(info.index);
+        default: return "Other" + std::to_string(param_info.index);
       }
     });
 

@@ -460,12 +460,10 @@ int print_config(const pgxd::core::SortConfig& cfg) {
   w.kv("read_buffer_bytes", cfg.read_buffer_bytes);
   w.kv("sample_factor", cfg.sample_factor);
   w.kv("use_investigator", cfg.use_investigator);
-  w.kv("final_merge", merge_name(cfg.effective_final_merge()));
+  w.kv("final_merge", merge_name(cfg.final_merge));
   w.kv("local_sort", local_sort_name(cfg.local_sort));
   w.kv("async_exchange", cfg.async_exchange);
   w.kv("buffered_exchange", cfg.buffered_exchange);
-  w.kv("audit_exchange", cfg.audit_exchange);
-  w.kv("soa_final_merge", cfg.soa_final_merge);
   w.kv("use_buffer_pool", cfg.use_buffer_pool);
   w.kv("telemetry", cfg.telemetry);
   w.kv("recovery_enabled", cfg.recovery.enabled);
@@ -525,11 +523,10 @@ int main(int argc, char** argv) {
   flags.declare("validate", "validate the sorted result", "true");
   flags.declare("investigator", "duplicate-splitter investigator (pgxd)", "true");
   flags.declare("async", "asynchronous exchange (pgxd)", "true");
-  flags.declare("balanced-merge", "Fig. 2 final merge (pgxd)", "true");
   flags.declare("merge",
                 "final-merge strategy: kway (single-pass parallel) | "
-                "pairwise (Fig. 2 tree) | kway-seq (sequential ablation; "
-                "same as --balanced-merge=false) (pgxd)", "kway");
+                "pairwise (Fig. 2 tree) | kway-seq (sequential ablation) "
+                "(pgxd)", "kway");
   flags.declare("local-sort",
                 "step-1 local sort: adaptive | quicksort | radix (pgxd)",
                 "adaptive");
@@ -576,7 +573,6 @@ int main(int argc, char** argv) {
   if (!opt.report_path.empty()) opt.sort_cfg.telemetry = true;
   opt.sort_cfg.use_investigator = flags.boolean("investigator");
   opt.sort_cfg.async_exchange = flags.boolean("async");
-  opt.sort_cfg.balanced_final_merge = flags.boolean("balanced-merge");
   {
     const std::string merge = flags.str("merge");
     if (merge == "kway") {
