@@ -47,6 +47,7 @@
 #include "common/assert.hpp"
 #include "common/stats.hpp"
 #include "core/config.hpp"
+#include "core/exchange_audit.hpp"
 #include "core/provenance.hpp"
 #include "core/splitters.hpp"
 #include "obs/metrics.hpp"
@@ -62,13 +63,6 @@
 #include "sort/soa_merge.hpp"
 
 namespace pgxd::core {
-
-// One sortable element: the key plus where it came from.
-template <typename Key>
-struct Item {
-  Key key;
-  Provenance prov;
-};
 
 // Message payload for the sort's communication; which member is populated
 // depends on the tag.
@@ -193,6 +187,7 @@ class DistributedSorter {
       run_recovering();
       return;
     }
+    audit_slots_.arm(input_);
     const sim::SimTime elapsed = cluster_.run(
         [this](rt::Machine& m) { return machine_program(m); });
     finalize(elapsed);
@@ -557,6 +552,7 @@ class DistributedSorter {
                                      shard.begin(), shard.end());
         ++stats_.recovery.regenerated_shards;
       }
+      audit_slots_.arm(attempt_input_);
       for (auto& part : output_) {
         part.clear();
         part.shrink_to_fit();
@@ -2096,7 +2092,9 @@ class DistributedSorter {
     // Bare keys + u32 permutation merge as SoA planes; the output partition
     // is then written directly from the result planes — no staging
     // copy-back — with provenance reconstructed from each element's
-    // pre-merge position.
+    // pre-merge position: the two-hop origin plane, or for a single hop the
+    // position's source (a u32 plane, host-side bookkeeping outside the
+    // modelled memory) plus its offset into that source's range.
     {
       const MergeAlgo merge_algo = cfg_.final_merge;
       std::vector<std::size_t> bounds(offsets.begin(), offsets.end());
@@ -2146,20 +2144,23 @@ class DistributedSorter {
           co_await m.charge_naive_kway_merge(total_recv, runs);
         }
       }
-      for (std::size_t i = 0; i < total_recv; ++i) {
-        const std::size_t pos = mp[i];
-        if (xprov) {
-          out[i] = ItemT{mk[i], unpack_prov(recv_prov[pos])};
-          continue;
+      if (xprov) {
+        for (std::size_t i = 0; i < total_recv; ++i)
+          out[i] = ItemT{mk[i], unpack_prov(recv_prov[mp[i]])};
+      } else {
+        std::vector<std::uint32_t> source(total_recv);
+        for (std::size_t s = 0; s < q; ++s)
+          std::fill(source.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
+                    source.begin() +
+                        static_cast<std::ptrdiff_t>(offsets[s + 1]),
+                    static_cast<std::uint32_t>(s));
+        for (std::size_t i = 0; i < total_recv; ++i) {
+          const std::size_t pos = mp[i];
+          const std::size_t s = source[pos];
+          out[i] = ItemT{mk[i],
+                         Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
+                                    src_lo[s] + (pos - offsets[s])}};
         }
-        const std::size_t s =
-            static_cast<std::size_t>(
-                std::upper_bound(offsets.begin(), offsets.end(), pos) -
-                offsets.begin()) -
-            1;
-        out[i] = ItemT{mk[i],
-                       Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
-                                  src_lo[s] + (pos - offsets[s])}};
       }
       if (telemetry)
         reg.counter(std::string("sort.merge.algo.") +
@@ -2173,60 +2174,13 @@ class DistributedSorter {
     stamp(Step::kFinalMerge, total_recv * kStoredBytesPerItem);
 
     // ---- Exactly-once audit -------------------------------------------------
-    // Provenance makes delivery auditable: for every source, the previous
-    // indices present in the merged output must be recv_counts[src]
-    // distinct contiguous integers — any drop, duplicate, or misplacement
-    // by the exchange (or the reliable-delivery layer under fault
-    // injection, or a hedged re-send slipping past dedup) breaks that.
-    // Pure host-side verification; costs no simulated time.
+    // See core/exchange_audit.hpp. Two-hop provenance names origins anywhere
+    // in the attempt membership and the level-1 merge destroys per-source
+    // slices, so that path checks origin distinctness only.
     if (xprov) {
-      // Two-hop provenance names origin ranks anywhere in the attempt
-      // membership (not just this scope), and the level-1 merge destroys
-      // per-source contiguity — audit origin distinctness instead: a
-      // dropped-then-rehedged or duplicated delivery shows up as a
-      // repeated (machine, index) pair. Per partition the strongest
-      // invariant is distinctness; cluster-wide coverage (every origin
-      // index named exactly once) is checked after the run by
-      // core::validate_sorted's exactly-once slot map.
-      std::vector<std::vector<std::uint64_t>> prev_indices(p);
-      for (const ItemT& item : out) {
-        PGXD_CHECK(item.prov.prev_machine < p);
-        prev_indices[item.prov.prev_machine].push_back(
-            item.prov.prev_index);
-      }
-      std::uint64_t attributed = 0;
-      for (std::size_t s = 0; s < p; ++s) {
-        auto& v = prev_indices[s];
-        attributed += v.size();
-        std::sort(v.begin(), v.end());
-        for (std::size_t i = 1; i < v.size(); ++i)
-          PGXD_CHECK_MSG(v[i] != v[i - 1],
-                         "exactly-once audit: an element was duplicated "
-                         "in the two-hop exchange");
-      }
-      PGXD_CHECK(attributed == total_recv);
+      audit_two_hop_exchange(out, audit_slots_);
     } else {
-      std::vector<std::vector<std::uint64_t>> prev_indices(q);
-      for (std::size_t s = 0; s < q; ++s)
-        prev_indices[s].reserve(recv_counts[s]);
-      for (const ItemT& item : out) {
-        PGXD_CHECK(item.prov.prev_machine < p);
-        const std::size_t sj = midx[item.prov.prev_machine];
-        PGXD_CHECK_MSG(sj < q,
-                       "exactly-once audit: element attributed to a rank "
-                       "outside the attempt membership");
-        prev_indices[sj].push_back(item.prov.prev_index);
-      }
-      for (std::size_t s = 0; s < q; ++s) {
-        PGXD_CHECK_MSG(prev_indices[s].size() == recv_counts[s],
-                       "exactly-once audit: received element count from a "
-                       "source disagrees with its announced count");
-        std::sort(prev_indices[s].begin(), prev_indices[s].end());
-        for (std::size_t i = 1; i < prev_indices[s].size(); ++i)
-          PGXD_CHECK_MSG(prev_indices[s][i] == prev_indices[s][i - 1] + 1,
-                         "exactly-once audit: an element was duplicated or "
-                         "lost in the exchange");
-      }
+      audit_single_hop_exchange(out, midx, src_lo, recv_counts, audit_slots_);
     }
 
     ms.peak_persistent_bytes = mem.peak_persistent();
@@ -2277,6 +2231,14 @@ class DistributedSorter {
   // pool for the whole cluster — the simulation shares an address space, so
   // a buffer posted by machine A is the same storage machine B receives.
   rt::BufferPool<Key> pool_;
+  // The exactly-once audit's slot map, armed over the attempt's input
+  // before every cluster run of this sort.
+  AuditSlots audit_slots_;
+
+  template <typename K, typename C>
+  friend sim::SimTime sort_simultaneously(
+      rt::Cluster<SortMsg<K>>& cluster,
+      std::vector<DistributedSorter<K, C>*> sorters);
 };
 
 // Runs several sorters over the same cluster in one simulation — the
@@ -2296,6 +2258,7 @@ sim::SimTime sort_simultaneously(
     PGXD_CHECK_MSG(!sorter->config().recovery.enabled,
                    "sort_simultaneously: recovery-enabled sorters are "
                    "unsupported; use DistributedSorter::run");
+  for (auto* sorter : sorters) sorter->audit_slots_.arm(sorter->input_);
   auto& sim = cluster.simulator();
   const sim::SimTime start = sim.now();
   for (std::size_t r = 0; r < cluster.size(); ++r)

@@ -28,4 +28,11 @@ struct Provenance {
 // Wire size of one element's provenance record (packed u32 + u64).
 inline constexpr std::uint64_t kProvenanceBytes = 12;
 
+// One sortable element: the key plus where it came from.
+template <typename Key>
+struct Item {
+  Key key;
+  Provenance prov;
+};
+
 }  // namespace pgxd::core

@@ -207,9 +207,9 @@ class Comm {
     PGXD_CHECK(rank < machines_);
     auto& ch = mailbox(rank, tag);
     std::size_t n = ch.size() + ch.handed_pending();
-    auto it = inflight_to_[rank].find(tag);
-    if (it != inflight_to_[rank].end())
-      n += static_cast<std::size_t>(it->second);
+    const auto& inflight = inflight_to_[rank];
+    const std::size_t t = tag_index(tag);
+    if (t < inflight.size()) n += static_cast<std::size_t>(inflight[t]);
     return n;
   }
 
@@ -394,7 +394,8 @@ class Comm {
   std::size_t pending_total(std::size_t rank) const {
     PGXD_CHECK(rank < machines_);
     std::size_t n = 0;
-    for (const auto& [tag, ch] : mailboxes_[rank]) n += ch->size();
+    for (const auto& ch : mailboxes_[rank])
+      if (ch) n += ch->size();
     return n;
   }
 
@@ -403,7 +404,8 @@ class Comm {
   std::size_t total_pending() const {
     std::size_t n = 0;
     for (const auto& boxes : mailboxes_)
-      for (const auto& [tag, ch] : boxes) n += ch->size();
+      for (const auto& ch : boxes)
+        if (ch) n += ch->size();
     return n;
   }
 
@@ -412,11 +414,13 @@ class Comm {
   std::string blocked_report() const {
     std::string out;
     for (std::size_t rank = 0; rank < mailboxes_.size(); ++rank)
-      for (const auto& [tag, ch] : mailboxes_[rank])
-        if (ch->waiting() > 0)
+      for (std::size_t tag = 0; tag < mailboxes_[rank].size(); ++tag) {
+        const auto& ch = mailboxes_[rank][tag];
+        if (ch && ch->waiting() > 0)
           out += " rank " + std::to_string(rank) + " waits on tag " +
                  std::to_string(tag) + " (" + std::to_string(ch->waiting()) +
                  " recv)";
+      }
     if (barrier_.waiting() > 0) {
       std::string ranks;
       for (std::size_t r = 0; r < at_barrier_.size(); ++r)
@@ -435,7 +439,8 @@ class Comm {
   // at quiescence (no receiver may still be waiting).
   void drain_mailboxes() {
     for (auto& boxes : mailboxes_)
-      for (auto& [tag, ch] : boxes) {
+      for (auto& ch : boxes) {
+        if (!ch) continue;
         PGXD_CHECK_MSG(ch->waiting() == 0,
                        "drain_mailboxes with a receiver still blocked");
         ch->clear();
@@ -447,11 +452,13 @@ class Comm {
   std::string stray_report() const {
     std::string out;
     for (std::size_t rank = 0; rank < mailboxes_.size(); ++rank)
-      for (const auto& [tag, ch] : mailboxes_[rank])
-        if (!ch->empty())
+      for (std::size_t tag = 0; tag < mailboxes_[rank].size(); ++tag) {
+        const auto& ch = mailboxes_[rank][tag];
+        if (ch && !ch->empty())
           out += " rank " + std::to_string(rank) + " tag " +
                  std::to_string(tag) + " (" + std::to_string(ch->size()) +
                  " msg)";
+      }
     return out;
   }
 
@@ -710,12 +717,22 @@ class Comm {
   // the destination mailbox, is lost on the unreliable fabric, or is
   // abandoned by a fail-fast sender. Tracked unconditionally so a graph
   // attached at cluster construction never sees a partial count.
-  void note_inflight(std::size_t dst, int tag) { ++inflight_to_[dst][tag]; }
+  void note_inflight(std::size_t dst, int tag) {
+    auto& inflight = inflight_to_[dst];
+    const std::size_t t = tag_index(tag);
+    if (t >= inflight.size()) inflight.resize(t + 1, 0);
+    ++inflight[t];
+  }
+  // Every settle pairs with an earlier note_inflight; an unmatched one is an
+  // accounting bug that would skew the wait-graph probe, so it aborts.
   void note_settled(std::size_t dst, int tag) {
-    auto it = inflight_to_[dst].find(tag);
-    PGXD_DCHECK(it != inflight_to_[dst].end() && it->second > 0);
-    if (it != inflight_to_[dst].end() && --it->second == 0)
-      inflight_to_[dst].erase(it);
+    auto& inflight = inflight_to_[dst];
+    const std::size_t t = tag_index(tag);
+    PGXD_CHECK_MSG(t < inflight.size() && inflight[t] > 0,
+                   ("comm: in-flight count underflow for messages to rank " +
+                    std::to_string(dst) + " tag " + std::to_string(tag))
+                       .c_str());
+    --inflight[t];
   }
 
   void note_barrier_arrival(std::size_t rank) {
@@ -746,8 +763,18 @@ class Comm {
     return rto + static_cast<sim::SimTime>(backoff_rng_.bounded(span + 1));
   }
 
+  // Mailbox and in-flight tables are indexed by tag: engines use small
+  // non-negative tag constants, so a vector beats a map on every touch.
+  static std::size_t tag_index(int tag) {
+    PGXD_CHECK_MSG(tag >= 0, "comm: message tags must be non-negative");
+    return static_cast<std::size_t>(tag);
+  }
+
   sim::Channel<Msg>& mailbox(std::size_t rank, int tag) {
-    auto& slot = mailboxes_[rank][tag];
+    auto& boxes = mailboxes_[rank];
+    const std::size_t t = tag_index(tag);
+    if (t >= boxes.size()) boxes.resize(t + 1);
+    auto& slot = boxes[t];
     if (!slot) slot = std::make_unique<sim::Channel<Msg>>(sim_);
     return *slot;
   }
@@ -758,7 +785,8 @@ class Comm {
   ReliableConfig rcfg_;
   ReliableStats rstats_;
   sim::Barrier barrier_;
-  std::vector<std::map<int, std::unique_ptr<sim::Channel<Msg>>>> mailboxes_;
+  // Per rank, indexed by tag; null until a tag is first touched.
+  std::vector<std::vector<std::unique_ptr<sim::Channel<Msg>>>> mailboxes_;
   // Reliable-mode state, indexed by pair_index(src, dst); empty when
   // reliable delivery is off.
   std::vector<std::map<std::uint64_t, std::shared_ptr<InFlight>>> inflight_;
@@ -770,7 +798,8 @@ class Comm {
   sim::WaitGraph* graph_ = nullptr;
   // Remote messages headed for (dst, tag) that have not yet landed, been
   // lost, or been abandoned — the satisfiability probe's in-flight term.
-  std::vector<std::map<int, std::int64_t>> inflight_to_;
+  // Per destination, indexed by tag.
+  std::vector<std::vector<std::int64_t>> inflight_to_;
   // Ranks currently arrived-and-suspended at the barrier, for deadlock
   // diagnostics naming.
   std::vector<char> at_barrier_;

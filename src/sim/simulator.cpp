@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -17,9 +16,8 @@ Simulator* Simulator::current() { return g_current_simulator; }
 
 namespace detail {
 
-void PromiseBase::reclaim_root(Simulator* sim, std::coroutine_handle<> h,
-                               PromiseBase& promise) {
-  sim->reclaim(h, promise);
+void PromiseBase::reclaim_root(Simulator* sim, PromiseBase& promise) {
+  sim->reclaim(promise);
 }
 
 void PromiseBase::schedule_continuation(std::coroutine_handle<> c) {
@@ -63,12 +61,13 @@ void Simulator::spawn(Task<void> task) {
   auto h = task.release();
   PGXD_CHECK_MSG(h != nullptr, "spawning an empty task");
   h.promise().owner = this;
+  h.promise().root_slot = roots_.size();
   roots_.push_back(h);
   ++live_roots_;
   schedule_now(h);
 }
 
-void Simulator::reclaim(std::coroutine_handle<> h, detail::PromiseBase& promise) {
+void Simulator::reclaim(detail::PromiseBase& promise) {
   if (promise.exception) {
     // A root process died with no awaiter to receive the exception. The
     // simulation state is unreliable from here on; fail loudly.
@@ -82,16 +81,22 @@ void Simulator::reclaim(std::coroutine_handle<> h, detail::PromiseBase& promise)
     }
     std::abort();
   }
-  reclaimed_.push_back(h);
+  reclaimed_.push_back(&promise);
   PGXD_CHECK(live_roots_ > 0);
   --live_roots_;
 }
 
+// Swap-removes each finished root from the table, re-pointing the moved
+// root's slot. The slot is read at drain time, not at reclaim time: an
+// earlier removal in the same drain may have moved a later root.
 void Simulator::drain_reclaimed() {
-  for (auto h : reclaimed_) {
-    auto it = std::find(roots_.begin(), roots_.end(), h);
-    PGXD_CHECK_MSG(it != roots_.end(), "reclaimed frame is not a known root");
-    *it = roots_.back();
+  for (detail::PromiseBase* promise : reclaimed_) {
+    const std::size_t slot = promise->root_slot;
+    PGXD_CHECK_MSG(slot < roots_.size() && &roots_[slot].promise() == promise,
+                   "reclaimed frame is not a known root");
+    const RootHandle h = roots_[slot];
+    roots_[slot] = roots_.back();
+    roots_[slot].promise().root_slot = slot;
     roots_.pop_back();
     h.destroy();
   }

@@ -145,7 +145,9 @@ class Simulator {
         static_cast<std::uint64_t>(perturb_.wake_jitter) + 1));
   }
 
-  void reclaim(std::coroutine_handle<> h, detail::PromiseBase& promise);
+  using RootHandle = std::coroutine_handle<Task<void>::promise_type>;
+
+  void reclaim(detail::PromiseBase& promise);
   void drain_reclaimed();
   void step(const Scheduled& ev);
 
@@ -158,8 +160,11 @@ class Simulator {
   // (without advancing the clock) when it reaches the top.
   std::unordered_set<std::uint64_t> cancellable_live_;
   std::unordered_set<std::uint64_t> cancelled_;
-  std::vector<std::coroutine_handle<>> reclaimed_;
-  std::vector<std::coroutine_handle<>> roots_;  // frames owned by the simulator
+  // Finished roots awaiting destruction at the end of the current step.
+  std::vector<detail::PromiseBase*> reclaimed_;
+  // Frames owned by the simulator. Each root's promise holds its index
+  // (root_slot), so reclaiming one is a swap-remove.
+  std::vector<RootHandle> roots_;
   PerturbConfig perturb_;
   Rng perturb_rng_{0};
   bool stop_requested_ = false;

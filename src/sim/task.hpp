@@ -12,6 +12,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
@@ -28,6 +29,7 @@ struct PromiseBase {
   std::coroutine_handle<> continuation;  // parent waiting on us, if any
   std::exception_ptr exception;
   Simulator* owner = nullptr;  // set for root tasks; simulator reclaims frame
+  std::size_t root_slot = 0;   // root tasks: index in the owner's root table
   bool done = false;
 
   struct FinalAwaiter {
@@ -49,7 +51,7 @@ struct PromiseBase {
         return std::noop_coroutine();
       }
       // Root task: hand the frame back to the simulator for destruction.
-      if (p.owner) PromiseBase::reclaim_root(p.owner, h, p);
+      if (p.owner) PromiseBase::reclaim_root(p.owner, p);
       return std::noop_coroutine();
     }
 
@@ -62,8 +64,7 @@ struct PromiseBase {
 
  private:
   // Defined in simulator.cpp to avoid a circular include.
-  static void reclaim_root(Simulator* sim, std::coroutine_handle<> h,
-                           PromiseBase& promise);
+  static void reclaim_root(Simulator* sim, PromiseBase& promise);
   // Schedules `c` on the currently-stepping simulator at the current time.
   static void schedule_continuation(std::coroutine_handle<> c);
 };

@@ -119,17 +119,16 @@ class WaitGraph {
   // live process to be blocked. Re-spawning a done process (recovery
   // attempts re-run ranks) revives it.
   void process_spawned(std::size_t rank) {
-    auto [it, inserted] = state_.try_emplace(rank, State{});
-    if (!inserted && it->second.live) return;
-    it->second.live = true;
+    State& st = state(rank);
+    if (st.live) return;
+    st.live = true;
     ++live_;
   }
 
   void process_done(std::size_t rank) {
-    auto it = state_.find(rank);
-    PGXD_CHECK_MSG(it != state_.end() && it->second.live,
+    PGXD_CHECK_MSG(rank < state_.size() && state_[rank].live,
                    "process_done for a process never spawned");
-    it->second.live = false;
+    state_[rank].live = false;
     PGXD_CHECK(live_ > 0);
     --live_;
     maybe_detect();
@@ -166,7 +165,7 @@ class WaitGraph {
       case WaitResource::Kind::kPool: ++stats_.pool_waits; break;
     }
     if (!annotation) {
-      auto& st = state_[rank];
+      State& st = state(rank);
       if (st.waits++ == 0) ++blocked_;
       stats_.max_blocked = std::max(stats_.max_blocked, blocked_);
       maybe_detect();
@@ -180,7 +179,7 @@ class WaitGraph {
     Edge& e = edges_[token];
     e.active = false;
     if (!e.annotation) {
-      auto& st = state_[e.rank];
+      State& st = state_[e.rank];
       PGXD_CHECK(st.waits > 0);
       if (--st.waits == 0) {
         PGXD_CHECK(blocked_ > 0);
@@ -313,8 +312,13 @@ class WaitGraph {
   }
 
   bool is_blocked(std::size_t rank) const {
-    auto it = state_.find(rank);
-    return it != state_.end() && it->second.waits > 0;
+    return rank < state_.size() && state_[rank].waits > 0;
+  }
+
+  // The rank's state, growing the table to cover it.
+  State& state(std::size_t rank) {
+    if (rank >= state_.size()) state_.resize(rank + 1);
+    return state_[rank];
   }
 
   // Lowest blocked holder of `res`, if any.
@@ -340,8 +344,8 @@ class WaitGraph {
 
   Deadlock build_deadlock() const {
     Deadlock d;
-    for (const auto& [rank, st] : state_)
-      if (st.waits > 0) d.blocked.push_back(rank);
+    for (std::size_t rank = 0; rank < state_.size(); ++rank)
+      if (state_[rank].waits > 0) d.blocked.push_back(rank);
     // Walk rank -> primary resource -> lowest blocked holder until a rank
     // repeats; the slice from its first occurrence is the named cycle.
     if (!d.blocked.empty()) {
@@ -391,7 +395,7 @@ class WaitGraph {
 
   std::vector<Edge> edges_;
   std::vector<std::size_t> free_;
-  std::map<std::size_t, State> state_;
+  std::vector<State> state_;  // indexed by rank
   std::map<WaitResource, std::map<std::size_t, int>> holds_;
   std::size_t live_ = 0;
   std::size_t blocked_ = 0;

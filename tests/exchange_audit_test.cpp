@@ -1,0 +1,125 @@
+// The sorter's exactly-once audit (core/exchange_audit.hpp) driven with
+// hand-built partitions: an exact partition passes, and each defect the
+// audit exists to catch aborts with its own message.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "core/exchange_audit.hpp"
+
+namespace pgxd::core {
+namespace {
+
+using Key = std::uint64_t;
+using Part = std::vector<Item<Key>>;
+
+// Four machines with 4-element sorted shards. Machines 0-2 form the
+// partition scope; machine 3 maps to the scope size, i.e. outside it.
+const std::vector<std::vector<Key>> kShards(4, std::vector<Key>(4, 0));
+const std::vector<std::size_t> kScopeIndex = {0, 1, 2, 3};
+
+// One single-hop partition: source 0 sent indices [2, 4), source 1 (the
+// receiver itself) [0, 2) and source 2 [1, 3).
+const std::vector<std::uint64_t> kSrcLo = {2, 0, 1};
+const std::vector<std::uint64_t> kRecvCounts = {2, 2, 2};
+
+Item<Key> item(Key key, std::uint32_t machine, std::uint64_t index) {
+  Item<Key> it;
+  it.key = key;
+  it.prov = Provenance{machine, index};
+  return it;
+}
+
+Part exact_partition() {
+  return {item(10, 0, 2), item(11, 1, 0), item(12, 2, 1),
+          item(13, 0, 3), item(14, 1, 1), item(15, 2, 2)};
+}
+
+void audit_single(const Part& part) {
+  AuditSlots slots;
+  slots.arm(kShards);
+  audit_single_hop_exchange(part, kScopeIndex, kSrcLo, kRecvCounts, slots);
+}
+
+void audit_two_hop(const Part& part) {
+  AuditSlots slots;
+  slots.arm(kShards);
+  audit_two_hop_exchange(part, slots);
+}
+
+TEST(ExchangeAudit, AcceptsAnExactSingleHopPartition) {
+  audit_single(exact_partition());
+}
+
+TEST(ExchangeAudit, AcceptsDistinctTwoHopOrigins) {
+  // Origins anywhere in the attempt, machine 3 included, in any order.
+  audit_two_hop({item(1, 3, 0), item(2, 0, 3), item(3, 2, 1), item(4, 3, 2)});
+}
+
+TEST(ExchangeAuditDeath, DuplicatedItemAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Part part = exact_partition();
+  part[5] = part[3];  // (0, 3) twice; (2, 2) never arrives
+  EXPECT_DEATH(audit_single(part),
+               "exactly-once audit: an element was duplicated or lost in "
+               "the exchange");
+}
+
+TEST(ExchangeAuditDeath, LostItemAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Part part = exact_partition();
+  part.pop_back();
+  EXPECT_DEATH(audit_single(part),
+               "exactly-once audit: received element count from a source "
+               "disagrees with its announced count");
+}
+
+TEST(ExchangeAuditDeath, IndexOutsideTheAnnouncedSliceAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Part part = exact_partition();
+  part[0] = item(10, 0, 1);  // source 0 announced [2, 4)
+  EXPECT_DEATH(audit_single(part),
+               "exactly-once audit: an element was duplicated or lost in "
+               "the exchange");
+}
+
+TEST(ExchangeAuditDeath, ItemFromOutsideTheMembershipAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Part part = exact_partition();
+  part[2] = item(12, 3, 1);  // machine 3 is not in the scope
+  EXPECT_DEATH(audit_single(part),
+               "exactly-once audit: element attributed to a rank outside "
+               "the attempt membership");
+}
+
+TEST(ExchangeAuditDeath, RepeatedTwoHopOriginAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(audit_two_hop({item(1, 0, 1), item(2, 2, 0), item(3, 0, 1)}),
+               "exactly-once audit: an element was duplicated in the two-hop "
+               "exchange");
+}
+
+TEST(ExchangeAuditDeath, OriginOutsideTheAttemptInputAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(audit_two_hop({item(1, 0, 4)}),
+               "exactly-once audit: provenance names a slot outside the "
+               "attempt's input");
+}
+
+// The slot map is shared by every partition of an attempt: an origin named
+// by two partitions is a duplicate too. Re-arming for the next attempt
+// forgets what an aborted attempt named.
+TEST(ExchangeAuditDeath, SlotsSpanTheAttemptAndResetOnRearm) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  AuditSlots slots;
+  slots.arm(kShards);
+  audit_two_hop_exchange(Part{item(1, 0, 1), item(2, 1, 1)}, slots);
+  EXPECT_DEATH(audit_two_hop_exchange(Part{item(3, 1, 1)}, slots),
+               "duplicated in the two-hop exchange");
+  slots.arm(kShards);
+  audit_two_hop_exchange(Part{item(3, 1, 1)}, slots);
+}
+
+}  // namespace
+}  // namespace pgxd::core

@@ -305,6 +305,17 @@ TEST(Comm, TagsAreIndependentStreams) {
   EXPECT_EQ(tag_b, 200);
 }
 
+// Mailboxes and in-flight counts are tables indexed by tag, so a negative
+// tag is rejected by name on every path that touches them.
+TEST(CommDeath, NegativeTagIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Cluster<std::vector<int>> cluster(tiny_cluster(2));
+  EXPECT_DEATH(cluster.comm().post(0, 1, /*tag=*/-1, {1}, 4),
+               "message tags must be non-negative");
+  EXPECT_DEATH((void)cluster.comm().try_recv(1, /*tag=*/-3),
+               "message tags must be non-negative");
+}
+
 TEST(Comm, RecvNGathersFromAllRanks) {
   Cluster<std::vector<int>> cluster(tiny_cluster(4));
   std::vector<int> got;

@@ -658,6 +658,117 @@ TEST(Perturbation, WakeJitterShiftsHandoffsDeterministically) {
   EXPECT_LE(a1, 30);
 }
 
+// Root reclamation. A frame-local probe counts its destruction, so each
+// test can show every root frame (and the child frames it owns) is
+// destroyed exactly once, whatever order the roots finish in.
+struct FrameProbe {
+  std::vector<int>* destroyed;
+  int id;
+  FrameProbe(std::vector<int>* d, int i) : destroyed(d), id(i) {}
+  FrameProbe(const FrameProbe&) = delete;
+  FrameProbe& operator=(const FrameProbe&) = delete;
+  ~FrameProbe() { ++(*destroyed)[static_cast<std::size_t>(id)]; }
+};
+
+Task<void> probed_delay(Simulator& sim, SimTime dt, int id,
+                        std::vector<int>& destroyed) {
+  FrameProbe probe(&destroyed, id);
+  co_await sim.delay(dt);
+}
+
+// Reverse spawn order always removes the table's last root; spawn order
+// always removes its first, so every removal moves another root's slot.
+TEST(RootReclaim, RootsFinishingInEitherSpawnOrderAreEachDestroyedOnce) {
+  constexpr int kRoots = 16;
+  for (const bool reverse : {true, false}) {
+    std::vector<int> destroyed(kRoots, 0);
+    auto finish_rank = [&](int id) { return reverse ? kRoots - id : id + 1; };
+    {
+      Simulator sim;
+      for (int i = 0; i < kRoots; ++i)
+        sim.spawn(probed_delay(sim, 10 * finish_rank(i), i, destroyed));
+      // Each finished root is destroyed at the end of its own step; the
+      // others stay alive.
+      for (int k = 1; k <= kRoots; ++k) {
+        sim.run_until(10 * k);
+        for (int i = 0; i < kRoots; ++i)
+          EXPECT_EQ(destroyed[static_cast<std::size_t>(i)],
+                    finish_rank(i) <= k ? 1 : 0)
+              << "root " << i << " at step " << k << " reverse=" << reverse;
+      }
+      EXPECT_TRUE(sim.quiescent());
+    }
+    EXPECT_EQ(destroyed, std::vector<int>(kRoots, 1));
+  }
+}
+
+// A binary tree of roots: each spawns its two children at different
+// instants and outlives or predeceases them depending on its id, so roots
+// finish interleaved with spawns all over the table.
+Task<void> spawning_root(Simulator& sim, int id, int depth,
+                         std::vector<int>& destroyed) {
+  FrameProbe probe(&destroyed, id);
+  if (depth > 0) {
+    sim.spawn(spawning_root(sim, 2 * id + 1, depth - 1, destroyed));
+    co_await sim.delay(3);
+    sim.spawn(spawning_root(sim, 2 * id + 2, depth - 1, destroyed));
+  }
+  co_await sim.delay(static_cast<SimTime>(id % 2 == 0 ? 5 : 40 - id));
+}
+
+TEST(RootReclaim, RootsSpawnedMidRunByOtherRootsAreEachDestroyedOnce) {
+  constexpr int kNodes = 31;  // depth 4
+  std::vector<int> destroyed(kNodes, 0);
+  {
+    Simulator sim;
+    sim.spawn(spawning_root(sim, 0, 4, destroyed));
+    sim.run();
+    EXPECT_TRUE(sim.quiescent());
+  }
+  EXPECT_EQ(destroyed, std::vector<int>(kNodes, 1));
+}
+
+Task<int> probed_recv(Channel<int>& ch, int id, std::vector<int>& destroyed) {
+  FrameProbe probe(&destroyed, id);
+  co_return co_await ch.recv();
+}
+
+Task<void> blocked_parent(Channel<int>& ch, int id, int child_id,
+                          std::vector<int>& destroyed) {
+  FrameProbe probe(&destroyed, id);
+  (void)co_await probed_recv(ch, child_id, destroyed);
+}
+
+Task<void> one_send(Simulator& sim, Channel<int>& ch, SimTime at, int id,
+                    std::vector<int>& destroyed) {
+  FrameProbe probe(&destroyed, id);
+  co_await sim.delay(at);
+  ch.send(7);
+}
+
+// Roots still blocked on a channel when the simulator goes away are
+// destroyed by its destructor — with the child frames they own — while the
+// finished ones were already reclaimed during the run.
+TEST(RootReclaim, SimulatorDestroyedWithBlockedRootsDestroysEachFrameOnce) {
+  // ids 0-3: blocked parents, 4-7: their children, 8-9: finished delays,
+  // 10: the sender, whose one value releases parent 0 mid-run.
+  std::vector<int> destroyed(11, 0);
+  {
+    Simulator sim;
+    Channel<int> ch(sim);
+    sim.spawn(probed_delay(sim, 5, 8, destroyed));
+    for (int i = 0; i < 4; ++i)
+      sim.spawn(blocked_parent(ch, i, 4 + i, destroyed));
+    sim.spawn(one_send(sim, ch, 20, 10, destroyed));
+    sim.spawn(probed_delay(sim, 30, 9, destroyed));
+    sim.run();
+    EXPECT_FALSE(sim.quiescent());
+    EXPECT_EQ(destroyed,
+              (std::vector<int>{1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1}));
+  }
+  EXPECT_EQ(destroyed, std::vector<int>(11, 1));
+}
+
 TEST(Perturbation, EnablingMidRunDies) {
   Simulator sim;
   std::vector<int> log;

@@ -1,6 +1,9 @@
 // Golden behaviour fingerprints of the distributed sort over the exchange
 // and final-merge paths: every partition scheme x every final-merge
-// strategy, plus the bulk-synchronous and unbuffered exchange ablations.
+// strategy, plus the bulk-synchronous and unbuffered exchange ablations,
+// and three substrate cases: reliable delivery over a lossy, duplicating
+// fabric, two-level AMS recovering from a rank killed mid-exchange, and
+// the exchange without its buffer pool.
 // A fingerprint pins what the simulation did, not just that the output is
 // sorted: total and per-step simulated time, wire bytes, fabric messages,
 // DES events, peak modelled memory, and a hash over every output item's
@@ -45,6 +48,13 @@ struct Fingerprint {
   std::uint64_t peak_persistent = 0;
   std::uint64_t peak_temp = 0;
   std::uint64_t output_hash = 0;
+  // Not part of the golden: evidence that a substrate case exercised the
+  // machinery it pins.
+  std::uint64_t retransmits = 0;
+  std::uint64_t duplicates_suppressed = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t final_members = 0;
+  std::uint64_t pool_leases = 0;
 };
 
 struct Case {
@@ -54,6 +64,8 @@ struct Case {
   bool async_exchange;
   bool buffered_exchange;
   Fingerprint golden;
+  // Substrate cases adjust the sort and cluster configs before the run.
+  void (*setup)(SortConfig&, rt::ClusterConfig&) = nullptr;
 };
 
 // FNV-1a over 64-bit words.
@@ -81,6 +93,7 @@ Fingerprint run_case(const Case& c) {
   rt::ClusterConfig ccfg;
   ccfg.machines = kMachines;
   ccfg.threads_per_machine = 8;
+  if (c.setup != nullptr) c.setup(cfg, ccfg);
   rt::Cluster<Sorter::Msg> cluster(ccfg);
   Sorter sorter(cluster, cfg);
   sorter.run(std::move(shards));
@@ -107,6 +120,12 @@ Fingerprint run_case(const Case& c) {
     }
   }
   fp.output_hash = hash.h;
+  fp.retransmits = cluster.comm().reliable_stats().retransmits;
+  fp.duplicates_suppressed =
+      cluster.comm().reliable_stats().duplicates_suppressed;
+  fp.recoveries = st.recovery.recoveries;
+  fp.final_members = st.recovery.final_members;
+  fp.pool_leases = sorter.pool_stats().leases;
   return fp;
 }
 
@@ -136,6 +155,30 @@ constexpr auto kAms = PartitionScheme::kTwoLevelAms;
 constexpr auto kKway = MergeAlgo::kParallelKway;
 constexpr auto kTree = MergeAlgo::kPairwiseTree;
 constexpr auto kSeq = MergeAlgo::kSequentialKway;
+
+// Reliable delivery over a fabric that drops and duplicates 5% of frames
+// each: RTO timers, in-flight accounting, receiver dedup and acks.
+void lossy_reliable_fabric(SortConfig&, rt::ClusterConfig& ccfg) {
+  ccfg.net.faults.drop_prob = 0.05;
+  ccfg.net.faults.duplicate_prob = 0.05;
+  ccfg.reliable.enabled = true;
+}
+
+// The recovery stack (reliable fail-fast delivery, failure detector,
+// supervisor) with rank 4 killed at 116 us: inside its level-2 group
+// exchange, which a clean run of this stack holds from 100.7 to 132.5 us.
+void crash_mid_exchange(SortConfig& cfg, rt::ClusterConfig& ccfg) {
+  ccfg.net.faults.crashes = {net::CrashEvent{4, 116 * sim::kMicrosecond}};
+  ccfg.reliable.enabled = true;
+  ccfg.reliable.fail_fast = true;
+  ccfg.detector.enabled = true;
+  ccfg.allow_undrained = true;
+  cfg.recovery.enabled = true;
+}
+
+void no_buffer_pool(SortConfig& cfg, rt::ClusterConfig&) {
+  cfg.use_buffer_pool = false;
+}
 
 // Golden fields: {total ns, {six per-step max ns}, wire_bytes_total,
 // wire_bytes_samples, fabric messages, DES events, max peak persistent
@@ -174,9 +217,21 @@ const Case kCases[] = {
     {"OneLevelKwayUnbuffered", kOne, kKway, true, false,
      {112194, {37657, 3356, 12243, 13726, 44014, 7402},
       516032, 2880, 160, 1339, 160020, 192024, 0x06f27abe11ea9429ull}},
+    {"OneLevelKwayLossyReliable", kOne, kKway, true, true,
+     {3838516, {37657, 13117, 8096, 1374723, 3761223, 7402},
+      519488, 2880, 840, 6278, 160020, 192024, 0x06f27abe11ea9429ull},
+     lossy_reliable_fabric},
+    {"TwoLevelKwayCrashRecovery", kAms, kKway, true, true,
+     {10119520, {47472, 22934, 20877, 20044, 78057, 4856},
+      1522904, 12376, 1329, 9969, 400060, 384064, 0xe4e2dcdde66306c5ull},
+     crash_mid_exchange},
+    {"OneLevelKwayNoPool", kOne, kKway, true, true,
+     {115664, {37657, 3356, 12243, 13726, 45367, 7402},
+      519488, 2880, 376, 3284, 160020, 192024, 0x06f27abe11ea9429ull},
+     no_buffer_pool},
 };
 
-// Every case runs once per test binary; both tests read the results.
+// Every case runs once per test binary; every test reads the results.
 const std::vector<Fingerprint>& measured() {
   static const std::vector<Fingerprint> fps = [] {
     std::vector<Fingerprint> out;
@@ -184,6 +239,13 @@ const std::vector<Fingerprint>& measured() {
     return out;
   }();
   return fps;
+}
+
+const Fingerprint& measured(const std::string& name) {
+  for (std::size_t i = 0; i < std::size(kCases); ++i)
+    if (kCases[i].name == name) return measured()[i];
+  ADD_FAILURE() << "no fingerprint case " << name;
+  return measured().front();
 }
 
 TEST(SortFingerprint, MatchesGoldens) {
@@ -200,12 +262,31 @@ TEST(SortFingerprint, MergeStrategiesAgreeWithinEachScheme) {
     std::vector<std::uint64_t> hashes;
     for (std::size_t i = 0; i < std::size(kCases); ++i)
       if (kCases[i].partition == scheme && kCases[i].async_exchange &&
-          kCases[i].buffered_exchange)
+          kCases[i].buffered_exchange && kCases[i].setup == nullptr)
         hashes.push_back(measured()[i].output_hash);
     ASSERT_EQ(hashes.size(), 3u) << partition_scheme_name(scheme);
     EXPECT_EQ(hashes[0], hashes[1]) << partition_scheme_name(scheme);
     EXPECT_EQ(hashes[0], hashes[2]) << partition_scheme_name(scheme);
   }
+}
+
+// The substrate goldens only pin what they claim if the run really went
+// through that machinery. Faults and the pool change timing, never the
+// output.
+TEST(SortFingerprint, SubstrateCasesExerciseTheirMachinery) {
+  const Fingerprint& lossy = measured("OneLevelKwayLossyReliable");
+  EXPECT_GT(lossy.retransmits, 0u);
+  EXPECT_GT(lossy.duplicates_suppressed, 0u);
+  EXPECT_EQ(lossy.output_hash, measured("OneLevelKway").output_hash);
+
+  const Fingerprint& crash = measured("TwoLevelKwayCrashRecovery");
+  EXPECT_EQ(crash.recoveries, 1u);
+  EXPECT_EQ(crash.final_members, kMachines - 1);
+
+  const Fingerprint& no_pool = measured("OneLevelKwayNoPool");
+  EXPECT_EQ(no_pool.pool_leases, 0u);
+  EXPECT_GT(measured("OneLevelKway").pool_leases, 0u);
+  EXPECT_EQ(no_pool.output_hash, measured("OneLevelKway").output_hash);
 }
 
 }  // namespace
