@@ -1,7 +1,6 @@
-// Microbenchmarks (google-benchmark) of the two task schedulers: the
-// single-shared-queue ThreadPool versus the WorkStealingPool, on regular
-// and on irregular (power-law) task sizes — the irregular case is why
-// PGX.D pairs its task manager with edge chunking and stealing.
+// Microbenchmarks (google-benchmark) of the shared-queue ThreadPool on
+// regular and on irregular (power-law) task sizes — the irregular case is
+// the load imbalance PGX.D's task manager meets on power-law graphs.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "common/work_stealing_pool.hpp"
 
 namespace {
 
@@ -40,8 +38,8 @@ std::vector<std::uint64_t> task_sizes(bool irregular, std::size_t count) {
   return sizes;
 }
 
-template <typename Pool>
-void run_tasks(Pool& pool, const std::vector<std::uint64_t>& sizes) {
+void run_tasks(pgxd::ThreadPool& pool,
+               const std::vector<std::uint64_t>& sizes) {
   std::vector<std::function<void()>> tasks;
   tasks.reserve(sizes.size());
   for (auto s : sizes) tasks.push_back([s] { spin(s); });
@@ -55,26 +53,12 @@ void BM_SharedQueueRegular(benchmark::State& state) {
 }
 BENCHMARK(BM_SharedQueueRegular);
 
-void BM_WorkStealingRegular(benchmark::State& state) {
-  pgxd::WorkStealingPool pool(3);
-  const auto sizes = task_sizes(false, 512);
-  for (auto _ : state) run_tasks(pool, sizes);
-}
-BENCHMARK(BM_WorkStealingRegular);
-
 void BM_SharedQueueIrregular(benchmark::State& state) {
   pgxd::ThreadPool pool(3);
   const auto sizes = task_sizes(true, 512);
   for (auto _ : state) run_tasks(pool, sizes);
 }
 BENCHMARK(BM_SharedQueueIrregular);
-
-void BM_WorkStealingIrregular(benchmark::State& state) {
-  pgxd::WorkStealingPool pool(3);
-  const auto sizes = task_sizes(true, 512);
-  for (auto _ : state) run_tasks(pool, sizes);
-}
-BENCHMARK(BM_WorkStealingIrregular);
 
 }  // namespace
 

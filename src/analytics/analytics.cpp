@@ -1,8 +1,6 @@
-#include <queue>
+#include <algorithm>
 
-#include "analytics/components.hpp"
 #include "analytics/pagerank.hpp"
-#include "analytics/sssp.hpp"
 
 namespace pgxd::analytics {
 
@@ -23,68 +21,6 @@ std::vector<double> pagerank_reference(const graph::CsrGraph& graph,
       ranks[v] = (1.0 - damping) / static_cast<double>(n) + damping * next[v];
   }
   return ranks;
-}
-
-graph::CsrGraph DistributedComponents::symmetrize(const graph::CsrGraph& g) {
-  std::vector<graph::Edge> edges;
-  edges.reserve(2 * g.num_edges());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (const auto u : g.neighbors(v)) {
-      edges.push_back(graph::Edge{v, u});
-      edges.push_back(graph::Edge{u, v});
-    }
-  }
-  return graph::CsrGraph::from_edges(g.num_vertices(), edges);
-}
-
-std::vector<graph::VertexId> components_reference(const graph::CsrGraph& graph) {
-  const auto sym = DistributedComponents::symmetrize(graph);
-  const graph::VertexId n = sym.num_vertices();
-  std::vector<graph::VertexId> label(n);
-  std::vector<bool> seen(n, false);
-  for (graph::VertexId v = 0; v < n; ++v) label[v] = v;
-  for (graph::VertexId start = 0; start < n; ++start) {
-    if (seen[start]) continue;
-    // BFS: everything reachable from `start` gets `start` as its label
-    // (start is the minimum id in its component because we scan in order).
-    std::queue<graph::VertexId> frontier;
-    frontier.push(start);
-    seen[start] = true;
-    while (!frontier.empty()) {
-      const auto v = frontier.front();
-      frontier.pop();
-      label[v] = start;
-      for (const auto u : sym.neighbors(v)) {
-        if (!seen[u]) {
-          seen[u] = true;
-          frontier.push(u);
-        }
-      }
-    }
-  }
-  return label;
-}
-
-std::vector<std::uint64_t> sssp_reference(const graph::CsrGraph& graph,
-                                          graph::VertexId source) {
-  std::vector<std::uint64_t> dist(graph.num_vertices(), kUnreachable);
-  dist[source] = 0;
-  using Entry = std::pair<std::uint64_t, graph::VertexId>;  // (dist, vertex)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
-  frontier.push({0, source});
-  while (!frontier.empty()) {
-    const auto [d, v] = frontier.top();
-    frontier.pop();
-    if (d > dist[v]) continue;
-    for (const auto u : graph.neighbors(v)) {
-      const std::uint64_t cand = d + edge_weight(v, u);
-      if (cand < dist[u]) {
-        dist[u] = cand;
-        frontier.push({cand, u});
-      }
-    }
-  }
-  return dist;
 }
 
 }  // namespace pgxd::analytics

@@ -155,13 +155,6 @@ struct SortConfig {
   // allocating one vector per chunk; false = fresh allocation per chunk
   // (ablation).
   bool use_buffer_pool = true;
-  // Scoped (AMS group) exchanges only park in the pool-backpressure
-  // receive while data frames are actually pending for this rank — the
-  // lost-wakeup fix for the shared-pool deadlock under kTwoLevelAms.
-  // Disabling it reintroduces that deadlock; the knob exists so the
-  // deadlock-analysis suite can regression-test that the runtime wait-for
-  // graph and the schedule perturbation explorer both catch it.
-  bool scoped_pending_guard = true;
   // Telemetry master switch: per-rank obs::MetricsRegistry population and
   // SortReport support. Near-zero cost — every instrumentation point is a
   // branch on this flag, and the counters themselves are plain integer adds
@@ -231,7 +224,6 @@ struct SortStats {
   sim::SimTime total_time = 0;
   std::uint64_t wire_bytes_total = 0;
   std::uint64_t wire_bytes_samples = 0;  // sampling + splitter + counts traffic
-  std::uint64_t wire_messages = 0;
   BalanceReport balance;
   std::vector<Key> splitters;
   RecoveryStats recovery;

@@ -101,6 +101,10 @@ struct SortMsg {
   }
 };
 
+// Test-only access to DistributedSorter internals; defined by the tests
+// that use it.
+struct SorterTestHooks;
+
 template <typename Key, typename Comp = sort::Less>
 class DistributedSorter {
  public:
@@ -158,6 +162,7 @@ class DistributedSorter {
     const std::size_t p = cluster_.size();
     input_.resize(p);
     output_.resize(p);
+    boundary_.resize(p);
     stats_.machines.resize(p);
     metrics_.resize(p);
   }
@@ -209,19 +214,21 @@ class DistributedSorter {
     stats_.total_time = elapsed;
     stats_.steps_max = StepTimings{};
     for (const auto& ms : stats_.machines) stats_.steps_max.max_with(ms.steps);
-    // Balance over the ranks that produced output: after a recovery the
-    // dead ranks' partitions are empty by construction, and counting them
-    // would report a meaningless imbalance.
+    // Balance and boundaries over the ranks that produced output: after a
+    // recovery the dead ranks' partitions are empty by construction, and
+    // counting them would report a meaningless imbalance.
+    std::vector<std::size_t> ranks = final_members_;
+    if (ranks.empty()) {
+      ranks.resize(output_.size());
+      std::iota(ranks.begin(), ranks.end(), std::size_t{0});
+    }
     std::vector<std::uint64_t> sizes;
-    if (!final_members_.empty()) {
-      sizes.reserve(final_members_.size());
-      for (std::size_t r : final_members_) sizes.push_back(output_[r].size());
-    } else {
-      sizes.reserve(output_.size());
-      for (const auto& part : output_) sizes.push_back(part.size());
+    stats_.splitters.clear();
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      sizes.push_back(output_[ranks[i]].size());
+      if (i + 1 < ranks.size()) stats_.splitters.push_back(boundary_[ranks[i]]);
     }
     stats_.balance = balance_report(sizes);
-    stats_.splitters = splitters_;
     stats_.wire_bytes_total = wire_data_bytes_ + wire_control_bytes_;
     stats_.wire_bytes_samples = wire_control_bytes_;
     stats_.partition.scheme = cfg_.partition;
@@ -462,6 +469,71 @@ class DistributedSorter {
     RecvProgress() = default;
   };
 
+  // Physical rank -> position in an ordered rank list (an attempt's
+  // membership or a partition scope).
+  struct ScopeIndex {
+    std::vector<std::size_t> pos;  // size for a rank outside the list
+    std::size_t size;
+
+    ScopeIndex(std::size_t p, const std::vector<std::size_t>& ranks)
+        : pos(p, ranks.size()), size(ranks.size()) {
+      for (std::size_t j = 0; j < size; ++j) pos[ranks[j]] = j;
+    }
+    // Position of a frame's source; fails with `what` outside the list.
+    std::size_t source(std::size_t src, const char* what) const {
+      PGXD_CHECK_MSG(pos[src] < size, what);
+      return pos[src];
+    }
+  };
+
+  // The sources one gather has heard from. On a duplicating fabric without
+  // reliable delivery a frame can arrive twice, so a gather waits for
+  // distinct sources, not messages, and drops a source's repeats.
+  struct SourceSet {
+    std::vector<bool> heard;
+    std::size_t missing;
+
+    // Waits for `expected` of q sources; `self` holds its own part already.
+    SourceSet(std::size_t q, std::size_t expected, std::size_t self)
+        : heard(q, false), missing(expected) {
+      heard[self] = true;
+    }
+    bool done() const { return missing == 0; }
+    // Marks source j heard; false for a repeat, which the caller drops.
+    bool first(std::size_t j) {
+      if (heard[j]) return false;
+      heard[j] = true;
+      --missing;
+      return true;
+    }
+  };
+
+  // A splitter master's weighted sample pool. Each sample stands for
+  // shard_size / sample_count elements of its shard (prov_base carries the
+  // shard size), so shards of very different sizes — e.g. graph partitions
+  // balanced by edges — still get proportional splitters.
+  struct SamplePool {
+    std::vector<sort::WeightedSample<Key>> items;
+
+    void add(const std::vector<Key>& keys, std::uint64_t shard_n) {
+      if (keys.empty()) return;
+      const double w =
+          static_cast<double>(shard_n) / static_cast<double>(keys.size());
+      for (const auto& k : keys)
+        items.push_back(sort::WeightedSample<Key>{k, w});
+    }
+    // Sorts the pool and picks parts-1 splitters; the caller charges the
+    // sort.
+    std::vector<Key> select(std::size_t parts, const Comp& comp) {
+      std::sort(items.begin(), items.end(),
+                [&comp](const sort::WeightedSample<Key>& a,
+                        const sort::WeightedSample<Key>& b) {
+                  return comp(a.key, b.key);
+                });
+      return sort::select_splitters_weighted<Key, Comp>(items, parts, comp);
+    }
+  };
+
   static constexpr std::size_t kHedgeMaxChunksPerSource = 8;
   static constexpr std::size_t kHedgeMinGapSamples = 8;
   static constexpr std::size_t kHedgeMaxGapSamples = 512;
@@ -479,6 +551,42 @@ class DistributedSorter {
   int tag(int t) const { return base_tag_ + t; }
   void note_control_bytes(std::uint64_t b) { wire_control_bytes_ += b; }
   void note_data_bytes(std::uint64_t b) { wire_data_bytes_ += b; }
+
+  // Closes the paper step `rank` has run since `mark`: per-step timing, a
+  // trace span tagged with the bytes the step moved, and (telemetry on) a
+  // step-duration gauge in the rank's registry. Accumulating (+=) because
+  // the two-level scheme visits the sampling..exchange steps twice — once
+  // per level.
+  void stamp(std::size_t rank, sim::SimTime& mark, Step s,
+             std::uint64_t bytes = 0) {
+    const sim::SimTime now = cluster_.simulator().now();
+    MachineStats& ms = stats_.machines[rank];
+    ms.steps[s] += now - mark;
+    if (trace_) trace_->record(rank, step_name(s), mark, now, bytes);
+    if (cfg_.telemetry) {
+      obs::MetricsRegistry& reg = metrics_[rank];
+      reg.gauge(std::string("sort.step.") + step_metric_suffix(s) + "_ns")
+          .set(static_cast<double>(ms.steps[s]));
+      reg.counter(std::string("sort.step.") + step_metric_suffix(s) +
+                  "_bytes")
+          .inc(bytes);
+    }
+    mark = now;
+  }
+
+  // A refinement request for kTagProbe: {kind, seq, extra...} in the
+  // counts plane, `keys` in the key plane. Notes its control bytes; the
+  // caller posts it.
+  std::pair<Msg, std::uint64_t> probe_frame(
+      std::uint64_t kind, std::uint64_t seq, const std::vector<Key>& keys,
+      const std::vector<std::uint64_t>& extra = {}) {
+    std::vector<std::uint64_t> hdr{kind, seq};
+    hdr.insert(hdr.end(), extra.begin(), extra.end());
+    const std::uint64_t bytes =
+        keys.size() * sizeof(Key) + hdr.size() * sizeof(std::uint64_t);
+    note_control_bytes(bytes);
+    return {Msg(std::vector<Key>(keys), std::move(hdr), 0, 0), bytes};
+  }
 
   std::vector<Key> regenerate_shard(std::size_t rank) const {
     return shard_source_ ? shard_source_(rank) : input_[rank];
@@ -564,7 +672,6 @@ class DistributedSorter {
       part_probe_keys_ = 0;
       part_level1_items_ = 0;
       part_groups_ = 1;
-      part_refine_eps_ = 0.0;
       const sim::SimTime t0 = sim.now();
       const sim::SimTime elapsed = cluster_.run_on(
           members, [this, attempt, &members](rt::Machine& m) {
@@ -882,51 +989,31 @@ class DistributedSorter {
                                    std::size_t n) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
-    const std::size_t p = cluster_.size();
     const std::size_t q = ctx.scope.size();
-    std::vector<std::size_t> midx(p, q);
-    for (std::size_t j = 0; j < q; ++j) midx[ctx.scope[j]] = j;
-    const std::size_t idx = midx[rank];
+    const ScopeIndex midx(cluster_.size(), ctx.scope);
+    const std::size_t idx = midx.pos[rank];
     auto& mem = m.memory();
 
     // Seed: gather the sample pool and learn the exact total element count
     // from the piggybacked shard sizes (the refiner's targets need N, not
     // an estimate).
-    std::vector<sort::WeightedSample<Key>> pool;
+    SamplePool pool;
     std::uint64_t total_n = n;
-    auto add_samples = [&pool](const std::vector<Key>& keys,
-                               std::uint64_t shard_n) {
-      if (keys.empty()) return;
-      const double w =
-          static_cast<double>(shard_n) / static_cast<double>(keys.size());
-      for (const auto& k : keys)
-        pool.push_back(sort::WeightedSample<Key>{k, w});
-    };
-    add_samples(samples, n);
-    std::vector<bool> sampled(q, false);
-    sampled[idx] = true;
-    for (std::size_t distinct = 1; distinct < q;) {
+    pool.add(samples, n);
+    for (SourceSet got(q, q - 1, idx); !got.done();) {
       auto msg = co_await recv_sort(m, ctx, tag(kTagSamples), nullptr,
                                     nullptr);
-      const std::size_t sj = midx[msg.src];
-      PGXD_CHECK_MSG(sj < q,
-                     "samples from a rank outside the attempt membership");
-      if (sampled[sj]) continue;
-      sampled[sj] = true;
-      ++distinct;
+      if (!got.first(midx.source(
+              msg.src, "samples from a rank outside the attempt membership")))
+        continue;
       total_n += msg.payload.prov_base;
-      add_samples(msg.payload.keys, msg.payload.prov_base);
+      pool.add(msg.payload.keys, msg.payload.prov_base);
     }
     std::vector<Key> cands;
     {
-      rt::TempAlloc pool_mem(mem, pool.size() * sizeof(Key) * 2);
-      std::sort(pool.begin(), pool.end(),
-                [this](const sort::WeightedSample<Key>& a,
-                       const sort::WeightedSample<Key>& b) {
-                  return comp_(a.key, b.key);
-                });
-      co_await m.compute_parallel(m.cost().sort_time(pool.size()));
-      cands = sort::select_splitters_weighted<Key, Comp>(pool, q, comp_);
+      rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
+      cands = pool.select(q, comp_);
+      co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
     }
 
     sort::HistogramRefiner<Key, Comp> refiner(q, total_n,
@@ -941,34 +1028,23 @@ class DistributedSorter {
       // contributes exact local rank brackets, summed into global ones.
       ++seq;
       for (std::size_t j = 1; j < q; ++j) {
-        std::vector<std::uint64_t> hdr;
-        hdr.push_back(kProbeCount);
-        hdr.push_back(seq);
-        std::vector<Key> req_keys = probe;
-        const std::uint64_t bytes = req_keys.size() * sizeof(Key) +
-                                    hdr.size() * sizeof(std::uint64_t);
-        note_control_bytes(bytes);
-        Msg req(std::move(req_keys), std::move(hdr), 0, 0);
-        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req), bytes);
+        auto req = probe_frame(kProbeCount, seq, probe);
+        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
+                  req.second);
       }
       std::vector<std::uint64_t> lo, hi;
       sort::count_ranks<Key, Comp>(local, probe, lo, hi, comp_);
       co_await m.compute(m.cost().histogram_round_time(n, probe.size()));
-      std::vector<bool> replied(q, false);
-      replied[idx] = true;
-      for (std::size_t distinct = 1; distinct < q;) {
+      for (SourceSet got(q, q - 1, idx); !got.done();) {
         auto msg = co_await recv_sort(m, ctx, tag(kTagReply), nullptr,
                                       nullptr);
-        const std::size_t sj = midx[msg.src];
-        PGXD_CHECK_MSG(sj < q,
-                       "probe reply from a rank outside the membership");
+        const std::size_t sj = midx.source(
+            msg.src, "probe reply from a rank outside the membership");
         const auto& c = msg.payload.counts;
-        if (c.empty() || c[0] != seq) continue;  // stale round: drop
-        if (replied[sj]) continue;
+        // A stale round's reply or a source's repeat: drop.
+        if (c.empty() || c[0] != seq || !got.first(sj)) continue;
         PGXD_CHECK_MSG(c.size() == 1 + 2 * probe.size(),
                        "probe reply does not match the probe set");
-        replied[sj] = true;
-        ++distinct;
         for (std::size_t i = 0; i < probe.size(); ++i) {
           lo[i] += c[1 + i];
           hi[i] += c[1 + probe.size() + i];
@@ -990,33 +1066,21 @@ class DistributedSorter {
         flags.push_back((iv.has_lo ? 1u : 0u) | (iv.has_hi ? 2u : 0u));
       }
       for (std::size_t j = 1; j < q; ++j) {
-        std::vector<std::uint64_t> hdr;
-        hdr.push_back(kProbeDraw);
-        hdr.push_back(seq);
-        hdr.insert(hdr.end(), flags.begin(), flags.end());
-        std::vector<Key> req_keys = ser;
-        const std::uint64_t bytes = req_keys.size() * sizeof(Key) +
-                                    hdr.size() * sizeof(std::uint64_t);
-        note_control_bytes(bytes);
-        Msg req(std::move(req_keys), std::move(hdr), 0, 0);
-        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req), bytes);
+        auto req = probe_frame(kProbeDraw, seq, ser, flags);
+        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
+                  req.second);
       }
       std::vector<Key> drawn = sort::draw_candidates<Key, Comp>(
           local, ivs, sort::kDrawPerInterval, comp_);
       co_await m.charge_binary_search(n, 2 * ivs.size());
-      std::vector<bool> drew(q, false);
-      drew[idx] = true;
-      for (std::size_t distinct = 1; distinct < q;) {
+      for (SourceSet got(q, q - 1, idx); !got.done();) {
         auto msg = co_await recv_sort(m, ctx, tag(kTagReply), nullptr,
                                       nullptr);
-        const std::size_t sj = midx[msg.src];
-        PGXD_CHECK_MSG(sj < q,
-                       "draw reply from a rank outside the membership");
+        const std::size_t sj = midx.source(
+            msg.src, "draw reply from a rank outside the membership");
         const auto& c = msg.payload.counts;
-        if (c.empty() || c[0] != seq) continue;  // stale round: drop
-        if (drew[sj]) continue;
-        drew[sj] = true;
-        ++distinct;
+        // A stale round's reply or a source's repeat: drop.
+        if (c.empty() || c[0] != seq || !got.first(sj)) continue;
         drawn.insert(drawn.end(), msg.payload.keys.begin(),
                      msg.payload.keys.end());
       }
@@ -1024,7 +1088,7 @@ class DistributedSorter {
     }
     part_rounds_ = std::max<std::uint64_t>(1, refiner.rounds());
     part_probe_keys_ += refiner.probe_keys();
-    part_refine_eps_ = refiner.achieved_epsilon();
+    double certified_eps = refiner.achieved_epsilon();
 
     // Resolution round: the refiner certifies a boundary by a key whose
     // duplicate run *brackets* the target rank — landing on that rank
@@ -1034,40 +1098,29 @@ class DistributedSorter {
     // data). One more exact counting round over the final splitter keys,
     // kept per member this time, lets the master hand every member its
     // duplicate take per boundary; the takes ride with the splitters.
-    splitters_ = refiner.splitters();
-    const std::size_t nb = splitters_.size();
+    const std::vector<Key> splitters = refiner.splitters();
+    const std::size_t nb = splitters.size();
     std::vector<std::vector<std::uint64_t>> mem_lo(q), mem_hi(q);
     if (nb > 0) {
       ++seq;
       for (std::size_t j = 1; j < q; ++j) {
-        std::vector<std::uint64_t> hdr;
-        hdr.push_back(kProbeCount);
-        hdr.push_back(seq);
-        std::vector<Key> req_keys = splitters_;
-        const std::uint64_t bytes = req_keys.size() * sizeof(Key) +
-                                    hdr.size() * sizeof(std::uint64_t);
-        note_control_bytes(bytes);
-        Msg req(std::move(req_keys), std::move(hdr), 0, 0);
-        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req), bytes);
+        auto req = probe_frame(kProbeCount, seq, splitters);
+        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
+                  req.second);
       }
-      sort::count_ranks<Key, Comp>(local, splitters_, mem_lo[idx],
+      sort::count_ranks<Key, Comp>(local, splitters, mem_lo[idx],
                                    mem_hi[idx], comp_);
       co_await m.compute(m.cost().histogram_round_time(n, nb));
-      std::vector<bool> replied(q, false);
-      replied[idx] = true;
-      for (std::size_t distinct = 1; distinct < q;) {
+      for (SourceSet got(q, q - 1, idx); !got.done();) {
         auto msg = co_await recv_sort(m, ctx, tag(kTagReply), nullptr,
                                       nullptr);
-        const std::size_t sj = midx[msg.src];
-        PGXD_CHECK_MSG(sj < q,
-                       "probe reply from a rank outside the membership");
+        const std::size_t sj = midx.source(
+            msg.src, "probe reply from a rank outside the membership");
         const auto& c = msg.payload.counts;
-        if (c.empty() || c[0] != seq) continue;  // stale round: drop
-        if (replied[sj]) continue;
+        // A stale round's reply or a source's repeat: drop.
+        if (c.empty() || c[0] != seq || !got.first(sj)) continue;
         PGXD_CHECK_MSG(c.size() == 1 + 2 * nb,
                        "resolution reply does not match the splitter set");
-        replied[sj] = true;
-        ++distinct;
         mem_lo[sj].assign(c.begin() + 1,
                           c.begin() + 1 + static_cast<std::ptrdiff_t>(nb));
         mem_hi[sj].assign(c.begin() + 1 + static_cast<std::ptrdiff_t>(nb),
@@ -1100,34 +1153,30 @@ class DistributedSorter {
       }
     }
     if (nb > 0 && total_n > 0)
-      part_refine_eps_ = 2.0 * static_cast<double>(q) *
-                         static_cast<double>(worst_err) /
-                         static_cast<double>(total_n);
+      certified_eps = 2.0 * static_cast<double>(q) *
+                      static_cast<double>(worst_err) /
+                      static_cast<double>(total_n);
     if (cfg_.telemetry) {
       obs::MetricsRegistry& mreg = metrics_[rank];
       mreg.counter("sort.partition.refine_rounds").inc(refiner.rounds());
-      mreg.gauge("sort.partition.certified_epsilon").set(part_refine_eps_);
+      mreg.gauge("sort.partition.certified_epsilon").set(certified_eps);
     }
     // Release the members from their service loops, then broadcast the
     // final splitters exactly like the one-shot scheme — plus each
     // member's dup-take vector in the counts plane.
     ++seq;
     for (std::size_t j = 1; j < q; ++j) {
-      std::vector<std::uint64_t> hdr;
-      hdr.push_back(kProbeDone);
-      hdr.push_back(seq);
-      const std::uint64_t bytes = hdr.size() * sizeof(std::uint64_t);
-      note_control_bytes(bytes);
-      comm.post(rank, ctx.scope[j], tag(kTagProbe),
-                Msg::of_counts(std::move(hdr)), bytes);
+      auto req = probe_frame(kProbeDone, seq, {});
+      comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
+                req.second);
     }
     for (std::size_t j = 0; j < q; ++j) {
       const std::size_t dst = ctx.scope[j];
       const std::uint64_t bytes =
-          splitters_.size() * sizeof(Key) +
+          splitters.size() * sizeof(Key) +
           takes[j].size() * sizeof(std::uint64_t);
       if (dst != rank) note_control_bytes(bytes);
-      Msg smsg(std::vector<Key>(splitters_), std::move(takes[j]), 0, 0);
+      Msg smsg(std::vector<Key>(splitters), std::move(takes[j]), 0, 0);
       comm.post(rank, dst, tag(kTagSplitters), std::move(smsg), bytes);
     }
     co_return;
@@ -1201,36 +1250,16 @@ class DistributedSorter {
   sim::Task<void> sort_attempt_impl(rt::Machine& m, AttemptCtx ctx) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
-    const std::size_t p = cluster_.size();
     const std::size_t q = ctx.members.size();
     const std::size_t master = ctx.members[0];
-    // Physical rank -> member index (q = not a member of this attempt).
-    std::vector<std::size_t> midx(p, q);
-    for (std::size_t j = 0; j < q; ++j) midx[ctx.members[j]] = j;
-    const std::size_t idx = midx[rank];
+    const ScopeIndex midx(cluster_.size(), ctx.members);
+    const std::size_t idx = midx.pos[rank];
     PGXD_CHECK_MSG(idx < q, "sort attempt spawned on a non-member rank");
-    auto& sim = cluster_.simulator();
     auto& mem = m.memory();
     MachineStats& ms = stats_.machines[rank];
     obs::MetricsRegistry& reg = metrics_[rank];
     const bool telemetry = cfg_.telemetry;
-    sim::SimTime mark = sim.now();
-    // Closes the current paper step: per-step timing, a trace span tagged
-    // with the bytes the step moved, and (telemetry on) a step-duration
-    // gauge in the rank's registry. Accumulating (+=) because the two-level
-    // scheme visits the sampling..exchange steps twice — once per level.
-    auto stamp = [&](Step s, std::uint64_t bytes = 0) {
-      ms.steps[s] += sim.now() - mark;
-      if (trace_) trace_->record(rank, step_name(s), mark, sim.now(), bytes);
-      if (telemetry) {
-        reg.gauge(std::string("sort.step.") + step_metric_suffix(s) + "_ns")
-            .set(static_cast<double>(ms.steps[s]));
-        reg.counter(std::string("sort.step.") + step_metric_suffix(s) +
-                    "_bytes")
-            .inc(bytes);
-      }
-      mark = sim.now();
-    };
+    sim::SimTime mark = cluster_.simulator().now();
 
     // ---- Step 1: local sort ------------------------------------------------
     // Provenance convention: an element's previous location is its position
@@ -1258,7 +1287,7 @@ class DistributedSorter {
       }
     }
     if (telemetry) reg.counter("sort.local.items").inc(n);
-    stamp(Step::kLocalSort, n * sizeof(Key));
+    stamp(rank, mark, Step::kLocalSort, n * sizeof(Key));
 
     // ---- Partition scope ----------------------------------------------------
     // Flat schemes partition once over the whole membership. kTwoLevelAms
@@ -1298,43 +1327,26 @@ class DistributedSorter {
         }
         if (telemetry)
           reg.counter("sort.sampling.samples").inc(samples.size());
-        stamp(Step::kSampling, samples.size() * sizeof(Key));
+        stamp(rank, mark, Step::kSampling, samples.size() * sizeof(Key));
 
         std::vector<Key> gsplit;
         if (rank == master) {
-          std::vector<sort::WeightedSample<Key>> gpool;
-          auto add_samples = [&gpool](const std::vector<Key>& keys,
-                                      std::uint64_t shard_n) {
-            if (keys.empty()) return;
-            const double w = static_cast<double>(shard_n) /
-                             static_cast<double>(keys.size());
-            for (const auto& k : keys)
-              gpool.push_back(sort::WeightedSample<Key>{k, w});
-          };
-          add_samples(samples, n);
-          std::vector<bool> sampled(q, false);
-          sampled[idx] = true;
-          for (std::size_t distinct = 1; distinct < q;) {
+          SamplePool gpool;
+          gpool.add(samples, n);
+          for (SourceSet got(q, q - 1, idx); !got.done();) {
             auto msg = co_await recv_sort(m, ctx, tag(kTagL1Samples), nullptr,
                                           nullptr);
-            const std::size_t sj = midx[msg.src];
-            PGXD_CHECK_MSG(sj < q, "level-1 samples from a rank outside the "
-                                   "attempt membership");
-            if (sampled[sj]) continue;
-            sampled[sj] = true;
-            ++distinct;
-            add_samples(msg.payload.keys, msg.payload.prov_base);
+            if (!got.first(midx.source(msg.src,
+                                       "level-1 samples from a rank outside "
+                                       "the attempt membership")))
+              continue;
+            gpool.add(msg.payload.keys, msg.payload.prov_base);
           }
           {
-            rt::TempAlloc pool_mem(mem, gpool.size() * sizeof(Key) * 2);
-            std::sort(gpool.begin(), gpool.end(),
-                      [this](const sort::WeightedSample<Key>& a,
-                             const sort::WeightedSample<Key>& b) {
-                        return comp_(a.key, b.key);
-                      });
-            co_await m.compute_parallel(m.cost().sort_time(gpool.size()));
-            gsplit = sort::select_splitters_weighted<Key, Comp>(
-                gpool, layout.groups, comp_);
+            rt::TempAlloc pool_mem(mem, gpool.items.size() * sizeof(Key) * 2);
+            gsplit = gpool.select(layout.groups, comp_);
+            co_await m.compute_parallel(
+                m.cost().sort_time(gpool.items.size()));
           }
           for (std::size_t j = 0; j < q; ++j) {
             const std::size_t dst = ctx.members[j];
@@ -1347,7 +1359,10 @@ class DistributedSorter {
         auto gmsg = co_await recv_sort(m, ctx, tag(kTagGroupSplit), nullptr,
                                        nullptr);
         gsplit = std::move(gmsg.payload.keys);
-        stamp(Step::kSplitterSelect, gsplit.size() * sizeof(Key));
+        // The last rank of each group but the last borders the next group.
+        if (g_me + 1 < layout.groups && idx + 1 == layout.start[g_me + 1])
+          boundary_[rank] = gsplit[g_me];
+        stamp(rank, mark, Step::kSplitterSelect, gsplit.size() * sizeof(Key));
 
         // Level-1 plan: one bucket per group, with the duplicate-splitter
         // investigator balancing duplicate runs across group boundaries.
@@ -1377,23 +1392,18 @@ class DistributedSorter {
             senders.push_back(k);
         std::vector<std::uint64_t> bucket_n(q, 0);
         bucket_n[idx] = gsizes[g_me];
-        {
-          std::vector<bool> counted(q, false);
-          for (std::size_t got = 0; got < senders.size();) {
-            auto msg = co_await recv_sort(m, ctx, tag(kTagL1Counts), nullptr,
-                                          nullptr);
-            PGXD_CHECK(msg.payload.counts.size() == 1);
-            const std::size_t sj = midx[msg.src];
-            PGXD_CHECK_MSG(sj < q && layout.group_of(sj) != g_me &&
-                               layout.partner(sj, g_me) == idx,
-                           "level-1 counts from an unexpected sender");
-            if (counted[sj]) continue;
-            counted[sj] = true;
-            ++got;
-            bucket_n[sj] = msg.payload.counts[0];
-          }
+        for (SourceSet got(q, senders.size(), idx); !got.done();) {
+          auto msg = co_await recv_sort(m, ctx, tag(kTagL1Counts), nullptr,
+                                        nullptr);
+          PGXD_CHECK(msg.payload.counts.size() == 1);
+          const std::size_t sj = midx.pos[msg.src];
+          PGXD_CHECK_MSG(sj < q && layout.group_of(sj) != g_me &&
+                             layout.partner(sj, g_me) == idx,
+                         "level-1 counts from an unexpected sender");
+          if (got.first(sj)) bucket_n[sj] = msg.payload.counts[0];
         }
-        stamp(Step::kPartitionPlan, layout.groups * sizeof(std::uint64_t));
+        stamp(rank, mark, Step::kPartitionPlan,
+              layout.groups * sizeof(std::uint64_t));
 
         // Level-1 bucket exchange: one message per (sender, foreign group)
         // pair — O(q * sqrt(q)) messages cluster-wide instead of O(q^2).
@@ -1448,17 +1458,14 @@ class DistributedSorter {
         }
         co_await m.charge_copy(bucket_n[idx]);
         {
-          std::vector<bool> placed_from(q, false);
           std::uint64_t l1_recv = 0;
-          for (std::size_t got = 0; got < expect_msgs;) {
+          for (SourceSet got(q, expect_msgs, idx); !got.done();) {
             auto msg = co_await recv_sort(m, ctx, tag(kTagL1Data), nullptr,
                                           nullptr);
-            const std::size_t sj = midx[msg.src];
-            PGXD_CHECK_MSG(sj < q, "level-1 bucket from a rank outside the "
-                                   "attempt membership");
-            if (placed_from[sj]) continue;  // duplicating fabric: drop copy
-            placed_from[sj] = true;
-            ++got;
+            const std::size_t sj =
+                midx.source(msg.src, "level-1 bucket from a rank outside the "
+                                     "attempt membership");
+            if (!got.first(sj)) continue;
             const auto it =
                 std::lower_bound(contrib.begin(), contrib.end(), sj);
             PGXD_CHECK_MSG(it != contrib.end() && *it == sj &&
@@ -1505,7 +1512,7 @@ class DistributedSorter {
         }
         lprov = std::move(mprov);
         two_hop = true;
-        stamp(Step::kExchange, l1_wire_sent);
+        stamp(rank, mark, Step::kExchange, l1_wire_sent);
         scope.assign(
             ctx.members.begin() + static_cast<std::ptrdiff_t>(
                                       layout.start[g_me]),
@@ -1540,13 +1547,10 @@ class DistributedSorter {
                                        bool two_hop) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
-    const std::size_t p = cluster_.size();
     const std::size_t q = ctx.scope.size();
     const std::size_t master = ctx.scope[0];
-    // Physical rank -> scope index (q = not in this rank's scope).
-    std::vector<std::size_t> midx(p, q);
-    for (std::size_t j = 0; j < q; ++j) midx[ctx.scope[j]] = j;
-    const std::size_t idx = midx[rank];
+    const ScopeIndex midx(cluster_.size(), ctx.scope);
+    const std::size_t idx = midx.pos[rank];
     PGXD_CHECK_MSG(idx < q, "partition phase running on a non-scope rank");
     auto& sim = cluster_.simulator();
     auto& mem = m.memory();
@@ -1562,18 +1566,6 @@ class DistributedSorter {
     const bool histogram =
         cfg_.partition == PartitionScheme::kHistogramRefine;
     sim::SimTime mark = sim.now();
-    auto stamp = [&](Step s, std::uint64_t bytes = 0) {
-      ms.steps[s] += sim.now() - mark;
-      if (trace_) trace_->record(rank, step_name(s), mark, sim.now(), bytes);
-      if (telemetry) {
-        reg.gauge(std::string("sort.step.") + step_metric_suffix(s) + "_ns")
-            .set(static_cast<double>(ms.steps[s]));
-        reg.counter(std::string("sort.step.") + step_metric_suffix(s) +
-                    "_bytes")
-            .inc(bytes);
-      }
-      mark = sim.now();
-    };
 
     // ---- Step 2: regular samples to the master ------------------------------
     const std::uint64_t sample_count = sample_budget(q, n, histogram);
@@ -1589,7 +1581,7 @@ class DistributedSorter {
                          Msg::of_data(samples, n, 0), bytes);
     }
     if (telemetry) reg.counter("sort.sampling.samples").inc(samples.size());
-    stamp(Step::kSampling, samples.size() * sizeof(Key));
+    stamp(rank, mark, Step::kSampling, samples.size() * sizeof(Key));
 
     // ---- Step 3: splitter determination -------------------------------------
     // kOneLevelSample (and AMS level 2): the paper's one-shot master
@@ -1605,51 +1597,28 @@ class DistributedSorter {
         co_await serve_refinement(m, ctx, local, n);
       }
     } else if (rank == master) {
-      // Gather all sample vectors into the master's one read buffer. Each
-      // sample represents shard_size/sample_count elements of its shard, so
-      // splitter selection weights samples accordingly — shards may be of
-      // very different sizes (e.g. graph partitions balanced by edges).
-      std::vector<sort::WeightedSample<Key>> pool;
-      auto add_samples = [&pool](const std::vector<Key>& keys,
-                                 std::uint64_t shard_n) {
-        if (keys.empty()) return;
-        const double w = static_cast<double>(shard_n) /
-                         static_cast<double>(keys.size());
-        for (const auto& k : keys)
-          pool.push_back(sort::WeightedSample<Key>{k, w});
-      };
-      add_samples(samples, n);
-      // Wait for q-1 distinct sources, not q-1 messages: on a duplicating
-      // fabric without reliable delivery a shard's samples can arrive
-      // twice, and counting messages would starve another shard.
-      std::vector<bool> sampled(q, false);
-      sampled[idx] = true;
-      for (std::size_t distinct = 1; distinct < q;) {
+      // Gather all sample vectors into the master's one read buffer.
+      SamplePool pool;
+      pool.add(samples, n);
+      for (SourceSet got(q, q - 1, idx); !got.done();) {
         auto msg = co_await recv_sort(m, ctx, tag(kTagSamples), nullptr,
                                       nullptr);
-        const std::size_t sj = midx[msg.src];
-        PGXD_CHECK_MSG(sj < q,
-                       "samples from a rank outside the attempt membership");
-        if (sampled[sj]) continue;
-        sampled[sj] = true;
-        ++distinct;
-        add_samples(msg.payload.keys, msg.payload.prov_base);
+        if (!got.first(midx.source(
+                msg.src, "samples from a rank outside the attempt membership")))
+          continue;
+        pool.add(msg.payload.keys, msg.payload.prov_base);
       }
+      std::vector<Key> chosen;
       {
-        rt::TempAlloc pool_mem(mem, pool.size() * sizeof(Key) * 2);
-        std::sort(pool.begin(), pool.end(),
-                  [this](const sort::WeightedSample<Key>& a,
-                         const sort::WeightedSample<Key>& b) {
-                    return comp_(a.key, b.key);
-                  });
-        co_await m.compute_parallel(m.cost().sort_time(pool.size()));
-        splitters_ = sort::select_splitters_weighted<Key, Comp>(pool, q, comp_);
+        rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
+        chosen = pool.select(q, comp_);
+        co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
       }
       for (std::size_t j = 0; j < q; ++j) {
         const std::size_t dst = ctx.scope[j];
-        const std::uint64_t bytes = splitters_.size() * sizeof(Key);
+        const std::uint64_t bytes = chosen.size() * sizeof(Key);
         if (dst != master) note_control_bytes(bytes);
-        comm.post(master, dst, tag(kTagSplitters), Msg::of_keys(splitters_),
+        comm.post(master, dst, tag(kTagSplitters), Msg::of_keys(chosen),
                   bytes);
       }
     }
@@ -1658,7 +1627,8 @@ class DistributedSorter {
     const std::vector<Key> splitters = std::move(splitters_msg.payload.keys);
     const std::vector<std::uint64_t> dup_takes =
         std::move(splitters_msg.payload.counts);
-    stamp(Step::kSplitterSelect, splitters.size() * sizeof(Key));
+    if (idx + 1 < q) boundary_[rank] = splitters[idx];
+    stamp(rank, mark, Step::kSplitterSelect, splitters.size() * sizeof(Key));
 
     // ---- Step 4: partition plan + counts exchange ----------------------------
     PartitionPlan plan;
@@ -1704,18 +1674,13 @@ class DistributedSorter {
       if (rank == master) {
         std::vector<std::vector<std::uint64_t>> matrix(q);
         matrix[idx] = send_counts;
-        std::vector<bool> got(q, false);
-        got[idx] = true;
-        for (std::size_t distinct = 1; distinct < q;) {
+        for (SourceSet got(q, q - 1, idx); !got.done();) {
           auto msg =
               co_await recv_sort(m, ctx, tag(kTagCounts), nullptr, nullptr);
-          const std::size_t sj = midx[msg.src];
-          PGXD_CHECK_MSG(sj < q,
-                         "counts from a rank outside the attempt membership");
-          if (got[sj]) continue;
+          const std::size_t sj = midx.source(
+              msg.src, "counts from a rank outside the attempt membership");
+          if (!got.first(sj)) continue;
           PGXD_CHECK(msg.payload.counts.size() == q);
-          got[sj] = true;
-          ++distinct;
           matrix[sj] = std::move(msg.payload.counts);
         }
         for (std::size_t j = 0; j < q; ++j) {
@@ -1757,29 +1722,22 @@ class DistributedSorter {
                   bytes);
       }
       // Receive everyone's counts; recv_counts[j] = elements member j sends
-      // us. As with the sample gather, wait for distinct sources so
-      // duplicated counts messages cannot starve a source.
+      // us.
       recv_counts[idx] = send_counts[idx];
-      std::vector<bool> counted(q, false);
-      counted[idx] = true;
-      for (std::size_t distinct = 1; distinct < q;) {
+      for (SourceSet got(q, q - 1, idx); !got.done();) {
         auto msg =
             co_await recv_sort(m, ctx, tag(kTagCounts), nullptr, nullptr);
         PGXD_CHECK(msg.payload.counts.size() == 1);
-        const std::size_t sj = midx[msg.src];
-        PGXD_CHECK_MSG(sj < q,
-                       "counts from a rank outside the attempt membership");
-        if (counted[sj]) continue;
-        counted[sj] = true;
-        ++distinct;
-        recv_counts[sj] = msg.payload.counts[0];
+        const std::size_t sj = midx.source(
+            msg.src, "counts from a rank outside the attempt membership");
+        if (got.first(sj)) recv_counts[sj] = msg.payload.counts[0];
       }
     }
     if (telemetry) {
       reg.counter("sort.plan.searches").inc(plan.searches);
       reg.counter("sort.plan.duplicate_groups").inc(plan.duplicate_groups);
     }
-    stamp(Step::kPartitionPlan, q * sizeof(std::uint64_t));
+    stamp(rank, mark, Step::kPartitionPlan, q * sizeof(std::uint64_t));
 
     // ---- Step 5: simultaneous send/receive ---------------------------------
     // "each processor knows how much data it will receive ... by applying
@@ -1912,9 +1870,8 @@ class DistributedSorter {
     // the simulated copy cost.
     auto place_chunk = [&](auto& msg) -> std::size_t {
       PGXD_CHECK(msg.src != rank);
-      const std::size_t sj = midx[msg.src];
-      PGXD_CHECK_MSG(sj < q,
-                     "data chunk from a rank outside the attempt membership");
+      const std::size_t sj = midx.source(
+          msg.src, "data chunk from a rank outside the attempt membership");
       auto& keys = msg.payload.keys;
       const std::uint64_t cidx = msg.payload.rel_offset / chunk_elems;
       const std::size_t word =
@@ -2005,7 +1962,7 @@ class DistributedSorter {
         while (use_pool && cfg_.async_exchange &&
                remote_placed < remote_expected && pool_.free_buffers() == 0 &&
                pool_.outstanding() >= pool_cap &&
-               (!scoped_exchange || !cfg_.scoped_pending_guard ||
+               (!scoped_exchange || !scoped_pending_guard_ ||
                 comm.pending(rank, tag(kTagData)) > 0)) {
           // Annotation edge: while parked here the rank is really waiting
           // for a pool buffer, not just its mailbox. Never counted by the
@@ -2086,7 +2043,7 @@ class DistributedSorter {
     local.shrink_to_fit();
     lprov.clear();
     lprov.shrink_to_fit();
-    stamp(Step::kExchange, exchange_wire_sent);
+    stamp(rank, mark, Step::kExchange, exchange_wire_sent);
 
     // ---- Step 6: final merge ------------------------------------------------
     // Bare keys + u32 permutation merge as SoA planes; the output partition
@@ -2171,7 +2128,7 @@ class DistributedSorter {
     recv_keys_mem.reset();
     recv_prov = std::vector<std::uint64_t>();
     recv_prov_mem.reset();
-    stamp(Step::kFinalMerge, total_recv * kStoredBytesPerItem);
+    stamp(rank, mark, Step::kFinalMerge, total_recv * kStoredBytesPerItem);
 
     // ---- Exactly-once audit -------------------------------------------------
     // See core/exchange_audit.hpp. Two-hop provenance names origins anywhere
@@ -2180,7 +2137,8 @@ class DistributedSorter {
     if (xprov) {
       audit_two_hop_exchange(out, audit_slots_);
     } else {
-      audit_single_hop_exchange(out, midx, src_lo, recv_counts, audit_slots_);
+      audit_single_hop_exchange(out, midx.pos, src_lo, recv_counts,
+                                audit_slots_);
     }
 
     ms.peak_persistent_bytes = mem.peak_persistent();
@@ -2205,19 +2163,22 @@ class DistributedSorter {
   std::vector<std::vector<Key>> input_;
   std::vector<std::vector<ItemT>> output_;
   SortStats<Key> stats_;
-  std::vector<Key> splitters_;
+  // Each rank's right partition boundary: the splitter between its output
+  // and the next member's, written by the rank at step (3). finalize()
+  // reads them in member order, so a two-level run reports every group's
+  // level-2 splitters with the coarse group splitters between groups.
+  std::vector<Key> boundary_;
   std::uint64_t wire_control_bytes_ = 0;
   std::uint64_t wire_data_bytes_ = 0;
   // Partition-strategy accumulators for the current run, folded into
   // stats_.partition by finalize(); the recovery supervisor resets them per
   // attempt so only the successful attempt is reported. Written by the
-  // master (rounds, probe keys, certified epsilon) and by every rank
-  // (level-1 items) — single-threaded DES, so plain members suffice.
+  // master (rounds, probe keys) and by every rank (level-1 items) —
+  // single-threaded DES, so plain members suffice.
   std::uint64_t part_rounds_ = 1;
   std::uint64_t part_probe_keys_ = 0;
   std::uint64_t part_level1_items_ = 0;
   std::uint64_t part_groups_ = 1;
-  double part_refine_eps_ = 0.0;
   // Recovery supervisor state (only populated between run_recovering's
   // entry and its success): per-attempt inputs with dead shards re-dealt,
   // per-rank attempt outcomes, and the once-per-rank abort fan-out guard.
@@ -2234,6 +2195,15 @@ class DistributedSorter {
   // The exactly-once audit's slot map, armed over the attempt's input
   // before every cluster run of this sort.
   AuditSlots audit_slots_;
+  // Scoped (AMS group) exchanges only park in the pool-backpressure
+  // receive while data frames are actually pending for this rank — the
+  // lost-wakeup fix for the shared-pool deadlock under kTwoLevelAms. Only
+  // the deadlock regression suite turns it off (SorterTestHooks), to prove
+  // the wait-for graph and the perturbation explorer still catch that
+  // deadlock.
+  bool scoped_pending_guard_ = true;
+
+  friend struct SorterTestHooks;
 
   template <typename K, typename C>
   friend sim::SimTime sort_simultaneously(

@@ -62,6 +62,12 @@ namespace pgxd::rt {
 // sharing ownership — double free). A user-declared constructor routes the
 // temporary through normal init paths, which are handled correctly. See
 // tests/runtime_test.cpp: Comm.PrvaluePayloadRegression.
+//
+// A related GCC 12 limitation: a temporary built from a braced
+// initializer-list (e.g. `std::vector<int>{1, 2}`) inside a co_await
+// full-expression fails to compile ("array used as initializer") because
+// the list's backing array cannot be spilled to the coroutine frame — name
+// such payloads in a local first.
 template <typename Payload>
 struct Message {
   std::size_t src = 0;

@@ -1,16 +1,11 @@
-// Tests for the distributed graph analytics (PageRank, connected
-// components) against single-node references.
+// Tests for the distributed PageRank against a single-node reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <set>
 #include <vector>
 
-#include "analytics/components.hpp"
 #include "analytics/pagerank.hpp"
-#include "analytics/sssp.hpp"
 #include "graph/generate.hpp"
 
 namespace pgxd::analytics {
@@ -114,146 +109,6 @@ TEST(PageRank, DeterministicAcrossRuns) {
     return pr.stats().total_time;
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-// --- Connected components ------------------------------------------------------
-
-class ComponentsSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ComponentsSweep, MatchesReference) {
-  const std::size_t machines = GetParam();
-  const auto g = test_graph(21);
-  const auto part = graph::partition_by_edges(g, machines);
-  rt::Cluster<ComponentsMsg> cluster(cluster_cfg(machines));
-  DistributedComponents cc(cluster, g, part);
-  const auto labels = cc.run();
-  const auto expect = components_reference(g);
-  ASSERT_EQ(labels.size(), expect.size());
-  for (std::size_t v = 0; v < labels.size(); ++v)
-    ASSERT_EQ(labels[v], expect[v]) << "vertex " << v;
-  EXPECT_GT(cc.stats().rounds, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Machines, ComponentsSweep,
-                         ::testing::Values(1, 3, 8));
-
-TEST(Components, DisconnectedCliques) {
-  // Three disjoint triangles plus isolated vertices.
-  std::vector<graph::Edge> edges;
-  for (graph::VertexId base : {0u, 3u, 6u}) {
-    edges.push_back({base, base + 1});
-    edges.push_back({base + 1, base + 2});
-    edges.push_back({base + 2, base});
-  }
-  const auto g = graph::CsrGraph::from_edges(12, edges);
-  const auto part = graph::partition_by_edges(g, 4);
-  rt::Cluster<ComponentsMsg> cluster(cluster_cfg(4));
-  DistributedComponents cc(cluster, g, part);
-  const auto labels = cc.run();
-  EXPECT_EQ(labels[0], 0u);
-  EXPECT_EQ(labels[1], 0u);
-  EXPECT_EQ(labels[2], 0u);
-  EXPECT_EQ(labels[4], 3u);
-  EXPECT_EQ(labels[8], 6u);
-  for (graph::VertexId v = 9; v < 12; ++v) EXPECT_EQ(labels[v], v);
-}
-
-TEST(Components, PathSpanningAllMachines) {
-  // A single path 0-1-2-...-63: the worst case for label propagation
-  // (labels travel one hop per round) across machine boundaries.
-  std::vector<graph::Edge> edges;
-  for (graph::VertexId v = 0; v + 1 < 64; ++v) edges.push_back({v, v + 1});
-  const auto g = graph::CsrGraph::from_edges(64, edges);
-  const auto part = graph::partition_by_edges(g, 8);
-  rt::Cluster<ComponentsMsg> cluster(cluster_cfg(8));
-  DistributedComponents cc(cluster, g, part);
-  const auto labels = cc.run();
-  for (auto l : labels) EXPECT_EQ(l, 0u);
-  EXPECT_GT(cc.stats().rounds, 2u);  // needed multiple propagation rounds
-}
-
-TEST(Components, ConvergesEarlyOnTinyGraph) {
-  std::vector<graph::Edge> edges{{0, 1}};
-  const auto g = graph::CsrGraph::from_edges(4, edges);
-  const auto part = graph::partition_by_edges(g, 2);
-  rt::Cluster<ComponentsMsg> cluster(cluster_cfg(2));
-  DistributedComponents cc(cluster, g, part, /*max_rounds=*/100);
-  const auto labels = cc.run();
-  EXPECT_EQ(labels[1], 0u);
-  EXPECT_LT(cc.stats().rounds, 5u);
-}
-
-TEST(Components, LabelsArePartitionRepresentatives) {
-  // Every label must be the minimum vertex id of its component; labels form
-  // an equivalence relation consistent with the edges.
-  const auto g = test_graph(23);
-  const auto part = graph::partition_by_edges(g, 6);
-  rt::Cluster<ComponentsMsg> cluster(cluster_cfg(6));
-  DistributedComponents cc(cluster, g, part);
-  const auto labels = cc.run();
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_LE(labels[v], v);
-    EXPECT_EQ(labels[labels[v]], labels[v]);  // representative is fixed point
-    for (const auto u : g.neighbors(v)) EXPECT_EQ(labels[u], labels[v]);
-  }
-}
-
-// --- Single-source shortest paths ---------------------------------------------
-
-class SsspSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(SsspSweep, MatchesDijkstra) {
-  const std::size_t machines = GetParam();
-  const auto g = test_graph(31);
-  const auto part = graph::partition_by_edges(g, machines);
-  rt::Cluster<SsspMsg> cluster(cluster_cfg(machines));
-  DistributedSssp sssp(cluster, g, part, /*source=*/0);
-  const auto dist = sssp.run();
-  const auto expect = sssp_reference(g, 0);
-  ASSERT_EQ(dist.size(), expect.size());
-  for (std::size_t v = 0; v < dist.size(); ++v)
-    ASSERT_EQ(dist[v], expect[v]) << "vertex " << v;
-  EXPECT_GT(sssp.stats().rounds, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Machines, SsspSweep, ::testing::Values(1, 4, 8));
-
-TEST(Sssp, SourceIsZeroAndUnreachableStaysMax) {
-  std::vector<graph::Edge> edges{{0, 1}, {1, 2}};
-  const auto g = graph::CsrGraph::from_edges(5, edges);
-  const auto part = graph::partition_by_edges(g, 2);
-  rt::Cluster<SsspMsg> cluster(cluster_cfg(2));
-  DistributedSssp sssp(cluster, g, part, 0);
-  const auto dist = sssp.run();
-  EXPECT_EQ(dist[0], 0u);
-  EXPECT_EQ(dist[1], edge_weight(0, 1));
-  EXPECT_EQ(dist[2], edge_weight(0, 1) + edge_weight(1, 2));
-  EXPECT_EQ(dist[3], kUnreachable);
-  EXPECT_EQ(dist[4], kUnreachable);
-}
-
-TEST(Sssp, PathGraphNeedsManyRounds) {
-  // Relaxations travel one hop per round across machine boundaries.
-  std::vector<graph::Edge> edges;
-  for (graph::VertexId v = 0; v + 1 < 48; ++v) edges.push_back({v, v + 1});
-  const auto g = graph::CsrGraph::from_edges(48, edges);
-  const auto part = graph::partition_by_edges(g, 6);
-  rt::Cluster<SsspMsg> cluster(cluster_cfg(6));
-  DistributedSssp sssp(cluster, g, part, 0);
-  const auto dist = sssp.run();
-  const auto expect = sssp_reference(g, 0);
-  EXPECT_EQ(dist, expect);
-  EXPECT_GT(sssp.stats().rounds, 3u);
-}
-
-TEST(Sssp, EdgeWeightsDeterministicAndBounded) {
-  for (graph::VertexId s = 0; s < 20; ++s)
-    for (graph::VertexId d = 0; d < 20; ++d) {
-      const auto w = edge_weight(s, d);
-      EXPECT_GE(w, 1u);
-      EXPECT_LE(w, 100u);
-      EXPECT_EQ(w, edge_weight(s, d));
-    }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Concurrency stress suite — the workloads scripts/check.sh runs under
-// ThreadSanitizer (and ASan) to keep the thread pools, the parallel merge
+// ThreadSanitizer (and ASan) to keep the thread pool, the parallel merge
 // tree, and the exchange buffer pool race-free. Each test drives one
 // subsystem through the interleavings TSan needs to observe to prove the
-// synchronization: pool churn (construction/teardown under load), forced
-// steals, shutdown-while-busy, and concurrent lease/release traffic.
+// synchronization: pool churn (construction/teardown under load), nested
+// submission, parallel merge rounds, and concurrent lease/release traffic.
 //
 // Workloads are sized to finish in seconds under TSan's ~10x slowdown.
 
@@ -18,7 +18,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "common/work_stealing_pool.hpp"
 #include "runtime/memory.hpp"
 #include "sort/balanced_merge.hpp"
 #include "sort/parallel_sort.hpp"
@@ -72,81 +71,6 @@ TEST(ThreadPoolStress, NestedSubmitCompletesBeforeWaitIdle) {
     });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 64u * 5u);
-}
-
-// --- WorkStealingPool --------------------------------------------------------
-
-// Many external producers submitting concurrently while the workers run;
-// executed must equal submitted after wait_idle, with no task lost or run
-// twice (the per-index tally proves exactly-once).
-TEST(WorkStealingStress, ManyProducersExactlyOnce) {
-  WorkStealingPool pool(4);
-  constexpr std::size_t kProducers = 4;
-  constexpr std::size_t kPerProducer = 500;
-  std::vector<std::atomic<std::uint32_t>> hits(kProducers * kPerProducer);
-  {
-    std::vector<std::thread> producers;
-    producers.reserve(kProducers);
-    for (std::size_t p = 0; p < kProducers; ++p)
-      producers.emplace_back([&, p] {
-        for (std::size_t i = 0; i < kPerProducer; ++i) {
-          const std::size_t idx = p * kPerProducer + i;
-          pool.submit([&hits, idx] {
-            hits[idx].fetch_add(1, std::memory_order_relaxed);
-          });
-        }
-      });
-    for (auto& t : producers) t.join();
-  }
-  pool.wait_idle();
-  for (std::size_t i = 0; i < hits.size(); ++i)
-    ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1u) << "task " << i;
-  EXPECT_EQ(pool.stats().executed, kProducers * kPerProducer);
-}
-
-// Forced steals: one worker's deque receives a burst of nested tasks (a
-// submitting task's children land on its own deque), so the other workers
-// can only stay busy by stealing. stats() is read while quiescent.
-TEST(WorkStealingStress, ForcedStealsUnderContention) {
-  WorkStealingPool pool(4);
-  std::atomic<std::uint64_t> ran{0};
-  constexpr int kBursts = 8;
-  constexpr int kBurstSize = 400;
-  for (int b = 0; b < kBursts; ++b) {
-    pool.submit([&pool, &ran] {
-      for (int i = 0; i < kBurstSize; ++i)
-        pool.submit([&ran] {
-          // Enough work that thieves find the deque still populated.
-          volatile std::uint32_t x = 0;
-          for (int k = 0; k < 200; ++k) x = x + static_cast<std::uint32_t>(k);
-          ran.fetch_add(1, std::memory_order_relaxed);
-        });
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    pool.wait_idle();
-  }
-  EXPECT_EQ(ran.load(), static_cast<std::uint64_t>(kBursts) * (kBurstSize + 1));
-  const auto st = pool.stats();
-  EXPECT_EQ(st.executed, ran.load());
-}
-
-// Shutdown-while-busy: destroy the pool while tasks are queued and running.
-// The destructor's contract is join-without-drain — tasks that started must
-// finish (their effects visible), queued-but-unstarted tasks may be
-// dropped, and nothing may crash or race. Rounds of this exercise the
-// stop_/notify/join shutdown path under live traffic.
-TEST(WorkStealingStress, ShutdownWhileBusyDropsButNeverRaces) {
-  for (int round = 0; round < 30; ++round) {
-    std::atomic<std::uint64_t> ran{0};
-    {
-      WorkStealingPool pool(3);
-      for (int i = 0; i < 200; ++i)
-        pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-      // No wait_idle: the destructor runs with the queues still loaded.
-    }
-    // Whatever ran, ran to completion; the counter is coherent afterward.
-    EXPECT_LE(ran.load(), 200u);
-  }
 }
 
 // --- Parallel merge tree -----------------------------------------------------

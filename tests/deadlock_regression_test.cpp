@@ -2,9 +2,10 @@
 // exchanges contending on the cluster-wide BufferPool) and the schedule
 // perturbation explorer that hunts for ordering-dependent wedges.
 //
-// SortConfig::scoped_pending_guard is the fix: scoped senders only park in
-// the pool-backpressure receive while data frames are actually pending for
-// them. With the guard disabled the deadlock comes back, and these tests
+// The sorter's scoped pending guard is the fix: scoped senders only park
+// in the pool-backpressure receive while data frames are actually pending
+// for them. With the guard disabled (SorterTestHooks, this suite's seam
+// into the sorter) the deadlock comes back, and these tests
 // pin the whole detection chain: the run aborts at the instant it wedges,
 // the wait-for graph names the pool-wait cycle, a committed perturbation
 // seed reproduces the same wedge from an alternative schedule, and clean
@@ -23,6 +24,16 @@
 #include "runtime/cluster.hpp"
 
 namespace pgxd {
+
+namespace core {
+struct SorterTestHooks {
+  template <typename K, typename C>
+  static void disable_pending_guard(DistributedSorter<K, C>& sorter) {
+    sorter.scoped_pending_guard_ = false;
+  }
+};
+}  // namespace core
+
 namespace {
 
 using core::DistributedSorter;
@@ -54,11 +65,10 @@ std::vector<std::vector<Key>> ams_shards() {
   return shards;
 }
 
-SortConfig ams_config(bool pending_guard) {
+SortConfig ams_config() {
   SortConfig cfg;
   cfg.partition = PartitionScheme::kTwoLevelAms;
   cfg.read_buffer_bytes = 2048;  // 256-key chunks: heavy pool traffic
-  cfg.scoped_pending_guard = pending_guard;
   return cfg;
 }
 
@@ -78,13 +88,14 @@ struct AmsRun {
   sim::SimTime elapsed = 0;
 };
 
-AmsRun run_ams(const SortConfig& cfg, std::uint64_t perturb_seed) {
+AmsRun run_ams(bool pending_guard, std::uint64_t perturb_seed) {
   AmsRun r;
   r.cluster = std::make_unique<rt::Cluster<Msg>>(ams_cluster());
   if (perturb_seed != 0)
     r.cluster->simulator().set_perturbation(
         {true, perturb_seed, /*wake_jitter=*/50});
-  r.sorter = std::make_unique<Sorter>(*r.cluster, cfg);
+  r.sorter = std::make_unique<Sorter>(*r.cluster, ams_config());
+  if (!pending_guard) core::SorterTestHooks::disable_pending_guard(*r.sorter);
   r.sorter->run(ams_shards());
   r.elapsed = r.cluster->simulator().now();
   return r;
@@ -114,7 +125,7 @@ TEST(PoolDeadlockRegression, UnguardedBackpressureWedgesAndNamesThePool) {
   // The wait-for graph must (a) abort instead of hanging, and (b) name the
   // pool annotation on the cycling data-tag waits — the diagnostic that
   // distinguishes "pool starvation" from a plain lost message.
-  EXPECT_DEATH(run_ams(ams_config(/*pending_guard=*/false), 0),
+  EXPECT_DEATH(run_ams(/*pending_guard=*/false, 0),
                "deadlocked.*buffer-pool");
 }
 
@@ -123,12 +134,12 @@ TEST(PoolDeadlockRegression, CommittedPerturbationSeedReproducesTheWedge) {
   // The explorer's committed seed drives an alternative delivery order
   // into the same wedge: the bug is schedule-dependent, and this pins a
   // second, independent route to it.
-  EXPECT_DEATH(run_ams(ams_config(/*pending_guard=*/false), kReproSeed),
+  EXPECT_DEATH(run_ams(/*pending_guard=*/false, kReproSeed),
                "deadlocked.*buffer-pool");
 }
 
 TEST(PoolDeadlockRegression, PendingGuardKeepsTheSameConfigLive) {
-  const AmsRun r = run_ams(ams_config(/*pending_guard=*/true), 0);
+  const AmsRun r = run_ams(/*pending_guard=*/true, 0);
   expect_sorted_output(*r.sorter);
   const auto& ws = r.sorter->wait_stats();
   EXPECT_EQ(ws.deadlocks, 0u);
@@ -145,7 +156,7 @@ TEST(PerturbationExplorer, CleanConfigSurvivesASeedSweep) {
   // under every explored schedule. Each seed is one deterministic
   // alternative ordering, so a wedge here would be reproducible.
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const AmsRun r = run_ams(ams_config(/*pending_guard=*/true), seed);
+    const AmsRun r = run_ams(/*pending_guard=*/true, seed);
     expect_sorted_output(*r.sorter);
     EXPECT_EQ(r.sorter->wait_stats().deadlocks, 0u) << "seed " << seed;
   }
@@ -155,15 +166,15 @@ TEST(PerturbationExplorer, SameSeedSameSchedule) {
   // A perturbed run is still a deterministic simulation: re-running the
   // seed reproduces the elapsed time exactly (which is how a failure found
   // by the sweep becomes a committed regression).
-  const auto t1 = run_ams(ams_config(true), kReproSeed).elapsed;
-  const auto t2 = run_ams(ams_config(true), kReproSeed).elapsed;
+  const auto t1 = run_ams(/*pending_guard=*/true, kReproSeed).elapsed;
+  const auto t2 = run_ams(/*pending_guard=*/true, kReproSeed).elapsed;
   EXPECT_EQ(t1, t2);
 }
 
 TEST(PerturbationExplorer, DifferentSeedsExploreDifferentSchedules) {
-  const auto t0 = run_ams(ams_config(true), 0).elapsed;
-  const auto t1 = run_ams(ams_config(true), 1).elapsed;
-  const auto t2 = run_ams(ams_config(true), 42).elapsed;
+  const auto t0 = run_ams(/*pending_guard=*/true, 0).elapsed;
+  const auto t1 = run_ams(/*pending_guard=*/true, 1).elapsed;
+  const auto t2 = run_ams(/*pending_guard=*/true, 42).elapsed;
   // Wake jitter shifts mailbox handoffs, so distinct seeds should land on
   // distinct elapsed times; all must still sort correctly (checked above).
   EXPECT_TRUE(t0 != t1 || t1 != t2)
@@ -173,7 +184,7 @@ TEST(PerturbationExplorer, DifferentSeedsExploreDifferentSchedules) {
 // --- Report plumbing ---------------------------------------------------------
 
 TEST(WaitReport, CleanRunExportsWaitStats) {
-  const AmsRun r = run_ams(ams_config(true), 0);
+  const AmsRun r = run_ams(/*pending_guard=*/true, 0);
   const core::SortReport rep =
       core::build_sort_report(*r.sorter, core::SortRunInfo{});
   EXPECT_EQ(rep.waits.deadlocks, 0u);

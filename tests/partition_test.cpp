@@ -430,7 +430,8 @@ double imbalance(const Sorter& sorter, std::size_t total_n) {
 }
 
 // Runs one sort and returns the concatenated output for cross-scheme
-// comparison; asserts sortedness and the scheme's imbalance bound inline.
+// comparison; asserts sortedness, the scheme's imbalance bound and the
+// reported partition boundaries inline.
 std::vector<Key> run_scheme(PartitionScheme scheme,
                             const std::vector<std::vector<Key>>& shards,
                             double max_imbalance) {
@@ -468,6 +469,21 @@ std::vector<Key> run_scheme(PartitionScheme scheme,
   if (scheme == PartitionScheme::kTwoLevelAms) {
     EXPECT_EQ(pt.groups, sort::ams_group_count(shards.size()));
     EXPECT_GT(pt.level1_items, 0u);
+  }
+
+  // SortStats::splitters holds the p-1 boundaries in rank order — under
+  // two-level AMS every group's level-2 splitters, with the coarse group
+  // splitter between consecutive groups — and each separates its
+  // neighbouring partitions.
+  const auto& sp = sorter.stats().splitters;
+  const auto& parts = sorter.partitions();
+  EXPECT_EQ(sp.size(), parts.size() - 1)
+      << partition_scheme_name(scheme) << " at p=" << parts.size();
+  EXPECT_TRUE(std::is_sorted(sp.begin(), sp.end()));
+  for (std::size_t i = 0; i + 1 < parts.size() && i < sp.size(); ++i) {
+    if (parts[i].empty() || parts[i + 1].empty()) continue;
+    EXPECT_LE(parts[i].back().key, sp[i]) << "boundary " << i;
+    EXPECT_LE(sp[i], parts[i + 1].front().key) << "boundary " << i;
   }
 
   std::vector<Key> flat;
@@ -546,6 +562,16 @@ TEST(SchemeBalancePresorted, ContiguousShardsAllSchemesAgreeAtP64) {
   const auto c = run_scheme(PartitionScheme::kTwoLevelAms, shards, 1.0);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
+}
+
+TEST(SchemeSplitters, EverySchemeReportsEveryBoundary) {
+  for (const auto scheme :
+       {PartitionScheme::kOneLevelSample, PartitionScheme::kHistogramRefine,
+        PartitionScheme::kTwoLevelAms})
+    run_scheme(scheme, shards_for(gen::Distribution::kUniform, 16000, 16),
+               -1.0);
+  run_scheme(PartitionScheme::kTwoLevelAms,
+             shards_for(gen::Distribution::kUniform, 9000, 9), -1.0);
 }
 
 TEST(SchemeBalanceLarge, HistogramAndAmsAtP256) {

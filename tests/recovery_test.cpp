@@ -1,9 +1,8 @@
 // Crash-stop building blocks under test, one layer below the sorter's
 // recovery supervisor: fail-fast reliable sends to dead peers, the
 // heartbeat failure detector (suspicion, clears, watchdog-bounded loops),
-// deadline-aware collectives with abort broadcast, deadline receives, and
-// Cluster::run_on over a shrunk membership. The end-to-end kill-a-rank
-// chaos matrix lives in fault_injection_test.cpp.
+// deadline receives, and Cluster::run_on over a shrunk membership. The
+// end-to-end kill-a-rank chaos matrix lives in fault_injection_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +11,6 @@
 
 #include "net/fabric.hpp"
 #include "runtime/cluster.hpp"
-#include "runtime/collectives.hpp"
 #include "runtime/errors.hpp"
 #include "sim/time.hpp"
 
@@ -221,119 +219,6 @@ TEST(Detector, RejectsNonsensicalConfig) {
   EXPECT_DEATH(build(sim::kMillisecond, 5 * sim::kMillisecond,
                      2 * sim::kMillisecond),
                "watchdog must exceed timeout");
-}
-
-// ---- Deadline-aware collectives ----------------------------------------
-
-TEST(BoundedCollectives, HealthyBroadcastMatchesPlain) {
-  Cluster<Payload> cluster(tiny(4));
-  std::vector<std::optional<Payload>> got(4);
-  cluster.run([&](Machine& m) -> sim::Task<void> {
-    Payload value = m.rank() == 1 ? Payload{7, 8, 9} : Payload{};
-    auto r = co_await bounded_broadcast(
-        cluster.comm(), m.rank(), /*root=*/1, /*tag=*/1, /*abort_tag=*/2,
-        std::move(value), 12, /*deadline=*/50 * sim::kMillisecond);
-    got[m.rank()] = std::move(r);
-  });
-  for (const auto& v : got) {
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, (Payload{7, 8, 9}));
-  }
-}
-
-TEST(BoundedCollectives, DeadRootBroadcastResolvesNulloptAtTheDeadline) {
-  ClusterConfig cfg = tiny(4);
-  cfg.allow_undrained = true;  // abort frames outlive the resolved ranks
-  Cluster<Payload> cluster(cfg);
-  const sim::SimTime deadline = 2 * sim::kMillisecond;
-  std::vector<std::optional<Payload>> got(4, Payload{});
-  std::vector<sim::SimTime> resolved_at(4, 0);
-  cluster.run([&](Machine& m) -> sim::Task<void> {
-    if (m.rank() == 1) co_return;  // the root's process is gone
-    Payload value;
-    auto r = co_await bounded_broadcast(cluster.comm(), m.rank(), /*root=*/1,
-                                        /*tag=*/1, /*abort_tag=*/2,
-                                        std::move(value), 12, deadline);
-    got[m.rank()] = std::move(r);
-    resolved_at[m.rank()] = cluster.simulator().now();
-  });
-  for (std::size_t r : {0u, 2u, 3u}) {
-    EXPECT_FALSE(got[r].has_value()) << "rank " << r;
-    EXPECT_LE(resolved_at[r], deadline + kBoundedPoll) << "rank " << r;
-  }
-}
-
-TEST(BoundedCollectives, GatherContributorsPostAndGoPastADeadMember) {
-  ClusterConfig cfg = tiny(4);
-  cfg.allow_undrained = true;
-  Cluster<Payload> cluster(cfg);
-  const sim::SimTime deadline = 2 * sim::kMillisecond;
-  std::optional<std::vector<Payload>> root_got = std::vector<Payload>{};
-  std::vector<sim::SimTime> resolved_at(4, 0);
-  cluster.run([&](Machine& m) -> sim::Task<void> {
-    if (m.rank() == 3) co_return;  // one contribution never comes
-    Payload mine{static_cast<int>(m.rank())};
-    auto r = co_await bounded_gather(cluster.comm(), m.rank(), /*root=*/0,
-                                     /*tag=*/1, /*abort_tag=*/2,
-                                     std::move(mine), 4, deadline);
-    resolved_at[m.rank()] = cluster.simulator().now();
-    if (m.rank() == 0) root_got = std::move(r);
-  });
-  EXPECT_FALSE(root_got.has_value());
-  EXPECT_LE(resolved_at[0], deadline + kBoundedPoll);
-  // Contributors posted and resolved immediately — a wedged root (or, here,
-  // a missing member at the root) cannot stall them.
-  EXPECT_LT(resolved_at[1], deadline);
-  EXPECT_LT(resolved_at[2], deadline);
-}
-
-TEST(BoundedCollectives, AllToAllCollapsesOnAMissingMember) {
-  ClusterConfig cfg = tiny(4);
-  cfg.allow_undrained = true;
-  Cluster<Payload> cluster(cfg);
-  const sim::SimTime deadline = 2 * sim::kMillisecond;
-  std::vector<std::optional<std::vector<Payload>>> got(4, std::vector<Payload>{});
-  std::vector<sim::SimTime> resolved_at(4, 0);
-  cluster.run([&](Machine& m) -> sim::Task<void> {
-    if (m.rank() == 2) co_return;
-    std::vector<Payload> values(4);
-    for (std::size_t d = 0; d < 4; ++d)
-      values[d] = Payload{static_cast<int>(m.rank() * 10 + d)};
-    std::vector<std::uint64_t> bytes(4, 4);
-    auto r = co_await bounded_all_to_all(cluster.comm(), m.rank(), /*tag=*/1,
-                                         /*abort_tag=*/2, std::move(values),
-                                         std::move(bytes), deadline);
-    got[m.rank()] = std::move(r);
-    resolved_at[m.rank()] = cluster.simulator().now();
-  });
-  // The first rank to hit the deadline broadcast an abort; everyone
-  // resolved nullopt within one poll of it rather than at their own pace.
-  for (std::size_t r : {0u, 1u, 3u}) {
-    EXPECT_FALSE(got[r].has_value()) << "rank " << r;
-    EXPECT_LE(resolved_at[r], deadline + kBoundedPoll) << "rank " << r;
-  }
-}
-
-TEST(BoundedCollectives, HealthyAllToAllMatchesPlain) {
-  Cluster<Payload> cluster(tiny(3));
-  std::vector<std::optional<std::vector<Payload>>> got(3);
-  cluster.run([&](Machine& m) -> sim::Task<void> {
-    std::vector<Payload> values(3);
-    for (std::size_t d = 0; d < 3; ++d)
-      values[d] = Payload{static_cast<int>(m.rank() * 10 + d)};
-    std::vector<std::uint64_t> bytes(3, 4);
-    auto r = co_await bounded_all_to_all(
-        cluster.comm(), m.rank(), /*tag=*/1, /*abort_tag=*/2,
-        std::move(values), std::move(bytes),
-        /*deadline=*/50 * sim::kMillisecond);
-    got[m.rank()] = std::move(r);
-  });
-  for (std::size_t r = 0; r < 3; ++r) {
-    ASSERT_TRUE(got[r].has_value());
-    for (std::size_t s = 0; s < 3; ++s)
-      EXPECT_EQ((*got[r])[s],
-                (Payload{static_cast<int>(s * 10 + r)}));
-  }
 }
 
 // ---- Deadline receive --------------------------------------------------

@@ -1,9 +1,10 @@
 // Golden behaviour fingerprints of the distributed sort over the exchange
 // and final-merge paths: every partition scheme x every final-merge
 // strategy, plus the bulk-synchronous and unbuffered exchange ablations,
-// and three substrate cases: reliable delivery over a lossy, duplicating
-// fabric, two-level AMS recovering from a rank killed mid-exchange, and
-// the exchange without its buffer pool.
+// and substrate cases: reliable delivery over a lossy, duplicating fabric,
+// two-level AMS recovering from a rank killed mid-exchange, the exchange
+// without its buffer pool, and every partition scheme over a duplicating
+// fabric with no reliable layer beneath the sorter.
 // A fingerprint pins what the simulation did, not just that the output is
 // sorted: total and per-step simulated time, wire bytes, fabric messages,
 // DES events, peak modelled memory, and a hash over every output item's
@@ -52,6 +53,7 @@ struct Fingerprint {
   // machinery it pins.
   std::uint64_t retransmits = 0;
   std::uint64_t duplicates_suppressed = 0;
+  std::uint64_t fabric_duplicates = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t final_members = 0;
   std::uint64_t pool_leases = 0;
@@ -123,6 +125,7 @@ Fingerprint run_case(const Case& c) {
   fp.retransmits = cluster.comm().reliable_stats().retransmits;
   fp.duplicates_suppressed =
       cluster.comm().reliable_stats().duplicates_suppressed;
+  fp.fabric_duplicates = cluster.fabric().total_duplicated();
   fp.recoveries = st.recovery.recoveries;
   fp.final_members = st.recovery.final_members;
   fp.pool_leases = sorter.pool_stats().leases;
@@ -174,6 +177,15 @@ void crash_mid_exchange(SortConfig& cfg, rt::ClusterConfig& ccfg) {
   ccfg.detector.enabled = true;
   ccfg.allow_undrained = true;
   cfg.recovery.enabled = true;
+}
+
+// A fabric that duplicates 15% of frames with reliable delivery off, so
+// nothing below the sorter drops the copies: every gather's per-source and
+// stale-round drop branches see them. Copies that arrive after their
+// gather completed stay behind in the mailboxes.
+void duplicating_fabric(SortConfig&, rt::ClusterConfig& ccfg) {
+  ccfg.net.faults.duplicate_prob = 0.15;
+  ccfg.allow_undrained = true;
 }
 
 void no_buffer_pool(SortConfig& cfg, rt::ClusterConfig&) {
@@ -229,6 +241,18 @@ const Case kCases[] = {
      {115664, {37657, 3356, 12243, 13726, 45367, 7402},
       519488, 2880, 376, 3284, 160020, 192024, 0x06f27abe11ea9429ull},
      no_buffer_pool},
+    {"OneLevelKwayDuplicating", kOne, kKway, true, true,
+     {150083, {37657, 3432, 12319, 13726, 82716, 7402},
+      519488, 2880, 376, 3400, 160020, 192024, 0x06f27abe11ea9429ull},
+     duplicating_fabric},
+    {"HistogramKwayDuplicating", kHist, kKway, true, true,
+     {186473, {37657, 3046, 76230, 23738, 55477, 7402},
+      350304, 5440, 344, 3017, 160000, 192000, 0xd097ed39b5a94de5ull},
+     duplicating_fabric},
+    {"TwoLevelKwayDuplicating", kAms, kKway, true, true,
+     {135869, {37657, 6665, 18409, 18975, 62844, 4706},
+      777840, 6384, 280, 2604, 160020, 256032, 0x72b173217d271c7dull},
+     duplicating_fabric},
 };
 
 // Every case runs once per test binary; every test reads the results.
@@ -287,6 +311,13 @@ TEST(SortFingerprint, SubstrateCasesExerciseTheirMachinery) {
   EXPECT_EQ(no_pool.pool_leases, 0u);
   EXPECT_GT(measured("OneLevelKway").pool_leases, 0u);
   EXPECT_EQ(no_pool.output_hash, measured("OneLevelKway").output_hash);
+
+  for (const char* scheme : {"OneLevelKway", "HistogramKway", "TwoLevelKway"}) {
+    const Fingerprint& dup = measured(std::string(scheme) + "Duplicating");
+    EXPECT_GT(dup.fabric_duplicates, 0u) << scheme;
+    EXPECT_EQ(dup.retransmits, 0u) << scheme;
+    EXPECT_EQ(dup.output_hash, measured(scheme).output_hash) << scheme;
+  }
 }
 
 }  // namespace

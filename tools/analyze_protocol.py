@@ -69,9 +69,10 @@ ALL_RULES = (
     "lock-order-cycle",
 )
 
-# Collective entry points from src/runtime/collectives.hpp. Sorted longest
-# first so the regex alternation can't shadow a longer name with a shorter
-# prefix at the same position.
+# MPI-style collective entry-point names (broadcast/gather/all-to-all
+# families and their group-scoped forms). Sorted longest first so the regex
+# alternation can't shadow a longer name with a shorter prefix at the same
+# position.
 COLLECTIVES = (
     "group_all_to_all", "group_broadcast", "group_gather",
     "all_to_all", "all_gather", "all_reduce", "broadcast", "gather",

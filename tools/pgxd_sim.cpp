@@ -513,10 +513,6 @@ int main(int argc, char** argv) {
   flags.declare("perturb-jitter-ns",
                 "also jitter mailbox wake-ups by up to this many simulated "
                 "ns (needs --perturb) (pgxd only)", "0");
-  flags.declare("pending-guard",
-                "scoped-exchange pool-backpressure pending guard; false "
-                "reintroduces the shared-pool deadlock the analysis suite "
-                "regression-tests (pgxd only)", "true");
   flags.declare("print-config",
                 "print the effective SortConfig knobs as JSON and exit",
                 "false");
@@ -625,7 +621,6 @@ int main(int argc, char** argv) {
   opt.sample_us = flags.u64("sample-us");
   opt.perturb_seed = flags.u64("perturb");
   opt.perturb_jitter_ns = flags.u64("perturb-jitter-ns");
-  opt.sort_cfg.scoped_pending_guard = flags.boolean("pending-guard");
   if (opt.perturb_jitter_ns > 0 && opt.perturb_seed == 0) {
     std::fprintf(stderr, "--perturb-jitter-ns needs --perturb=SEED\n");
     return 2;
