@@ -166,7 +166,7 @@ case "$MODE" in
     #    otherwise); the last run's flight recorder must match the schema.
     TMP="$(mktemp -d /tmp/pgxd_chaos.XXXXXX)"
     trap 'rm -rf "$TMP"' EXIT
-    for crash in "2@50" "2@120" "2@200" "2@120:2000" "0@100"; do
+    for crash in "2@50" "2@120" "2@200" "2@50:2000" "2@120:2000" "0@100"; do
       echo "== chaos sweep: --crash $crash =="
       build-release/tools/pgxd_sim --n=200000 --p=5 --recovery \
         --crash="$crash" --report="$TMP/report.json" > "$TMP/run.log"

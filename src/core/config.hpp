@@ -85,12 +85,14 @@ struct StepTimings {
 
 // Crash-recovery policy for the sort (tentpole of the robustness layer).
 // With recovery enabled the sorter runs every receive deadline-aware
-// (polling for abort/control frames and failure-detector suspicion), and a
-// host-side supervisor — the stand-in for the cluster scheduler — re-runs
-// the sort on the surviving membership whenever a member crash-stops
-// mid-attempt. Requires SortConfig::async_exchange (the bulk-synchronous
-// ablation's full-cluster barrier cannot span a shrunk membership) and a
-// cluster with reliable fail-fast delivery plus the failure detector.
+// (polling for abort frames and failure-detector suspicion once per half
+// detector timeout), and a host-side supervisor — the stand-in for the
+// cluster scheduler — re-runs the sort on the surviving membership whenever
+// a member crash-stops mid-attempt. Chunks lost on the wire are the
+// reliable-delivery layer's to retransmit. Requires
+// SortConfig::async_exchange (the bulk-synchronous ablation's full-cluster
+// barrier cannot span a shrunk membership) and a cluster with reliable
+// fail-fast delivery plus the failure detector.
 struct RecoveryConfig {
   bool enabled = false;
   // Failed attempts the supervisor will re-run before declaring the sort
@@ -99,17 +101,6 @@ struct RecoveryConfig {
   // Fewer survivors than this is unrecoverable: a one-rank "cluster" could
   // technically sort, but the job's capacity contract is void.
   std::size_t min_members = 2;
-  // Poll quantum for deadline-aware receives; 0 derives a default from the
-  // failure detector's timeout (half of it, floored at 100us).
-  sim::SimTime poll = 0;
-  // Straggler hedging: when the exchange receive loop has waited longer
-  // than max(hedge_floor, hedge_multiplier * q95 inter-chunk gap) with
-  // chunks still missing, re-request them from the lagging senders instead
-  // of riding out their full RTO backoff — a slow NIC degrades throughput
-  // rather than stalling the merge barrier.
-  bool hedge_rerequests = true;
-  sim::SimTime hedge_floor = 2 * sim::kMillisecond;
-  double hedge_multiplier = 4.0;
 };
 
 // Outcome of the recovery supervisor for one sort run; all zeros when no
@@ -120,8 +111,6 @@ struct RecoveryStats {
   std::size_t final_members = 0;         // ranks that produced the output
   std::uint64_t regenerated_shards = 0;  // dead ranks' inputs rebuilt
   std::uint64_t abort_broadcasts = 0;    // abort fan-outs initiated
-  std::uint64_t hedged_rerequests = 0;   // straggler re-request frames sent
-  std::uint64_t hedged_chunks_resent = 0;
   // Simulated machine-time thrown away by aborted attempts (elapsed x
   // participating ranks, summed over failed attempts).
   sim::SimTime wasted_work_ns = 0;
@@ -148,9 +137,6 @@ struct SortConfig {
   // Send-while-receive exchange; false = send everything, barrier, then
   // receive (bulk-synchronous ablation).
   bool async_exchange = true;
-  // Stream exchange data in read-buffer-sized chunks through the data
-  // manager; false sends each range as a single message.
-  bool buffered_exchange = true;
   // Lease exchange chunk buffers from a recycling pool instead of
   // allocating one vector per chunk; false = fresh allocation per chunk
   // (ablation).

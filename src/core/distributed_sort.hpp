@@ -22,20 +22,18 @@
 // parameterized over an *attempt membership* — an ordered subset of the
 // cluster's ranks with member 0 as master — so the same code runs the clean
 // p-rank sort and a shrunk (p-1)-rank re-run. A host-side supervisor
-// (run_recovering) detects a member crash after each attempt, regenerates
-// the dead rank's input shard from its deterministic source, and re-runs on
-// the survivors; inside an attempt every receive polls for abort/control
-// frames and failure-detector suspicion so survivors abandon a doomed
-// attempt in bounded time instead of deadlocking, and exchange receivers
-// hedge re-requests for straggling chunks off a quantile-based deadline so
-// a slow NIC degrades throughput rather than stalling the merge barrier.
+// (run_recovering) detects a member crash after each attempt, deals the
+// dead rank's input shard (the host's copy) to the survivors, and re-runs
+// on them; inside an attempt every receive polls for abort frames and
+// failure-detector suspicion so survivors abandon a doomed attempt in
+// bounded time instead of deadlocking. Chunks lost on the wire are
+// retransmitted by reliable delivery, not by the sorter.
 // With recovery disabled the clean path is byte-identical to before: every
 // receive is a plain blocking recv and no control traffic exists.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -115,10 +113,9 @@ class DistributedSorter {
 
   // Tag layout; `sort_id` offsets the whole tag space so several sorts can
   // share one cluster run ("able to sort multiple different data
-  // simultaneously"). kTagCtrl carries the recovery layer's out-of-band
-  // frames (abort fan-outs, straggler re-requests). Tags 5-6 carry the
-  // histogram-refinement rounds, 8-11 the AMS level-1 exchange; tags 7 and
-  // 12-15 are reserved.
+  // simultaneously"). kTagCtrl carries the recovery layer's abort
+  // fan-outs. Tags 5-6 carry the histogram-refinement rounds, 8-11 the AMS
+  // level-1 exchange; tags 7 and 12-15 are reserved.
   static constexpr int kTagSamples = 0;
   static constexpr int kTagSplitters = 1;
   static constexpr int kTagCounts = 2;
@@ -132,10 +129,9 @@ class DistributedSorter {
   static constexpr int kTagL1Data = 11;     // AMS: the bucket itself
   static constexpr int kTagStride = 16;
 
-  // Control-frame kinds (counts[0]); counts[1] is the attempt number.
+  // Control-frame kind (counts[0]); counts[1] is the attempt number and
+  // counts[2] the rank whose failure triggered the abort.
   static constexpr std::uint64_t kCtrlAbort = 1;
-  // counts[2..] are the missing chunk indices of the addressed source.
-  static constexpr std::uint64_t kCtrlReRequest = 2;
 
   // Histogram-refinement frame kinds (kTagProbe counts[0]); counts[1] is a
   // per-attempt round sequence number so a duplicating fabric's redelivered
@@ -172,15 +168,6 @@ class DistributedSorter {
   void set_input(std::vector<std::vector<Key>> shards) {
     PGXD_CHECK(shards.size() == cluster_.size());
     input_ = std::move(shards);
-  }
-
-  // Deterministic regeneration of a dead rank's input shard — the stand-in
-  // for durable storage. Defaults to replaying the shard installed via
-  // set_input (the host still holds it); drivers whose shards come from
-  // seeded datagen can install a regenerator instead to model "re-read
-  // from the seed, not from the crashed node's memory".
-  void set_shard_source(std::function<std::vector<Key>(std::size_t)> src) {
-    shard_source_ = std::move(src);
   }
 
   // Convenience: install shards, run this sort alone on the cluster, and
@@ -281,10 +268,6 @@ class DistributedSorter {
         reg0.counter("sort.recovery.regenerated_shards")
             .inc(rc.regenerated_shards);
         reg0.counter("sort.recovery.abort_broadcasts").inc(rc.abort_broadcasts);
-        reg0.counter("sort.recovery.hedged_rerequests")
-            .inc(rc.hedged_rerequests);
-        reg0.counter("sort.recovery.hedged_chunks_resent")
-            .inc(rc.hedged_chunks_resent);
         reg0.gauge("sort.recovery.wasted_work_ns")
             .set(static_cast<double>(rc.wasted_work_ns));
         reg0.gauge("sort.recovery.time_to_recover_max_ns")
@@ -404,22 +387,6 @@ class DistributedSorter {
 
   enum class AttemptOutcome { kNotRun, kOk, kCrashed, kAborted };
 
-  // Sender-side state a rank exposes while its exchange window is open, so
-  // it can service straggler re-requests against its still-live sorted
-  // array. Pointers are only dereferenced between exchange start and
-  // local.clear(); recv_sort receives nullptr outside that window.
-  struct ExchangeState {
-    const std::vector<Key>* local = nullptr;
-    const PartitionPlan* plan = nullptr;
-    // Two-hop (AMS) exchanges ship per-element origin provenance alongside
-    // each chunk (see pack_prov); nullptr for the flat single-hop schemes.
-    const std::vector<std::uint64_t>* lprov = nullptr;
-    std::uint64_t chunk_elems = 0;
-    bool use_pool = false;
-
-    ExchangeState() = default;
-  };
-
   // RAII annotation edge for the exchange's pool-backpressure park: the
   // edge must come off whether the wrapped receive completes or throws
   // (RankCrashedError / SortAbortedError unwind this coroutine frame), or
@@ -453,21 +420,6 @@ class DistributedSorter {
     return Provenance{static_cast<std::uint32_t>(packed >> kProvIndexBits),
                       packed & ((std::uint64_t{1} << kProvIndexBits) - 1)};
   }
-
-  // Receiver-side straggler tracking for the exchange: inter-chunk arrival
-  // gaps feed a q95-based hedge deadline; the chunk-dedup bitmap tells us
-  // exactly which chunks are still missing per source.
-  struct RecvProgress {
-    const std::vector<std::size_t>* seen_base = nullptr;     // member-indexed
-    const std::vector<std::uint64_t>* seen_words = nullptr;
-    const std::vector<std::uint64_t>* recv_counts = nullptr; // member-indexed
-    std::uint64_t chunk_elems = 0;
-    sim::SimTime last_arrival = 0;
-    sim::SimTime last_hedge = 0;
-    std::vector<sim::SimTime> gaps;
-
-    RecvProgress() = default;
-  };
 
   // Physical rank -> position in an ordered rank list (an attempt's
   // membership or a partition scope).
@@ -534,9 +486,6 @@ class DistributedSorter {
     }
   };
 
-  static constexpr std::size_t kHedgeMaxChunksPerSource = 8;
-  static constexpr std::size_t kHedgeMinGapSamples = 8;
-  static constexpr std::size_t kHedgeMaxGapSamples = 512;
   // Scope size above which the exchange-counts all-to-all is relayed
   // through the scope master as q-entry vectors instead of per-pair u64
   // messages (Step 4). Below it the per-pair path is both cheaper and the
@@ -588,15 +537,10 @@ class DistributedSorter {
     return {Msg(std::vector<Key>(keys), std::move(hdr), 0, 0), bytes};
   }
 
-  std::vector<Key> regenerate_shard(std::size_t rank) const {
-    return shard_source_ ? shard_source_(rank) : input_[rank];
-  }
-
-  // Poll quantum for deadline-aware receives under recovery: explicit
-  // config wins, else half the detector timeout (floored) so suspicion is
-  // noticed within one or two polls of becoming observable.
+  // Poll quantum for deadline-aware receives under recovery: half the
+  // detector timeout (floored) so suspicion is noticed within one or two
+  // polls of becoming observable.
   sim::SimTime poll_quantum() {
-    if (cfg_.recovery.poll > 0) return cfg_.recovery.poll;
     if (rt::FailureDetector* det = cluster_.detector())
       return std::max<sim::SimTime>(det->config().timeout / 2,
                                     100 * sim::kMicrosecond);
@@ -610,8 +554,8 @@ class DistributedSorter {
   // tools/analyze_protocol.py enforces this.
 
   // Crash-recovery supervisor: run attempts over the live membership until
-  // one completes with no member crashing mid-flight, regenerating dead
-  // ranks' shards and re-running on the survivors after each failure.
+  // one completes with no member crashing mid-flight, dealing dead ranks'
+  // shards to the survivors and re-running on them after each failure.
   // Plays the role of the cluster scheduler / driver, hence host code.
   void run_recovering() {
     PGXD_CHECK_MSG(cfg_.async_exchange,
@@ -628,8 +572,8 @@ class DistributedSorter {
                    "(ClusterConfig::detector.enabled)");
     PGXD_CHECK_MSG(cluster_.config().allow_undrained,
                    "recovery requires ClusterConfig::allow_undrained "
-                   "(aborted attempts and hedged re-sends leave stray "
-                   "frames behind by design)");
+                   "(aborted attempts leave stray frames behind by "
+                   "design)");
     recovery_active_ = true;
     auto& sim = cluster_.simulator();
     auto& fabric = cluster_.fabric();
@@ -647,17 +591,16 @@ class DistributedSorter {
           "unrecoverable sort: surviving membership fell below "
           "RecoveryConfig::min_members");
       // Attempt inputs: each survivor keeps its own shard; dead ranks'
-      // shards are deterministically regenerated and dealt round-robin to
-      // the survivors (datagen seeds stand in for durable storage).
+      // shards are re-read from the host's copy (the stand-in for durable
+      // storage) and dealt round-robin to the survivors.
       attempt_input_.assign(p, {});
       for (std::size_t r : members) attempt_input_[r] = input_[r];
       std::size_t dead_seen = 0;
       for (std::size_t r = 0; r < p; ++r) {
         if (!fabric.down(r, sim.now())) continue;
         const std::size_t owner = members[dead_seen++ % members.size()];
-        std::vector<Key> shard = regenerate_shard(r);
         attempt_input_[owner].insert(attempt_input_[owner].end(),
-                                     shard.begin(), shard.end());
+                                     input_[r].begin(), input_[r].end());
         ++stats_.recovery.regenerated_shards;
       }
       audit_slots_.arm(attempt_input_);
@@ -779,136 +722,16 @@ class DistributedSorter {
     }
   }
 
-  // Drains this rank's control mailbox: abort frames raise SortAbortedError;
-  // straggler re-requests are serviced when the rank's exchange window is
-  // open (xs != nullptr), else dropped — the requester's reliable-layer
-  // retransmissions still deliver the original chunks.
-  sim::Task<void> service_ctrl(rt::Machine& m, const AttemptCtx& ctx,
-                               const ExchangeState* xs) {
+  // Drains this rank's control mailbox; an abort frame raises
+  // SortAbortedError.
+  void service_ctrl(std::size_t rank) {
     auto& comm = cluster_.comm();
-    const std::size_t rank = m.rank();
-    for (;;) {
-      std::optional<Envelope> c = comm.try_recv(rank, tag(kTagCtrl));
-      if (!c) co_return;
+    while (std::optional<Envelope> c = comm.try_recv(rank, tag(kTagCtrl))) {
       PGXD_CHECK_MSG(!c->payload.counts.empty(),
                      "empty control frame in the sort's ctrl mailbox");
-      const std::uint64_t kind = c->payload.counts[0];
-      if (kind == kCtrlAbort) {
+      if (c->payload.counts[0] == kCtrlAbort)
         throw rt::SortAbortedError("abort frame from rank " +
                                    std::to_string(c->src));
-      }
-      if (kind == kCtrlReRequest && xs != nullptr) {
-        co_await resend_chunks(m, ctx, *c, *xs);
-      }
-    }
-  }
-
-  // Re-sends the requested exchange chunks to a straggling receiver from
-  // this rank's still-live sorted array. Duplicates are harmless: the
-  // receiver's chunk-dedup bitmap drops whichever copy arrives second.
-  sim::Task<void> resend_chunks(rt::Machine& m, const AttemptCtx& ctx,
-                                const Envelope& req, const ExchangeState& xs) {
-    const std::size_t requester = req.src;
-    // The exchange plan is indexed over the partition scope, not the full
-    // membership (they differ under kTwoLevelAms).
-    const std::size_t q = ctx.scope.size();
-    std::size_t j = q;
-    for (std::size_t k = 0; k < q; ++k)
-      if (ctx.scope[k] == requester) j = k;
-    if (j == q) co_return;  // not in this rank's scope: stale frame
-    const std::size_t lo = xs.plan->bounds[j];
-    const std::size_t hi = xs.plan->bounds[j + 1];
-    for (std::size_t i = 2; i < req.payload.counts.size(); ++i) {
-      const std::uint64_t cidx = req.payload.counts[i];
-      const std::size_t at =
-          lo + static_cast<std::size_t>(cidx * xs.chunk_elems);
-      if (at >= hi) continue;  // malformed or stale index: ignore
-      const std::size_t take = std::min<std::uint64_t>(
-          hi - at, xs.chunk_elems);
-      std::vector<Key> chunk =
-          xs.use_pool ? pool_.acquire(take) : std::vector<Key>();
-      chunk.reserve(take);
-      chunk.assign(xs.local->begin() + static_cast<std::ptrdiff_t>(at),
-                   xs.local->begin() + static_cast<std::ptrdiff_t>(at + take));
-      const std::uint64_t bytes = take * kDataWireBytesPerKey +
-                                  kChunkHeaderBytes;
-      note_data_bytes(bytes);
-      ++stats_.recovery.hedged_chunks_resent;
-      co_await m.charge_copy(take);
-      std::vector<std::uint64_t> pchunk;
-      if (xs.lprov != nullptr)
-        pchunk.assign(
-            xs.lprov->begin() + static_cast<std::ptrdiff_t>(at),
-            xs.lprov->begin() + static_cast<std::ptrdiff_t>(at + take));
-      Msg out(std::move(chunk), std::move(pchunk), at, at - lo);
-      cluster_.comm().post(m.rank(), requester, tag(kTagData), std::move(out),
-                           bytes);
-    }
-  }
-
-  // Quantile-based hedge deadline: 4x (configurable) the q95 inter-chunk
-  // arrival gap once enough samples exist, floored so a quiet start never
-  // triggers spurious re-requests.
-  sim::SimTime hedge_deadline(const RecvProgress& rp) const {
-    sim::SimTime d = cfg_.recovery.hedge_floor;
-    if (rp.gaps.size() >= kHedgeMinGapSamples) {
-      std::vector<sim::SimTime> tmp(rp.gaps);
-      const std::size_t k = (tmp.size() * 95) / 100;
-      std::nth_element(tmp.begin(),
-                       tmp.begin() + static_cast<std::ptrdiff_t>(k),
-                       tmp.end());
-      const auto scaled = static_cast<sim::SimTime>(
-          static_cast<double>(tmp[k]) * cfg_.recovery.hedge_multiplier);
-      d = std::max(d, scaled);
-    }
-    return d;
-  }
-
-  // When the exchange has gone quiet past the hedge deadline with chunks
-  // still missing, re-request them (derived from the dedup bitmap's unset
-  // bits) from each lagging source. Rate-limited by the same deadline so a
-  // stalled receive loop does not spam the fabric.
-  void maybe_hedge(rt::Machine& m, const AttemptCtx& ctx, RecvProgress& rp) {
-    if (!cfg_.recovery.hedge_rerequests) return;
-    auto& sim = cluster_.simulator();
-    const sim::SimTime now = sim.now();
-    const sim::SimTime deadline = hedge_deadline(rp);
-    if (now - rp.last_arrival < deadline) return;
-    if (rp.last_hedge != 0 && now - rp.last_hedge < deadline) return;
-    rp.last_hedge = now;
-    const std::size_t rank = m.rank();
-    const std::size_t q = ctx.scope.size();
-    std::size_t idx = q;
-    for (std::size_t j = 0; j < q; ++j)
-      if (ctx.scope[j] == rank) idx = j;
-    for (std::size_t j = 0; j < q; ++j) {
-      if (j == idx) continue;
-      const std::uint64_t cnt = (*rp.recv_counts)[j];
-      if (cnt == 0) continue;
-      const std::uint64_t nchunks =
-          rp.chunk_elems == std::numeric_limits<std::uint64_t>::max()
-              ? 1
-              : (cnt + rp.chunk_elems - 1) / rp.chunk_elems;
-      std::vector<std::uint64_t> missing;
-      for (std::uint64_t c = 0;
-           c < nchunks && missing.size() < kHedgeMaxChunksPerSource; ++c) {
-        const std::size_t word =
-            (*rp.seen_base)[j] + static_cast<std::size_t>(c / 64);
-        const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-        if (((*rp.seen_words)[word] & bit) == 0) missing.push_back(c);
-      }
-      if (missing.empty()) continue;
-      std::vector<std::uint64_t> req;
-      req.reserve(2 + missing.size());
-      req.push_back(kCtrlReRequest);
-      req.push_back(static_cast<std::uint64_t>(ctx.attempt));
-      req.insert(req.end(), missing.begin(), missing.end());
-      const std::uint64_t bytes = req.size() * sizeof(std::uint64_t);
-      note_control_bytes(bytes);
-      ++stats_.recovery.hedged_rerequests;
-      Msg msg = Msg::of_counts(std::move(req));
-      cluster_.comm().post(rank, ctx.scope[j], tag(kTagCtrl),
-                           std::move(msg), bytes);
     }
   }
   // pgxd-protocol: end-recovery-path
@@ -916,11 +739,9 @@ class DistributedSorter {
   // The sort's one receive primitive. Clean path (recovery off): a plain
   // blocking recv, byte-identical to the pre-recovery sorter. Recovery
   // path: a bounded poll loop that (a) dies promptly if this rank crashed,
-  // (b) services control frames (aborts, straggler re-requests), (c) turns
-  // failure-detector suspicion of any member into an attempt abort, and
-  // (d) hedges exchange re-requests when progress stalls.
-  sim::Task<Envelope> recv_sort(rt::Machine& m, const AttemptCtx& ctx, int tg,
-                                const ExchangeState* xs, RecvProgress* rp) {
+  // (b) drains abort frames, and (c) turns failure-detector suspicion of
+  // any member into an attempt abort.
+  sim::Task<Envelope> recv_sort(rt::Machine& m, const AttemptCtx& ctx, int tg) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
     if (!recovery_active_) {
@@ -933,7 +754,7 @@ class DistributedSorter {
     const sim::SimTime poll = poll_quantum();
     for (;;) {
       comm.throw_if_crashed(rank);
-      co_await service_ctrl(m, ctx, xs);
+      service_ctrl(rank);
       if (det != nullptr) {
         const auto dead = det->first_suspected(rank, ctx.members);
         if (dead) {
@@ -942,18 +763,8 @@ class DistributedSorter {
                                      " suspected crashed");
         }
       }
-      const sim::SimTime deadline = sim.now() + poll;
-      auto got = co_await comm.recv_until(rank, tg, deadline);
-      if (got) {
-        if (rp != nullptr) {
-          const sim::SimTime gap = sim.now() - rp->last_arrival;
-          rp->last_arrival = sim.now();
-          if (gap > 0 && rp->gaps.size() < kHedgeMaxGapSamples)
-            rp->gaps.push_back(gap);
-        }
-        co_return std::move(*got);
-      }
-      if (rp != nullptr) maybe_hedge(m, ctx, *rp);
+      auto got = co_await comm.recv_until(rank, tg, sim.now() + poll);
+      if (got) co_return std::move(*got);
     }
     // pgxd-protocol: end-recovery-path
   }
@@ -1001,8 +812,7 @@ class DistributedSorter {
     std::uint64_t total_n = n;
     pool.add(samples, n);
     for (SourceSet got(q, q - 1, idx); !got.done();) {
-      auto msg = co_await recv_sort(m, ctx, tag(kTagSamples), nullptr,
-                                    nullptr);
+      auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
       if (!got.first(midx.source(
               msg.src, "samples from a rank outside the attempt membership")))
         continue;
@@ -1036,8 +846,7 @@ class DistributedSorter {
       sort::count_ranks<Key, Comp>(local, probe, lo, hi, comp_);
       co_await m.compute(m.cost().histogram_round_time(n, probe.size()));
       for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagReply), nullptr,
-                                      nullptr);
+        auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
         const std::size_t sj = midx.source(
             msg.src, "probe reply from a rank outside the membership");
         const auto& c = msg.payload.counts;
@@ -1074,8 +883,7 @@ class DistributedSorter {
           local, ivs, sort::kDrawPerInterval, comp_);
       co_await m.charge_binary_search(n, 2 * ivs.size());
       for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagReply), nullptr,
-                                      nullptr);
+        auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
         const std::size_t sj = midx.source(
             msg.src, "draw reply from a rank outside the membership");
         const auto& c = msg.payload.counts;
@@ -1112,8 +920,7 @@ class DistributedSorter {
                                    mem_hi[idx], comp_);
       co_await m.compute(m.cost().histogram_round_time(n, nb));
       for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagReply), nullptr,
-                                      nullptr);
+        auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
         const std::size_t sj = midx.source(
             msg.src, "probe reply from a rank outside the membership");
         const auto& c = msg.payload.counts;
@@ -1195,7 +1002,7 @@ class DistributedSorter {
     const std::size_t master = ctx.scope[0];
     std::uint64_t last_seq = 0;
     for (;;) {
-      auto req = co_await recv_sort(m, ctx, tag(kTagProbe), nullptr, nullptr);
+      auto req = co_await recv_sort(m, ctx, tag(kTagProbe));
       PGXD_CHECK_MSG(req.src == master && req.payload.counts.size() >= 2,
                      "malformed histogram probe frame");
       const std::uint64_t op = req.payload.counts[0];
@@ -1334,8 +1141,7 @@ class DistributedSorter {
           SamplePool gpool;
           gpool.add(samples, n);
           for (SourceSet got(q, q - 1, idx); !got.done();) {
-            auto msg = co_await recv_sort(m, ctx, tag(kTagL1Samples), nullptr,
-                                          nullptr);
+            auto msg = co_await recv_sort(m, ctx, tag(kTagL1Samples));
             if (!got.first(midx.source(msg.src,
                                        "level-1 samples from a rank outside "
                                        "the attempt membership")))
@@ -1356,8 +1162,7 @@ class DistributedSorter {
                       bytes);
           }
         }
-        auto gmsg = co_await recv_sort(m, ctx, tag(kTagGroupSplit), nullptr,
-                                       nullptr);
+        auto gmsg = co_await recv_sort(m, ctx, tag(kTagGroupSplit));
         gsplit = std::move(gmsg.payload.keys);
         // The last rank of each group but the last borders the next group.
         if (g_me + 1 < layout.groups && idx + 1 == layout.start[g_me + 1])
@@ -1393,8 +1198,7 @@ class DistributedSorter {
         std::vector<std::uint64_t> bucket_n(q, 0);
         bucket_n[idx] = gsizes[g_me];
         for (SourceSet got(q, senders.size(), idx); !got.done();) {
-          auto msg = co_await recv_sort(m, ctx, tag(kTagL1Counts), nullptr,
-                                        nullptr);
+          auto msg = co_await recv_sort(m, ctx, tag(kTagL1Counts));
           PGXD_CHECK(msg.payload.counts.size() == 1);
           const std::size_t sj = midx.pos[msg.src];
           PGXD_CHECK_MSG(sj < q && layout.group_of(sj) != g_me &&
@@ -1460,8 +1264,7 @@ class DistributedSorter {
         {
           std::uint64_t l1_recv = 0;
           for (SourceSet got(q, expect_msgs, idx); !got.done();) {
-            auto msg = co_await recv_sort(m, ctx, tag(kTagL1Data), nullptr,
-                                          nullptr);
+            auto msg = co_await recv_sort(m, ctx, tag(kTagL1Data));
             const std::size_t sj =
                 midx.source(msg.src, "level-1 bucket from a rank outside the "
                                      "attempt membership");
@@ -1601,8 +1404,7 @@ class DistributedSorter {
       SamplePool pool;
       pool.add(samples, n);
       for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagSamples), nullptr,
-                                      nullptr);
+        auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
         if (!got.first(midx.source(
                 msg.src, "samples from a rank outside the attempt membership")))
           continue;
@@ -1622,8 +1424,7 @@ class DistributedSorter {
                   bytes);
       }
     }
-    auto splitters_msg = co_await recv_sort(m, ctx, tag(kTagSplitters),
-                                            nullptr, nullptr);
+    auto splitters_msg = co_await recv_sort(m, ctx, tag(kTagSplitters));
     const std::vector<Key> splitters = std::move(splitters_msg.payload.keys);
     const std::vector<std::uint64_t> dup_takes =
         std::move(splitters_msg.payload.counts);
@@ -1675,8 +1476,7 @@ class DistributedSorter {
         std::vector<std::vector<std::uint64_t>> matrix(q);
         matrix[idx] = send_counts;
         for (SourceSet got(q, q - 1, idx); !got.done();) {
-          auto msg =
-              co_await recv_sort(m, ctx, tag(kTagCounts), nullptr, nullptr);
+          auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
           const std::size_t sj = midx.source(
               msg.src, "counts from a rank outside the attempt membership");
           if (!got.first(sj)) continue;
@@ -1702,8 +1502,7 @@ class DistributedSorter {
                   Msg::of_counts(std::vector<std::uint64_t>(send_counts)),
                   bytes);
         for (;;) {
-          auto msg =
-              co_await recv_sort(m, ctx, tag(kTagCounts), nullptr, nullptr);
+          auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
           if (msg.src != master) continue;  // stray frame: master's is law
           PGXD_CHECK(msg.payload.counts.size() == q);
           recv_counts = std::move(msg.payload.counts);
@@ -1725,8 +1524,7 @@ class DistributedSorter {
       // us.
       recv_counts[idx] = send_counts[idx];
       for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg =
-            co_await recv_sort(m, ctx, tag(kTagCounts), nullptr, nullptr);
+        auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
         PGXD_CHECK(msg.payload.counts.size() == 1);
         const std::size_t sj = midx.source(
             msg.src, "counts from a rank outside the attempt membership");
@@ -1752,10 +1550,8 @@ class DistributedSorter {
     // Result keys + provenance live to the end of the sort: persistent.
     mem.alloc_persistent(total_recv * kStoredBytesPerItem);
 
-    const std::uint64_t chunk_elems =
-        cfg_.buffered_exchange
-            ? std::max<std::uint64_t>(1, cfg_.read_buffer_bytes / kDataWireBytesPerKey)
-            : std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t chunk_elems = std::max<std::uint64_t>(
+        1, cfg_.read_buffer_bytes / kDataWireBytesPerKey);
 
     // Per-source write cursors; arrival order across sources is irrelevant.
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
@@ -1811,15 +1607,11 @@ class DistributedSorter {
     // Chunk dedup bitmap (replaces a per-source std::set of offsets): a
     // source's chunks sit at rel_offset = c * chunk_elems, so chunk c of
     // member s maps to bit c of that member's word range. O(q + chunks/64)
-    // memory, zero allocations per chunk. Doubles as the straggler hedge's
-    // missing-chunk ledger.
+    // memory, zero allocations per chunk.
     std::vector<std::size_t> seen_base(q + 1, 0);
     for (std::size_t s = 0; s < q; ++s) {
-      std::uint64_t nchunks = 0;
-      if (s != idx && recv_counts[s] > 0)
-        nchunks = cfg_.buffered_exchange
-                      ? (recv_counts[s] + chunk_elems - 1) / chunk_elems
-                      : 1;
+      const std::uint64_t nchunks =
+          s == idx ? 0 : (recv_counts[s] + chunk_elems - 1) / chunk_elems;
       seen_base[s + 1] =
           seen_base[s] + static_cast<std::size_t>((nchunks + 63) / 64);
     }
@@ -1915,22 +1707,6 @@ class DistributedSorter {
       return placed;
     };
 
-    // Sender-side service window for straggler re-requests, and receiver-
-    // side progress tracking for hedging; both dormant unless a recovery
-    // supervisor is driving this attempt.
-    ExchangeState xs;
-    xs.local = &local;
-    xs.plan = &plan;
-    if (xprov) xs.lprov = &lprov;
-    xs.chunk_elems = chunk_elems;
-    xs.use_pool = use_pool;
-    RecvProgress rp;
-    rp.seen_base = &seen_base;
-    rp.seen_words = &seen_words;
-    rp.recv_counts = &recv_counts;
-    rp.chunk_elems = chunk_elems;
-    rp.last_arrival = sim.now();
-
     // Sends: lease a chunk buffer from the pool, pack it from a span slice
     // of the local array (one reserve either way), and post asynchronously
     // (async mode) or send blocking + barrier (bulk-synchronous ablation).
@@ -1973,7 +1749,7 @@ class DistributedSorter {
                            cluster_.wait_graph().begin_wait(
                                rank, sim::WaitResource::pool(),
                                /*annotation=*/true)};
-          auto msg = co_await recv_sort(m, ctx, tag(kTagData), &xs, &rp);
+          auto msg = co_await recv_sort(m, ctx, tag(kTagData));
           const std::size_t placed = place_chunk(msg);
           if (placed > 0) co_await m.charge_copy(placed);
         }
@@ -2007,7 +1783,7 @@ class DistributedSorter {
                     bytes);
           while (remote_placed < remote_expected &&
                  comm.pending(rank, tag(kTagData)) > 0) {
-            auto msg = co_await recv_sort(m, ctx, tag(kTagData), &xs, &rp);
+            auto msg = co_await recv_sort(m, ctx, tag(kTagData));
             const std::size_t placed = place_chunk(msg);
             if (placed > 0) co_await m.charge_copy(placed);
           }
@@ -2028,7 +1804,7 @@ class DistributedSorter {
     // the loop stays correct when a duplicating fabric redelivers a chunk.
     // It counts placed *elements*, not messages.
     while (remote_placed < remote_expected) {
-      auto msg = co_await recv_sort(m, ctx, tag(kTagData), &xs, &rp);
+      auto msg = co_await recv_sort(m, ctx, tag(kTagData));
       const std::size_t placed = place_chunk(msg);
       if (placed > 0) co_await m.charge_copy(placed);
     }
@@ -2037,8 +1813,7 @@ class DistributedSorter {
                      "exchange delivered wrong element counts");
     ms.received_elements += total_recv;
     // The local pre-sorted array (and its origin plane) can be released
-    // now; no recv_sort call below passes &xs, so no re-request can touch
-    // the freed storage.
+    // now.
     local.clear();
     local.shrink_to_fit();
     lprov.clear();
@@ -2187,7 +1962,6 @@ class DistributedSorter {
   std::vector<AttemptOutcome> outcomes_;
   std::vector<char> abort_sent_;
   std::vector<std::size_t> final_members_;
-  std::function<std::vector<Key>(std::size_t)> shard_source_;
   // Exchange chunk buffers: leased by senders, returned by receivers. One
   // pool for the whole cluster — the simulation shares an address space, so
   // a buffer posted by machine A is the same storage machine B receives.

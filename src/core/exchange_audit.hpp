@@ -4,10 +4,9 @@
 // Provenance makes delivery auditable: every output item names the
 // (machine, index) slot it came from in that machine's locally sorted
 // attempt shard. A drop, duplicate or misplacement by the exchange or the
-// merge — or by the reliable-delivery layer under fault injection, or a
-// hedged re-send slipping past chunk dedup — shows up as a slot named
-// twice, a slot outside what its source announced, or a short count. Pure
-// host-side verification; costs no simulated time.
+// merge — or by the reliable-delivery layer under fault injection — shows
+// up as a slot named twice, a slot outside what its source announced, or a
+// short count. Pure host-side verification; costs no simulated time.
 //
 // Cost: one pass over the partition, plus one byte per input element in an
 // AuditSlots map that every partition of a sort attempt shares. No sort and

@@ -106,8 +106,6 @@ struct RecoveryReport {
   std::uint64_t final_members = 0;
   std::uint64_t regenerated_shards = 0;
   std::uint64_t abort_broadcasts = 0;
-  std::uint64_t hedged_rerequests = 0;
-  std::uint64_t hedged_chunks_resent = 0;
   std::uint64_t detector_suspicions = 0;
   std::uint64_t detector_heartbeats_sent = 0;
   sim::SimTime wasted_work_ns = 0;
@@ -237,8 +235,6 @@ struct SortReport {
     w.kv("final_members", recovery.final_members);
     w.kv("regenerated_shards", recovery.regenerated_shards);
     w.kv("abort_broadcasts", recovery.abort_broadcasts);
-    w.kv("hedged_rerequests", recovery.hedged_rerequests);
-    w.kv("hedged_chunks_resent", recovery.hedged_chunks_resent);
     w.kv("detector_suspicions", recovery.detector_suspicions);
     w.kv("detector_heartbeats_sent", recovery.detector_heartbeats_sent);
     w.kv("wasted_work_ns", static_cast<std::int64_t>(recovery.wasted_work_ns));
@@ -381,8 +377,6 @@ SortReport build_sort_report(const Sorter& sorter, SortRunInfo run) {
                        : static_cast<std::uint64_t>(p);
   rep.recovery.regenerated_shards = rc.regenerated_shards;
   rep.recovery.abort_broadcasts = rc.abort_broadcasts;
-  rep.recovery.hedged_rerequests = rc.hedged_rerequests;
-  rep.recovery.hedged_chunks_resent = rc.hedged_chunks_resent;
   rep.recovery.detector_suspicions = m.counter_value("detector.suspicions");
   rep.recovery.detector_heartbeats_sent =
       m.counter_value("detector.heartbeats_sent");

@@ -1,9 +1,17 @@
 // Property sweep over the full SortConfig switch matrix: every combination
-// of {investigator, final-merge strategy, async exchange, buffered exchange,
-// partition scheme} must produce a correct sort on both easy and
-// adversarial data. Catches interactions between ablation paths
-// that single-switch tests miss. (The buffer pool stays at its default — on
-// — here; its on/off behaviour has dedicated coverage in buffer_pool_test.)
+// of {investigator, final-merge strategy, async exchange, exchange chunk
+// size, partition scheme} must produce a correct sort on both easy and
+// adversarial data. Catches interactions between ablation paths that
+// single-switch tests miss. (The buffer pool stays at its default — on —
+// here; its on/off behaviour has dedicated coverage in buffer_pool_test.)
+//
+// Every exchange streams read-buffer-sized chunks. The default read buffer
+// holds this sweep's whole input, so the "Whole" cases send every (sender,
+// rank) range as a single message; the "Buf" cases shrink the buffer so each
+// range streams as several chunks, and raise sample_factor by the same
+// factor to keep the per-rank sample budget (read_buffer_bytes / q *
+// sample_factor) at the default's. On the one-hop schemes the sweep checks
+// the chunk count: one per non-empty remote range for Whole, more for Buf.
 //
 // Every combination runs twice. The "Soa" case checks the output with
 // validate_sorted. The "Aos" case also rebuilds every partition from the
@@ -39,7 +47,7 @@ struct MatrixParam {
   bool investigator;
   MergeAlgo merge;
   bool async_exchange;
-  bool buffered;
+  bool whole_ranges;
   bool aos_reference;
   PartitionScheme partition;
   gen::Distribution dist;
@@ -143,22 +151,33 @@ std::vector<std::vector<ItemT>> aos_reference(
 
 class ConfigMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
+// Read-buffer divisor for the "Buf" cases (see the file header).
+constexpr std::uint64_t kBufShrink = 64;
+
 TEST_P(ConfigMatrix, SortsCorrectly) {
   const auto param = GetParam();
   const std::size_t machines = 6;
+  const std::size_t n = 24000;
   gen::DataGenConfig dcfg;
   dcfg.dist = param.dist;
   dcfg.seed = 31;
   std::vector<std::vector<Key>> shards;
   for (std::size_t r = 0; r < machines; ++r)
-    shards.push_back(gen::generate_shard(dcfg, 24000, machines, r));
+    shards.push_back(gen::generate_shard(dcfg, n, machines, r));
 
   SortConfig cfg;
   cfg.use_investigator = param.investigator;
   cfg.final_merge = param.merge;
   cfg.async_exchange = param.async_exchange;
-  cfg.buffered_exchange = param.buffered;
   cfg.partition = param.partition;
+  cfg.telemetry = true;  // for the chunk count below
+  if (param.whole_ranges) {
+    ASSERT_GE(cfg.read_buffer_bytes, n * sizeof(Key))
+        << "a range of the input would not fit one read buffer";
+  } else {
+    cfg.read_buffer_bytes /= kBufShrink;
+    cfg.sample_factor *= static_cast<double>(kBufShrink);
+  }
 
   const std::string why = cfg.validate();
   const bool invalid_combo =
@@ -181,9 +200,25 @@ TEST_P(ConfigMatrix, SortsCorrectly) {
   const auto report = validate_sorted(sorter.partitions(), shards);
   ASSERT_TRUE(report.ok()) << report.failure;
   EXPECT_GT(sorter.stats().total_time, 0);
+  const auto& parts = sorter.partitions();
+  if (param.partition != PartitionScheme::kTwoLevelAms) {
+    // One exchange hop, so a range's sender is its items' origin.
+    std::uint64_t ranges = 0;
+    for (std::size_t j = 0; j < machines; ++j) {
+      std::vector<bool> from(machines, false);
+      for (const auto& item : parts[j]) from[item.prov.prev_machine] = true;
+      for (std::size_t k = 0; k < machines; ++k)
+        if (k != j && from[k]) ++ranges;
+    }
+    const std::uint64_t chunks =
+        sorter.merged_metrics().counter_value("sort.exchange.chunks_sent");
+    if (param.whole_ranges)
+      EXPECT_EQ(chunks, ranges);
+    else
+      EXPECT_GT(chunks, ranges);
+  }
   if (!param.aos_reference) return;
 
-  const auto& parts = sorter.partitions();
   const auto ref = aos_reference(
       parts, shards, param.merge,
       param.partition == PartitionScheme::kTwoLevelAms,
@@ -205,7 +240,7 @@ std::vector<MatrixParam> all_combinations() {
     for (auto merge : {MergeAlgo::kParallelKway, MergeAlgo::kPairwiseTree,
                        MergeAlgo::kSequentialKway})
       for (bool async_ex : {true, false})
-        for (bool buf : {true, false})
+        for (bool whole : {false, true})
           for (bool aos : {false, true})
             for (auto part : {PartitionScheme::kOneLevelSample,
                               PartitionScheme::kHistogramRefine,
@@ -213,7 +248,7 @@ std::vector<MatrixParam> all_combinations() {
               for (auto dist : {gen::Distribution::kUniform,
                                 gen::Distribution::kRightSkewed})
                 out.push_back(
-                    MatrixParam{inv, merge, async_ex, buf, aos, part, dist});
+                    MatrixParam{inv, merge, async_ex, whole, aos, part, dist});
   return out;
 }
 
@@ -225,7 +260,7 @@ std::string matrix_name(const ::testing::TestParamInfo<MatrixParam>& info) {
               ? "Kway"
               : (p.merge == MergeAlgo::kPairwiseTree ? "Tree" : "KwaySeq");
   name += p.async_exchange ? "Async" : "Bsp";
-  name += p.buffered ? "Buf" : "Whole";
+  name += p.whole_ranges ? "Whole" : "Buf";
   name += p.aos_reference ? "Aos" : "Soa";
   name += p.partition == PartitionScheme::kOneLevelSample
               ? "OneLevel"

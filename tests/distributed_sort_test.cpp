@@ -285,17 +285,6 @@ TEST(DistributedSort, AsyncExchangeNoSlowerThanBsp) {
   EXPECT_LE(s1.stats().total_time, s2.stats().total_time);
 }
 
-TEST(DistributedSort, UnbufferedExchangeStillCorrect) {
-  auto shards = make_shards(gen::Distribution::kRightSkewed, 30000, 5);
-  const auto input = shards;
-  SortConfig cfg;
-  cfg.buffered_exchange = false;
-  rt::Cluster<Sorter::Msg> cluster(test_cluster(5));
-  Sorter sorter(cluster, cfg);
-  sorter.run(std::move(shards));
-  verify_sorted(sorter, input);
-}
-
 TEST(DistributedSort, NaiveFinalMergeAblationCorrectButSlower) {
   auto shards = make_shards(gen::Distribution::kUniform, 60000, 8);
   SortConfig balanced, naive;

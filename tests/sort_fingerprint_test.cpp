@@ -1,10 +1,10 @@
 // Golden behaviour fingerprints of the distributed sort over the exchange
 // and final-merge paths: every partition scheme x every final-merge
-// strategy, plus the bulk-synchronous and unbuffered exchange ablations,
-// and substrate cases: reliable delivery over a lossy, duplicating fabric,
-// two-level AMS recovering from a rank killed mid-exchange, the exchange
-// without its buffer pool, and every partition scheme over a duplicating
-// fabric with no reliable layer beneath the sorter.
+// strategy, plus the bulk-synchronous exchange ablation, and substrate
+// cases: reliable delivery over a lossy, duplicating fabric, two-level AMS
+// recovering from a rank killed mid-exchange, the exchange without its
+// buffer pool, and every partition scheme over a duplicating fabric with
+// no reliable layer beneath the sorter.
 // A fingerprint pins what the simulation did, not just that the output is
 // sorted: total and per-step simulated time, wire bytes, fabric messages,
 // DES events, peak modelled memory, and a hash over every output item's
@@ -64,7 +64,6 @@ struct Case {
   PartitionScheme partition;
   MergeAlgo merge;
   bool async_exchange;
-  bool buffered_exchange;
   Fingerprint golden;
   // Substrate cases adjust the sort and cluster configs before the run.
   void (*setup)(SortConfig&, rt::ClusterConfig&) = nullptr;
@@ -89,7 +88,6 @@ Fingerprint run_case(const Case& c) {
   cfg.partition = c.partition;
   cfg.final_merge = c.merge;
   cfg.async_exchange = c.async_exchange;
-  cfg.buffered_exchange = c.buffered_exchange;
   cfg.telemetry = false;
 
   rt::ClusterConfig ccfg;
@@ -196,60 +194,57 @@ void no_buffer_pool(SortConfig& cfg, rt::ClusterConfig&) {
 // wire_bytes_samples, fabric messages, DES events, max peak persistent
 // bytes, max peak temp bytes, output hash}.
 const Case kCases[] = {
-    {"OneLevelKway", kOne, kKway, true, true,
+    {"OneLevelKway", kOne, kKway, true,
      {165879, {37657, 3356, 12243, 13726, 100592, 7402},
       519488, 2880, 376, 3282, 160020, 192024, 0x06f27abe11ea9429ull}},
-    {"OneLevelTree", kOne, kTree, true, true,
+    {"OneLevelTree", kOne, kTree, true,
      {172673, {37657, 3356, 12243, 13726, 100592, 14196},
       519488, 2880, 376, 3282, 160020, 192024, 0x06f27abe11ea9429ull}},
-    {"OneLevelKwaySeq", kOne, kSeq, true, true,
+    {"OneLevelKwaySeq", kOne, kSeq, true,
      {199058, {37657, 3356, 12243, 13726, 100592, 40581},
       519488, 2880, 376, 3282, 160020, 192024, 0x06f27abe11ea9429ull}},
-    {"HistogramKway", kHist, kKway, true, true,
+    {"HistogramKway", kHist, kKway, true,
      {199063, {37657, 3038, 76200, 23716, 68270, 7402},
       350304, 5440, 344, 2902, 160000, 192000, 0xd097ed39b5a94de5ull}},
-    {"HistogramTree", kHist, kTree, true, true,
+    {"HistogramTree", kHist, kTree, true,
      {205853, {37657, 3038, 76200, 23716, 68270, 14192},
       350304, 5440, 344, 2902, 160000, 192000, 0xd097ed39b5a94de5ull}},
-    {"HistogramKwaySeq", kHist, kSeq, true, true,
+    {"HistogramKwaySeq", kHist, kSeq, true,
      {232237, {37657, 3038, 76200, 23716, 68270, 40576},
       350304, 5440, 344, 2902, 160000, 192000, 0xd097ed39b5a94de5ull}},
-    {"TwoLevelKway", kAms, kKway, true, true,
+    {"TwoLevelKway", kAms, kKway, true,
      {135793, {37657, 6627, 18333, 18973, 62844, 4706},
       777840, 6384, 280, 2518, 160020, 256032, 0x72b173217d271c7dull}},
-    {"TwoLevelTree", kAms, kTree, true, true,
+    {"TwoLevelTree", kAms, kTree, true,
      {138185, {37657, 6627, 18333, 18973, 62844, 7098},
       777840, 6384, 280, 2518, 160020, 256032, 0x72b173217d271c7dull}},
-    {"TwoLevelKwaySeq", kAms, kSeq, true, true,
+    {"TwoLevelKwaySeq", kAms, kSeq, true,
      {151378, {37657, 6627, 18333, 18973, 62844, 20291},
       777840, 6384, 280, 2518, 160020, 256032, 0x72b173217d271c7dull}},
-    {"OneLevelKwayBsp", kOne, kKway, false, true,
+    {"OneLevelKwayBsp", kOne, kKway, false,
      {193997, {37657, 3356, 12243, 13726, 129704, 7402},
       519488, 2880, 376, 3298, 160020, 192024, 0x06f27abe11ea9429ull}},
-    {"OneLevelKwayUnbuffered", kOne, kKway, true, false,
-     {112194, {37657, 3356, 12243, 13726, 44014, 7402},
-      516032, 2880, 160, 1339, 160020, 192024, 0x06f27abe11ea9429ull}},
-    {"OneLevelKwayLossyReliable", kOne, kKway, true, true,
+    {"OneLevelKwayLossyReliable", kOne, kKway, true,
      {3838516, {37657, 13117, 8096, 1374723, 3761223, 7402},
       519488, 2880, 840, 6278, 160020, 192024, 0x06f27abe11ea9429ull},
      lossy_reliable_fabric},
-    {"TwoLevelKwayCrashRecovery", kAms, kKway, true, true,
+    {"TwoLevelKwayCrashRecovery", kAms, kKway, true,
      {10119520, {47472, 22934, 20877, 20044, 78057, 4856},
-      1522904, 12376, 1329, 9969, 400060, 384064, 0xe4e2dcdde66306c5ull},
+      1522872, 12344, 1329, 9447, 400060, 384064, 0xe4e2dcdde66306c5ull},
      crash_mid_exchange},
-    {"OneLevelKwayNoPool", kOne, kKway, true, true,
+    {"OneLevelKwayNoPool", kOne, kKway, true,
      {115664, {37657, 3356, 12243, 13726, 45367, 7402},
       519488, 2880, 376, 3284, 160020, 192024, 0x06f27abe11ea9429ull},
      no_buffer_pool},
-    {"OneLevelKwayDuplicating", kOne, kKway, true, true,
+    {"OneLevelKwayDuplicating", kOne, kKway, true,
      {150083, {37657, 3432, 12319, 13726, 82716, 7402},
       519488, 2880, 376, 3400, 160020, 192024, 0x06f27abe11ea9429ull},
      duplicating_fabric},
-    {"HistogramKwayDuplicating", kHist, kKway, true, true,
+    {"HistogramKwayDuplicating", kHist, kKway, true,
      {186473, {37657, 3046, 76230, 23738, 55477, 7402},
       350304, 5440, 344, 3017, 160000, 192000, 0xd097ed39b5a94de5ull},
      duplicating_fabric},
-    {"TwoLevelKwayDuplicating", kAms, kKway, true, true,
+    {"TwoLevelKwayDuplicating", kAms, kKway, true,
      {135869, {37657, 6665, 18409, 18975, 62844, 4706},
       777840, 6384, 280, 2604, 160020, 256032, 0x72b173217d271c7dull},
      duplicating_fabric},
@@ -286,7 +281,7 @@ TEST(SortFingerprint, MergeStrategiesAgreeWithinEachScheme) {
     std::vector<std::uint64_t> hashes;
     for (std::size_t i = 0; i < std::size(kCases); ++i)
       if (kCases[i].partition == scheme && kCases[i].async_exchange &&
-          kCases[i].buffered_exchange && kCases[i].setup == nullptr)
+          kCases[i].setup == nullptr)
         hashes.push_back(measured()[i].output_hash);
     ASSERT_EQ(hashes.size(), 3u) << partition_scheme_name(scheme);
     EXPECT_EQ(hashes[0], hashes[1]) << partition_scheme_name(scheme);

@@ -265,12 +265,9 @@ int run_pgxd(const Options& opt) {
                 static_cast<unsigned long long>(rc.recoveries),
                 rc.final_attempt, rc.final_members, opt.p);
     std::printf("recovery: %llu shard(s) regenerated, %llu abort "
-                "broadcast(s), %llu hedged re-request(s) (%llu chunks "
-                "re-sent)\n",
+                "broadcast(s)\n",
                 static_cast<unsigned long long>(rc.regenerated_shards),
-                static_cast<unsigned long long>(rc.abort_broadcasts),
-                static_cast<unsigned long long>(rc.hedged_rerequests),
-                static_cast<unsigned long long>(rc.hedged_chunks_resent));
+                static_cast<unsigned long long>(rc.abort_broadcasts));
     std::printf("recovery: wasted work %.6f machine-s, time-to-recover max "
                 "%.6f s\n\n",
                 pgxd::sim::to_seconds(rc.wasted_work_ns),
@@ -463,7 +460,6 @@ int print_config(const pgxd::core::SortConfig& cfg) {
   w.kv("final_merge", merge_name(cfg.final_merge));
   w.kv("local_sort", local_sort_name(cfg.local_sort));
   w.kv("async_exchange", cfg.async_exchange);
-  w.kv("buffered_exchange", cfg.buffered_exchange);
   w.kv("use_buffer_pool", cfg.use_buffer_pool);
   w.kv("telemetry", cfg.telemetry);
   w.kv("recovery_enabled", cfg.recovery.enabled);
@@ -536,7 +532,6 @@ int main(int argc, char** argv) {
                 "partition within (1+epsilon) * N/p (pgxd)", "0.05");
   flags.declare("max-rounds",
                 "histogram refinement round budget (pgxd)", "10");
-  flags.declare("buffered", "256KB-chunked exchange (pgxd)", "true");
   flags.declare("sample-factor", "sample size in multiples of X (pgxd)", "1.0");
   flags.declare("buffer-bytes", "read buffer size in bytes (pgxd)", "262144");
   flags.declare("crash",
@@ -614,7 +609,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  opt.sort_cfg.buffered_exchange = flags.boolean("buffered");
   opt.sort_cfg.sample_factor = flags.f64("sample-factor");
   opt.sort_cfg.read_buffer_bytes = flags.u64("buffer-bytes");
   opt.critical_path = flags.boolean("critical-path");

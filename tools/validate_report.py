@@ -307,8 +307,7 @@ def make_valid_fixture():
                  "hit_rate": 0.0},
         "recovery": {"enabled": False, "recoveries": 0, "final_attempt": 0,
                      "final_members": machines, "regenerated_shards": 0,
-                     "abort_broadcasts": 0, "hedged_rerequests": 0,
-                     "hedged_chunks_resent": 0, "detector_suspicions": 0,
+                     "abort_broadcasts": 0, "detector_suspicions": 0,
                      "detector_heartbeats_sent": 0, "wasted_work_ns": 0,
                      "time_to_recover_max_ns": 0,
                      "time_to_recover_mean_ns": 0.0},
