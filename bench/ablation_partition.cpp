@@ -3,8 +3,9 @@
 //
 // Two row kinds in one table (the `kind` column):
 //   measured — full simulated sorts at the --procs counts: total time, the
-//              refiner's achieved epsilon, and the partition layer's actual
-//              sample/probe/level-1 traffic out of the SortReport.
+//              refiner's achieved epsilon, the partition layer's actual
+//              sample/probe/level-1 traffic out of the SortReport, and the
+//              control bytes the sorter counted on the wire.
 //   model    — the closed-form control-volume model of sort/partition.hpp
 //              extended past what a simulated run can execute (to
 //              --max-model-procs, default 4096), parameterized by the
@@ -74,21 +75,17 @@ int main(int argc, char** argv) {
           run_pgxd(env, p, dist_shards(env, gen::Distribution::kUniform, p),
                    cfg, "uniform");
       const auto& pt = run.report.partition;
-      const std::uint64_t per_rank =
-          pt.sample_keys / std::max<std::uint64_t>(1, p);
-      const std::uint64_t probes_per_round =
-          pt.probe_keys / std::max<std::uint64_t>(1, pt.rounds);
       if (scheme == sort::PartitionScheme::kHistogramRefine) {
         seen_rounds = pt.rounds;
-        seen_probes_per_round = std::max<std::uint64_t>(1, probes_per_round);
+        seen_probes_per_round = std::max<std::uint64_t>(
+            1, pt.probe_keys / std::max<std::uint64_t>(1, pt.rounds));
       }
-      const auto vol = sort::model_control_volume(
-          scheme, p, sizeof(Key), per_rank, pt.rounds, probes_per_round);
       t.row({"measured", std::to_string(p), kind_name(scheme),
              seconds(run.stats.total_time), std::to_string(pt.rounds),
              Table::fmt(pt.achieved_epsilon, 4),
              std::to_string(pt.sample_keys), std::to_string(pt.probe_keys),
-             std::to_string(pt.level1_items), std::to_string(vol.total())});
+             std::to_string(pt.level1_items),
+             std::to_string(run.stats.wire_bytes_samples)});
     }
   }
 

@@ -99,6 +99,58 @@ struct SortMsg {
   }
 };
 
+// A k-ary tree over the indices 0..q-1 of a partition scope (see the
+// sorter's ScopeIndex), rooted at the scope master, index 0. Node i owns
+// the contiguous index range [i, end); its children split the rest of it,
+// [i+1, end), into at most kFanout contiguous ranges of near-equal size.
+// So a preorder walk visits the scope in index order, and no node is deeper
+// than ceil(log_k q). The scale-out partition schemes run their control
+// rounds over it: requests go down, replies come back up, and no rank
+// sends or receives more than k + 1 control frames per round.
+struct ScopeTree {
+  static constexpr std::size_t kFanout = 4;
+
+  std::size_t parent = 0;  // the root is its own parent
+  std::size_t end = 0;     // one past the last index of this node's range
+  std::size_t depth = 0;
+  std::vector<std::size_t> children;  // ascending
+
+  // Node `self` of a q-member scope, found by descending from the root.
+  ScopeTree(std::size_t q, std::size_t self) : end(q) {
+    PGXD_CHECK(self < q);
+    for (std::size_t node = 0;; ++depth) {
+      const std::size_t rest = end - node - 1;
+      const std::size_t parts = std::min(kFanout, rest);
+      children.clear();
+      for (std::size_t c = 0; c < parts; ++c)
+        children.push_back(node + 1 + c * (rest / parts) +
+                           std::min(c, rest % parts));
+      if (node == self) return;
+      // The last child starting at or before self holds it.
+      const auto c = static_cast<std::size_t>(
+          std::upper_bound(children.begin(), children.end(), self) -
+          children.begin() - 1);
+      parent = node;
+      end = child_end(c);
+      node = children[c];
+    }
+  }
+
+  bool root() const { return depth == 0; }
+  // One past the last index of child c's range.
+  std::size_t child_end(std::size_t c) const {
+    return c + 1 < children.size() ? children[c + 1] : end;
+  }
+  // Position of scope index j among the children; children.size() when j
+  // is not a child of this node.
+  std::size_t child_pos(std::size_t j) const {
+    const auto it = std::lower_bound(children.begin(), children.end(), j);
+    return it != children.end() && *it == j
+               ? static_cast<std::size_t>(it - children.begin())
+               : children.size();
+  }
+};
+
 // Test-only access to DistributedSorter internals; defined by the tests
 // that use it.
 struct SorterTestHooks;
@@ -121,10 +173,10 @@ class DistributedSorter {
   static constexpr int kTagCounts = 2;
   static constexpr int kTagData = 3;
   static constexpr int kTagCtrl = 4;
-  static constexpr int kTagProbe = 5;       // master -> members: probe/draw/done
-  static constexpr int kTagReply = 6;       // members -> master: round replies
+  static constexpr int kTagProbe = 5;  // parent -> children: probe/draw/done
+  static constexpr int kTagReply = 6;  // children -> parent: subtree replies
   static constexpr int kTagL1Samples = 8;   // AMS: samples to the global master
-  static constexpr int kTagGroupSplit = 9;  // AMS: coarse group splitters
+  static constexpr int kTagGroupSplit = 9;  // AMS: splitters down the tree
   static constexpr int kTagL1Counts = 10;   // AMS: bucket size to the partner
   static constexpr int kTagL1Data = 11;     // AMS: the bucket itself
   static constexpr int kTagStride = 16;
@@ -137,8 +189,9 @@ class DistributedSorter {
   // per-attempt round sequence number so a duplicating fabric's redelivered
   // requests are recognized as stale.
   static constexpr std::uint64_t kProbeCount = 1;  // count these probe keys
-  static constexpr std::uint64_t kProbeDraw = 2;   // draw inside these intervals
-  static constexpr std::uint64_t kProbeDone = 3;   // refinement finished
+  static constexpr std::uint64_t kProbeDraw = 2;   // draw inside intervals
+  // Refinement finished: the splitters and the duplicates owed per boundary.
+  static constexpr std::uint64_t kProbeDone = 3;
 
   // Exchange wire cost: keys only (provenance is reconstructed at the
   // receiver from the message's source and prov_base), plus a small
@@ -445,9 +498,12 @@ class DistributedSorter {
     std::vector<bool> heard;
     std::size_t missing;
 
-    // Waits for `expected` of q sources; `self` holds its own part already.
+    // Waits for `expected` of q sources.
+    SourceSet(std::size_t q, std::size_t expected)
+        : heard(q, false), missing(expected) {}
+    // As above, where `self` holds its own part already.
     SourceSet(std::size_t q, std::size_t expected, std::size_t self)
-        : heard(q, false), missing(expected) {
+        : SourceSet(q, expected) {
       heard[self] = true;
     }
     bool done() const { return missing == 0; }
@@ -786,269 +842,252 @@ class DistributedSorter {
     return std::clamp<std::uint64_t>(count, 1, std::max<std::size_t>(n, 1));
   }
 
-  // Master side of kHistogramRefine (Histogram Sort with Sampling): seed
-  // candidates from the small sample gather, then alternate counting rounds
-  // (exact global rank brackets for the probe set, summed over all members)
-  // and draw rounds (fresh candidates from inside the still-unresolved
-  // brackets) until every splitter boundary is certified within the epsilon
-  // target or the round budget is spent. Ends by releasing the members and
-  // broadcasting the final splitters on kTagSplitters, exactly like the
-  // one-shot scheme — steps (4)-(6) never know which scheme ran.
-  sim::Task<void> refine_splitters(rt::Machine& m, const AttemptCtx& ctx,
-                                   const std::vector<Key>& local,
-                                   const std::vector<Key>& samples,
-                                   std::size_t n) {
+  // kHistogramRefine (Histogram Sort with Sampling), run by every member of
+  // the scope over its ScopeTree. The root seeds candidates from the small
+  // sample gather and drives sort::HistogramRefiner: counting rounds (exact
+  // global rank brackets for the probe set) alternate with draw rounds
+  // (fresh candidates from inside the still-unresolved brackets) until
+  // every splitter boundary is certified within the epsilon target or the
+  // round budget is spent. A round's request goes down the tree on
+  // kTagProbe; each node forwards it, does its local part, and once its
+  // children have answered sends one reply up on kTagReply: the rank
+  // brackets summed over its subtree, or its subtree's draws.
+  //
+  // Resolution round: the refiner certifies a boundary by a key whose
+  // duplicate run *brackets* the target rank — landing on that rank exactly
+  // means splitting the run by count, which no downstream consumer can
+  // derive from the key alone (the investigator splits dup runs
+  // heuristically, forfeiting the certified epsilon on dup-heavy data). So
+  // one more counting round runs over the final splitter keys, and every
+  // node keeps its own and each child subtree's duplicate counts from it.
+  // The closing down-sweep (kProbeDone) carries the splitters and, per
+  // boundary, the duplicates still owed at the start of the receiving
+  // node's range: the node takes what it holds and hands the rest on to its
+  // children in order. Preorder is scope order, so members give up their
+  // duplicates in member order. Returns the splitters in `keys` and this
+  // rank's duplicate takes in `counts` — steps (4)-(6) never know which
+  // scheme ran.
+  sim::Task<Msg> refine_splitters(rt::Machine& m, const AttemptCtx& ctx,
+                                  const std::vector<Key>& local,
+                                  const std::vector<Key>& samples,
+                                  std::size_t n) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
     const std::size_t q = ctx.scope.size();
     const ScopeIndex midx(cluster_.size(), ctx.scope);
-    const std::size_t idx = midx.pos[rank];
-    auto& mem = m.memory();
+    const ScopeTree tree(q, midx.pos[rank]);
+    const std::size_t kids = tree.children.size();
 
-    // Seed: gather the sample pool and learn the exact total element count
+    // The current request: its kind, round sequence number (so a
+    // duplicating fabric's redelivered frames are recognized as stale), key
+    // plane, and the draw flags or the owed duplicates.
+    std::uint64_t kind = kProbeCount;
+    std::uint64_t seq = 0;
+    std::vector<Key> keys;
+    std::vector<std::uint64_t> extra;
+    // This rank's and each child subtree's duplicate counts per key of the
+    // last counting round: the resolution round's once the loop ends.
+    std::vector<std::uint64_t> own_dup;
+    std::vector<std::vector<std::uint64_t>> kid_dup(kids);
+
+    // Root: gather the sample pool and learn the exact total element count
     // from the piggybacked shard sizes (the refiner's targets need N, not
     // an estimate).
-    SamplePool pool;
+    std::optional<sort::HistogramRefiner<Key, Comp>> refiner;
     std::uint64_t total_n = n;
-    pool.add(samples, n);
-    for (SourceSet got(q, q - 1, idx); !got.done();) {
-      auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
-      if (!got.first(midx.source(
-              msg.src, "samples from a rank outside the attempt membership")))
-        continue;
-      total_n += msg.payload.prov_base;
-      pool.add(msg.payload.keys, msg.payload.prov_base);
-    }
-    std::vector<Key> cands;
-    {
-      rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
-      cands = pool.select(q, comp_);
-      co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
-    }
-
-    sort::HistogramRefiner<Key, Comp> refiner(q, total_n,
-                                              cfg_.partition_epsilon, comp_);
-    std::vector<Key> probe = refiner.seed(std::move(cands));
+    bool resolving = false;
+    double certified_eps = 0.0;
     const auto max_rounds =
         static_cast<std::size_t>(cfg_.partition_max_rounds);
-    std::uint64_t seq = 0;
-    while (!refiner.done() && !probe.empty() &&
-           refiner.rounds() < max_rounds) {
-      // Counting round: broadcast the probe set; everyone (including us)
-      // contributes exact local rank brackets, summed into global ones.
-      ++seq;
-      for (std::size_t j = 1; j < q; ++j) {
-        auto req = probe_frame(kProbeCount, seq, probe);
-        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
-                  req.second);
+    if (tree.root()) {
+      SamplePool pool;
+      pool.add(samples, n);
+      for (SourceSet got(q, q - 1, 0); !got.done();) {
+        auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
+        if (!got.first(midx.source(
+                msg.src, "samples from a rank outside the attempt membership")))
+          continue;
+        total_n += msg.payload.prov_base;
+        pool.add(msg.payload.keys, msg.payload.prov_base);
       }
-      std::vector<std::uint64_t> lo, hi;
-      sort::count_ranks<Key, Comp>(local, probe, lo, hi, comp_);
-      co_await m.compute(m.cost().histogram_round_time(n, probe.size()));
-      for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
-        const std::size_t sj = midx.source(
-            msg.src, "probe reply from a rank outside the membership");
-        const auto& c = msg.payload.counts;
-        // A stale round's reply or a source's repeat: drop.
-        if (c.empty() || c[0] != seq || !got.first(sj)) continue;
-        PGXD_CHECK_MSG(c.size() == 1 + 2 * probe.size(),
-                       "probe reply does not match the probe set");
-        for (std::size_t i = 0; i < probe.size(); ++i) {
-          lo[i] += c[1 + i];
-          hi[i] += c[1 + probe.size() + i];
-        }
+      std::vector<Key> cands;
+      {
+        rt::TempAlloc pool_mem(m.memory(),
+                               pool.items.size() * sizeof(Key) * 2);
+        cands = pool.select(q, comp_);
+        co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
       }
-      refiner.absorb_counts(lo, hi);
-      if (refiner.done() || refiner.rounds() >= max_rounds) break;
-      // Draw round: fresh candidates strictly inside the unresolved
-      // brackets, from every member.
-      const std::vector<sort::RefineInterval<Key>> ivs =
-          refiner.draw_intervals();
-      if (ivs.empty()) break;
-      ++seq;
-      std::vector<Key> ser;
-      std::vector<std::uint64_t> flags;
-      for (const auto& iv : ivs) {
-        ser.push_back(iv.has_lo ? iv.lo : Key{});
-        ser.push_back(iv.has_hi ? iv.hi : Key{});
-        flags.push_back((iv.has_lo ? 1u : 0u) | (iv.has_hi ? 2u : 0u));
-      }
-      for (std::size_t j = 1; j < q; ++j) {
-        auto req = probe_frame(kProbeDraw, seq, ser, flags);
-        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
-                  req.second);
-      }
-      std::vector<Key> drawn = sort::draw_candidates<Key, Comp>(
-          local, ivs, sort::kDrawPerInterval, comp_);
-      co_await m.charge_binary_search(n, 2 * ivs.size());
-      for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
-        const std::size_t sj = midx.source(
-            msg.src, "draw reply from a rank outside the membership");
-        const auto& c = msg.payload.counts;
-        // A stale round's reply or a source's repeat: drop.
-        if (c.empty() || c[0] != seq || !got.first(sj)) continue;
-        drawn.insert(drawn.end(), msg.payload.keys.begin(),
-                     msg.payload.keys.end());
-      }
-      probe = refiner.absorb_draws(std::move(drawn));
+      refiner.emplace(q, total_n, cfg_.partition_epsilon, comp_);
+      keys = refiner->seed(std::move(cands));
     }
-    part_rounds_ = std::max<std::uint64_t>(1, refiner.rounds());
-    part_probe_keys_ += refiner.probe_keys();
-    double certified_eps = refiner.achieved_epsilon();
 
-    // Resolution round: the refiner certifies a boundary by a key whose
-    // duplicate run *brackets* the target rank — landing on that rank
-    // exactly means splitting the run by count, which no downstream
-    // consumer can derive from the key alone (the investigator splits dup
-    // runs heuristically, forfeiting the certified epsilon on dup-heavy
-    // data). One more exact counting round over the final splitter keys,
-    // kept per member this time, lets the master hand every member its
-    // duplicate take per boundary; the takes ride with the splitters.
-    const std::vector<Key> splitters = refiner.splitters();
-    const std::size_t nb = splitters.size();
-    std::vector<std::vector<std::uint64_t>> mem_lo(q), mem_hi(q);
-    if (nb > 0) {
-      ++seq;
-      for (std::size_t j = 1; j < q; ++j) {
-        auto req = probe_frame(kProbeCount, seq, splitters);
-        comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
-                  req.second);
-      }
-      sort::count_ranks<Key, Comp>(local, splitters, mem_lo[idx],
-                                   mem_hi[idx], comp_);
-      co_await m.compute(m.cost().histogram_round_time(n, nb));
-      for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
-        const std::size_t sj = midx.source(
-            msg.src, "probe reply from a rank outside the membership");
-        const auto& c = msg.payload.counts;
-        // A stale round's reply or a source's repeat: drop.
-        if (c.empty() || c[0] != seq || !got.first(sj)) continue;
-        PGXD_CHECK_MSG(c.size() == 1 + 2 * nb,
-                       "resolution reply does not match the splitter set");
-        mem_lo[sj].assign(c.begin() + 1,
-                          c.begin() + 1 + static_cast<std::ptrdiff_t>(nb));
-        mem_hi[sj].assign(c.begin() + 1 + static_cast<std::ptrdiff_t>(nb),
-                          c.end());
-      }
-      part_probe_keys_ += nb;
-    }
-    // Boundary i lands at global rank r = clamp(target, sum lo, sum hi);
-    // members contribute their duplicates in member order until r is met.
-    // For equal splitter keys r is non-decreasing in i over the same
-    // bracket, so per-member takes are monotone and bounds stay sorted.
-    std::vector<std::vector<std::uint64_t>> takes(
-        q, std::vector<std::uint64_t>(nb, 0));
-    std::uint64_t worst_err = 0;
-    for (std::size_t i = 0; i < nb; ++i) {
-      std::uint64_t glo = 0, ghi = 0;
-      for (std::size_t j = 0; j < q; ++j) {
-        glo += mem_lo[j][i];
-        ghi += mem_hi[j][i];
-      }
-      const std::uint64_t t = refiner.target(i);
-      const std::uint64_t r = std::clamp(t, glo, ghi);
-      worst_err = std::max(worst_err, r > t ? r - t : t - r);
-      std::uint64_t need = r - glo;
-      for (std::size_t j = 0; j < q && need > 0; ++j) {
-        const std::uint64_t d =
-            std::min<std::uint64_t>(mem_hi[j][i] - mem_lo[j][i], need);
-        takes[j][i] = d;
-        need -= d;
-      }
-    }
-    if (nb > 0 && total_n > 0)
-      certified_eps = 2.0 * static_cast<double>(q) *
-                      static_cast<double>(worst_err) /
-                      static_cast<double>(total_n);
-    if (cfg_.telemetry) {
-      obs::MetricsRegistry& mreg = metrics_[rank];
-      mreg.counter("sort.partition.refine_rounds").inc(refiner.rounds());
-      mreg.gauge("sort.partition.certified_epsilon").set(certified_eps);
-    }
-    // Release the members from their service loops, then broadcast the
-    // final splitters exactly like the one-shot scheme — plus each
-    // member's dup-take vector in the counts plane.
-    ++seq;
-    for (std::size_t j = 1; j < q; ++j) {
-      auto req = probe_frame(kProbeDone, seq, {});
-      comm.post(rank, ctx.scope[j], tag(kTagProbe), std::move(req.first),
-                req.second);
-    }
-    for (std::size_t j = 0; j < q; ++j) {
-      const std::size_t dst = ctx.scope[j];
-      const std::uint64_t bytes =
-          splitters.size() * sizeof(Key) +
-          takes[j].size() * sizeof(std::uint64_t);
-      if (dst != rank) note_control_bytes(bytes);
-      Msg smsg(std::vector<Key>(splitters), std::move(takes[j]), 0, 0);
-      comm.post(rank, dst, tag(kTagSplitters), std::move(smsg), bytes);
-    }
-    co_return;
-  }
-
-  // Member side of kHistogramRefine: answer the master's counting and draw
-  // requests in lockstep until the done frame arrives. Requests carry a
-  // sequence number so a duplicating fabric's redelivered requests are
-  // dropped instead of answered twice (the master additionally dedups
-  // replies by source and sequence).
-  sim::Task<void> serve_refinement(rt::Machine& m, const AttemptCtx& ctx,
-                                   const std::vector<Key>& local,
-                                   std::size_t n) {
-    auto& comm = cluster_.comm();
-    const std::size_t rank = m.rank();
-    const std::size_t master = ctx.scope[0];
-    std::uint64_t last_seq = 0;
     for (;;) {
-      auto req = co_await recv_sort(m, ctx, tag(kTagProbe));
-      PGXD_CHECK_MSG(req.src == master && req.payload.counts.size() >= 2,
-                     "malformed histogram probe frame");
-      const std::uint64_t op = req.payload.counts[0];
-      const std::uint64_t seq = req.payload.counts[1];
-      if (op == kProbeDone) co_return;
-      if (seq <= last_seq) continue;  // duplicating fabric: stale copy
-      last_seq = seq;
-      if (op == kProbeCount) {
-        const std::vector<Key>& probes = req.payload.keys;
-        std::vector<std::uint64_t> lo, hi;
-        sort::count_ranks<Key, Comp>(local, probes, lo, hi, comp_);
-        co_await m.compute(m.cost().histogram_round_time(n, probes.size()));
-        std::vector<std::uint64_t> reply;
-        reply.reserve(1 + 2 * probes.size());
-        reply.push_back(seq);
-        reply.insert(reply.end(), lo.begin(), lo.end());
-        reply.insert(reply.end(), hi.begin(), hi.end());
-        const std::uint64_t bytes = reply.size() * sizeof(std::uint64_t);
-        note_control_bytes(bytes);
-        comm.post(rank, master, tag(kTagReply),
-                  Msg::of_counts(std::move(reply)), bytes);
-      } else {
-        PGXD_CHECK_MSG(op == kProbeDraw, "unknown histogram probe op");
-        const std::vector<Key>& ser = req.payload.keys;
-        PGXD_CHECK(ser.size() % 2 == 0 &&
-                   req.payload.counts.size() == 2 + ser.size() / 2);
-        std::vector<sort::RefineInterval<Key>> ivs(ser.size() / 2);
-        for (std::size_t i = 0; i < ivs.size(); ++i) {
-          const std::uint64_t f = req.payload.counts[2 + i];
-          ivs[i].lo = ser[2 * i];
-          ivs[i].hi = ser[2 * i + 1];
-          ivs[i].has_lo = (f & 1) != 0;
-          ivs[i].has_hi = (f & 2) != 0;
+      if (tree.root()) {
+        // Refinement stops once every boundary is certified, the round
+        // budget is spent or no candidates are left; the resolution round
+        // then counts the final splitters.
+        if (!resolving && (keys.empty() || refiner->done() ||
+                           refiner->rounds() >= max_rounds)) {
+          part_rounds_ = std::max<std::uint64_t>(1, refiner->rounds());
+          part_probe_keys_ += refiner->probe_keys();
+          certified_eps = refiner->achieved_epsilon();
+          keys = refiner->splitters();
+          extra.clear();
+          kind = keys.empty() ? kProbeDone : kProbeCount;
+          resolving = true;
         }
-        std::vector<Key> drawn = sort::draw_candidates<Key, Comp>(
-            local, ivs, sort::kDrawPerInterval, comp_);
+        ++seq;
+      } else {
+        auto req = co_await recv_sort(m, ctx, tag(kTagProbe));
+        const auto& c = req.payload.counts;
+        PGXD_CHECK_MSG(req.src == ctx.scope[tree.parent] && c.size() >= 2,
+                       "malformed histogram probe frame");
+        if (c[1] <= seq) continue;  // duplicating fabric: stale copy
+        kind = c[0];
+        seq = c[1];
+        keys = std::move(req.payload.keys);
+        extra.assign(c.begin() + 2, c.end());
+      }
+      if (kind == kProbeDone) break;
+      for (const std::size_t child : tree.children) {
+        auto req = probe_frame(kind, seq, keys, extra);
+        comm.post(rank, ctx.scope[child], tag(kTagProbe), std::move(req.first),
+                  req.second);
+      }
+
+      // This rank's part: exact local rank brackets for the probe keys, or
+      // local candidates strictly inside the intervals.
+      std::vector<std::uint64_t> lo, hi;
+      std::vector<Key> drawn;
+      if (kind == kProbeCount) {
+        sort::count_ranks<Key, Comp>(local, keys, lo, hi, comp_);
+        co_await m.compute(m.cost().histogram_round_time(n, keys.size()));
+        own_dup.resize(keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i)
+          own_dup[i] = hi[i] - lo[i];
+      } else {
+        PGXD_CHECK_MSG(kind == kProbeDraw && keys.size() == 2 * extra.size(),
+                       "malformed histogram draw request");
+        std::vector<sort::RefineInterval<Key>> ivs(extra.size());
+        for (std::size_t i = 0; i < ivs.size(); ++i) {
+          ivs[i].lo = keys[2 * i];
+          ivs[i].hi = keys[2 * i + 1];
+          ivs[i].has_lo = (extra[i] & 1) != 0;
+          ivs[i].has_hi = (extra[i] & 2) != 0;
+        }
+        drawn = sort::draw_candidates<Key, Comp>(local, ivs,
+                                                 sort::kDrawPerInterval, comp_);
         co_await m.charge_binary_search(n, 2 * ivs.size());
-        std::vector<std::uint64_t> hdr;
-        hdr.push_back(seq);
-        const std::uint64_t bytes =
-            drawn.size() * sizeof(Key) + sizeof(std::uint64_t);
+      }
+      // The children's subtrees: sum their brackets, or append their draws.
+      std::size_t kid_draws = 0;
+      for (SourceSet got(kids, kids); !got.done();) {
+        auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
+        const std::size_t c = tree.child_pos(midx.source(
+            msg.src, "probe reply from a rank outside the membership"));
+        PGXD_CHECK_MSG(c < kids, "probe reply from a rank that is not a child");
+        const auto& r = msg.payload.counts;
+        // A stale round's reply or a child's repeat: drop.
+        if (r.empty() || r[0] != seq || !got.first(c)) continue;
+        if (kind == kProbeDraw) {
+          drawn.insert(drawn.end(), msg.payload.keys.begin(),
+                       msg.payload.keys.end());
+          kid_draws += msg.payload.keys.size();
+          continue;
+        }
+        const std::size_t np = keys.size();
+        PGXD_CHECK_MSG(r.size() == 1 + 2 * np,
+                       "probe reply does not match the probe set");
+        kid_dup[c].resize(np);
+        for (std::size_t i = 0; i < np; ++i) {
+          lo[i] += r[1 + i];
+          hi[i] += r[1 + np + i];
+          kid_dup[c][i] = r[1 + np + i] - r[1 + i];
+        }
+      }
+      if (kids > 0 && kind == kProbeCount)
+        co_await m.compute(m.cost().merge_time(kids * 2 * keys.size()));
+      if (kids > 0 && kind == kProbeDraw) co_await m.charge_copy(kid_draws);
+
+      if (!tree.root()) {
+        // One reply up: {seq, lo..., hi...}, or {seq} and the draws.
+        std::vector<std::uint64_t> hdr(1, seq);
+        hdr.insert(hdr.end(), lo.begin(), lo.end());
+        hdr.insert(hdr.end(), hi.begin(), hi.end());
+        const std::uint64_t bytes = drawn.size() * sizeof(Key) +
+                                    hdr.size() * sizeof(std::uint64_t);
         note_control_bytes(bytes);
         Msg reply(std::move(drawn), std::move(hdr), 0, 0);
-        comm.post(rank, master, tag(kTagReply), std::move(reply), bytes);
+        comm.post(rank, ctx.scope[tree.parent], tag(kTagReply),
+                  std::move(reply), bytes);
+        continue;
+      }
+      // Root: absorb the reply and pick the next request.
+      if (kind == kProbeDraw) {
+        keys = refiner->absorb_draws(std::move(drawn));
+        kind = kProbeCount;
+        extra.clear();
+      } else if (!resolving) {
+        refiner->absorb_counts(lo, hi);
+        std::vector<sort::RefineInterval<Key>> ivs;
+        if (!refiner->done() && refiner->rounds() < max_rounds)
+          ivs = refiner->draw_intervals();
+        kind = kProbeDraw;
+        keys.clear();
+        extra.clear();
+        for (const auto& iv : ivs) {
+          keys.push_back(iv.has_lo ? iv.lo : Key{});
+          keys.push_back(iv.has_hi ? iv.hi : Key{});
+          extra.push_back((iv.has_lo ? 1u : 0u) | (iv.has_hi ? 2u : 0u));
+        }
+      } else {
+        // Boundary i lands at global rank r = clamp(target, sum lo, sum
+        // hi), so r - sum lo of its duplicates are owed left of it. For
+        // equal splitter keys r is non-decreasing in i over the same
+        // bracket, so per-member takes are monotone and bounds stay sorted.
+        std::uint64_t worst_err = 0;
+        extra.resize(keys.size());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          const std::uint64_t t = refiner->target(i);
+          const std::uint64_t r = std::clamp(t, lo[i], hi[i]);
+          worst_err = std::max(worst_err, r > t ? r - t : t - r);
+          extra[i] = r - lo[i];
+        }
+        part_probe_keys_ += keys.size();
+        if (total_n > 0)
+          certified_eps = 2.0 * static_cast<double>(q) *
+                          static_cast<double>(worst_err) /
+                          static_cast<double>(total_n);
+        kind = kProbeDone;
       }
     }
+    if (tree.root() && cfg_.telemetry) {
+      obs::MetricsRegistry& mreg = metrics_[rank];
+      mreg.counter("sort.partition.refine_rounds").inc(refiner->rounds());
+      mreg.gauge("sort.partition.certified_epsilon").set(certified_eps);
+    }
+
+    // Down-sweep: take this rank's share of each boundary's owed
+    // duplicates, then hand the rest to the children in scope order.
+    const std::size_t nb = keys.size();
+    PGXD_CHECK_MSG(extra.size() == nb && (nb == 0 || own_dup.size() == nb),
+                   "histogram done frame does not match the resolution round");
+    std::vector<std::uint64_t> takes(nb);
+    for (std::size_t i = 0; i < nb; ++i) {
+      takes[i] = std::min(own_dup[i], extra[i]);
+      extra[i] -= takes[i];
+    }
+    for (std::size_t c = 0; c < kids; ++c) {
+      std::vector<std::uint64_t> owed(nb);
+      for (std::size_t i = 0; i < nb; ++i) {
+        owed[i] = std::min(kid_dup[c][i], extra[i]);
+        extra[i] -= owed[i];
+      }
+      auto req = probe_frame(kProbeDone, seq, keys, owed);
+      comm.post(rank, ctx.scope[tree.children[c]], tag(kTagProbe),
+                std::move(req.first), req.second);
+    }
+    co_return Msg(std::move(keys), std::move(takes), 0, 0);
   }
 
   // One member's pipeline for one attempt, in member-index space: all
@@ -1136,8 +1175,11 @@ class DistributedSorter {
           reg.counter("sort.sampling.samples").inc(samples.size());
         stamp(rank, mark, Step::kSampling, samples.size() * sizeof(Key));
 
+        // The master selects the coarse splitters; they reach every member
+        // down the scope tree, each member forwarding them to its children.
+        const ScopeTree tree(q, idx);
         std::vector<Key> gsplit;
-        if (rank == master) {
+        if (tree.root()) {
           SamplePool gpool;
           gpool.add(samples, n);
           for (SourceSet got(q, q - 1, idx); !got.done();) {
@@ -1154,16 +1196,18 @@ class DistributedSorter {
             co_await m.compute_parallel(
                 m.cost().sort_time(gpool.items.size()));
           }
-          for (std::size_t j = 0; j < q; ++j) {
-            const std::size_t dst = ctx.members[j];
-            const std::uint64_t bytes = gsplit.size() * sizeof(Key);
-            if (dst != master) note_control_bytes(bytes);
-            comm.post(master, dst, tag(kTagGroupSplit), Msg::of_keys(gsplit),
-                      bytes);
-          }
+        } else {
+          auto gmsg = co_await recv_sort(m, ctx, tag(kTagGroupSplit));
+          PGXD_CHECK_MSG(gmsg.src == ctx.members[tree.parent],
+                         "group splitters from a rank other than the parent");
+          gsplit = std::move(gmsg.payload.keys);
         }
-        auto gmsg = co_await recv_sort(m, ctx, tag(kTagGroupSplit));
-        gsplit = std::move(gmsg.payload.keys);
+        for (const std::size_t child : tree.children) {
+          const std::uint64_t bytes = gsplit.size() * sizeof(Key);
+          note_control_bytes(bytes);
+          comm.post(rank, ctx.members[child], tag(kTagGroupSplit),
+                    Msg::of_keys(gsplit), bytes);
+        }
         // The last rank of each group but the last borders the next group.
         if (g_me + 1 < layout.groups && idx + 1 == layout.start[g_me + 1])
           boundary_[rank] = gsplit[g_me];
@@ -1388,46 +1432,45 @@ class DistributedSorter {
 
     // ---- Step 3: splitter determination -------------------------------------
     // kOneLevelSample (and AMS level 2): the paper's one-shot master
-    // selection. kHistogramRefine: the master certifies candidate splitters
-    // by their exact global ranks over kTagProbe/kTagReply rounds until
-    // every boundary is within the epsilon target. Either way the final
-    // splitters arrive on kTagSplitters, so steps (4)-(6) are
-    // scheme-agnostic.
+    // selection, broadcast on kTagSplitters. kHistogramRefine: the scope
+    // tree certifies candidate splitters by their exact global ranks over
+    // kTagProbe/kTagReply rounds until every boundary is within the epsilon
+    // target, and hands each rank its duplicate takes. Either way steps
+    // (4)-(6) start from the same splitter frame.
+    Msg split;
     if (histogram) {
+      split = co_await refine_splitters(m, ctx, local, samples, n);
+    } else {
       if (rank == master) {
-        co_await refine_splitters(m, ctx, local, samples, n);
-      } else {
-        co_await serve_refinement(m, ctx, local, n);
+        // Gather all sample vectors into the master's one read buffer.
+        SamplePool pool;
+        pool.add(samples, n);
+        for (SourceSet got(q, q - 1, idx); !got.done();) {
+          auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
+          if (!got.first(midx.source(msg.src, "samples from a rank outside "
+                                              "the attempt membership")))
+            continue;
+          pool.add(msg.payload.keys, msg.payload.prov_base);
+        }
+        std::vector<Key> chosen;
+        {
+          rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
+          chosen = pool.select(q, comp_);
+          co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
+        }
+        for (std::size_t j = 0; j < q; ++j) {
+          const std::size_t dst = ctx.scope[j];
+          const std::uint64_t bytes = chosen.size() * sizeof(Key);
+          if (dst != master) note_control_bytes(bytes);
+          comm.post(master, dst, tag(kTagSplitters), Msg::of_keys(chosen),
+                    bytes);
+        }
       }
-    } else if (rank == master) {
-      // Gather all sample vectors into the master's one read buffer.
-      SamplePool pool;
-      pool.add(samples, n);
-      for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
-        if (!got.first(midx.source(
-                msg.src, "samples from a rank outside the attempt membership")))
-          continue;
-        pool.add(msg.payload.keys, msg.payload.prov_base);
-      }
-      std::vector<Key> chosen;
-      {
-        rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
-        chosen = pool.select(q, comp_);
-        co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
-      }
-      for (std::size_t j = 0; j < q; ++j) {
-        const std::size_t dst = ctx.scope[j];
-        const std::uint64_t bytes = chosen.size() * sizeof(Key);
-        if (dst != master) note_control_bytes(bytes);
-        comm.post(master, dst, tag(kTagSplitters), Msg::of_keys(chosen),
-                  bytes);
-      }
+      auto splitters_msg = co_await recv_sort(m, ctx, tag(kTagSplitters));
+      split = std::move(splitters_msg.payload);
     }
-    auto splitters_msg = co_await recv_sort(m, ctx, tag(kTagSplitters));
-    const std::vector<Key> splitters = std::move(splitters_msg.payload.keys);
-    const std::vector<std::uint64_t> dup_takes =
-        std::move(splitters_msg.payload.counts);
+    const std::vector<Key> splitters = std::move(split.keys);
+    const std::vector<std::uint64_t> dup_takes = std::move(split.counts);
     if (idx + 1 < q) boundary_[rank] = splitters[idx];
     stamp(rank, mark, Step::kSplitterSelect, splitters.size() * sizeof(Key));
 
@@ -1436,8 +1479,9 @@ class DistributedSorter {
     if (histogram && !splitters.empty() &&
         dup_takes.size() == splitters.size()) {
       // Exact-rank bounds from the refinement's resolution round: every
-      // duplicate of splitter i sits right of lower_bound, and the
-      // master's take says how many of ours move left of the boundary.
+      // duplicate of splitter i sits right of lower_bound, and this rank's
+      // take from the down-sweep says how many of ours move left of the
+      // boundary.
       plan.bounds.assign(q + 1, 0);
       plan.bounds[q] = n;
       for (std::size_t i = 0; i < splitters.size(); ++i) {

@@ -237,25 +237,34 @@ TEST(ReliableClean, NoFaultsMeansNoRetries) {
 // rel_offset). Trailing duplicate copies can sit in mailboxes at the end,
 // so the run opts into allow_undrained. At p=72 the exchange counts go
 // through the scope master's batched relay (more than 64 members), so the
-// relay's repeat drop runs too.
+// relay's repeat drop runs too, and the scale-out schemes' control rounds
+// run over a three-level scope tree whose interior nodes see duplicated
+// probe, reply and down-sweep frames.
 TEST(AppLevelDedup, DuplicatingFabricWithoutReliableLayer) {
   for (const std::size_t p : {std::size_t{5}, std::size_t{72}}) {
-    SCOPED_TRACE(p);
-    auto shards = make_shards(gen::Distribution::kExponential, 20000, p);
-    net::FaultConfig fc;
-    fc.duplicate_prob = 0.15;
-    rt::ClusterConfig ccfg = faulty_cluster(p, fc, /*reliable=*/false);
-    ccfg.allow_undrained = true;
-    rt::Cluster<Msg> cluster(ccfg);
-    Sorter sorter(cluster, chunky_sort_config());
-    sorter.run(shards);
-    verify_sorted(sorter, shards);
+    for (const PartitionScheme scheme :
+         {PartitionScheme::kOneLevelSample, PartitionScheme::kHistogramRefine,
+          PartitionScheme::kTwoLevelAms}) {
+      SCOPED_TRACE(::testing::Message()
+                   << partition_scheme_name(scheme) << " at p=" << p);
+      auto shards = make_shards(gen::Distribution::kExponential, 20000, p);
+      net::FaultConfig fc;
+      fc.duplicate_prob = 0.15;
+      rt::ClusterConfig ccfg = faulty_cluster(p, fc, /*reliable=*/false);
+      ccfg.allow_undrained = true;
+      rt::Cluster<Msg> cluster(ccfg);
+      SortConfig cfg = chunky_sort_config();
+      cfg.partition = scheme;
+      Sorter sorter(cluster, cfg);
+      sorter.run(shards);
+      verify_sorted(sorter, shards);
 
-    std::uint64_t dup_chunks = 0;
-    for (const auto& ms : sorter.stats().machines)
-      dup_chunks += ms.duplicate_chunks;
-    EXPECT_GT(cluster.fabric().total_duplicated(), 0u);
-    EXPECT_GT(dup_chunks, 0u);
+      std::uint64_t dup_chunks = 0;
+      for (const auto& ms : sorter.stats().machines)
+        dup_chunks += ms.duplicate_chunks;
+      EXPECT_GT(cluster.fabric().total_duplicated(), 0u);
+      EXPECT_GT(dup_chunks, 0u);
+    }
   }
 }
 
@@ -682,8 +691,12 @@ TEST_P(SchemeCrash, KilledRankRecoversUnderTheScheme) {
   EXPECT_GE(rec.regenerated_shards, 1u);
 }
 
-// The 0.35/0.5 fractions land inside the level-1 group exchange and the
-// phase-2 pipeline for AMS, and inside the probe rounds for histogram.
+// Where the kills land in a clean run of this stack (victim rank 3). AMS
+// (82.4 us): 0.15 in the local sort, 0.35 at the end of the level-1
+// sample send, 0.5 in the level-1 bucket exchange, 0.7 in the phase-2
+// partition plan. Histogram (101.8 us; the master's refinement rounds run
+// 20.6-48.9 us): 0.15 in the local sort, 0.35 in a probe round, 0.5 while
+// the victim still waits for the closing down-sweep, 0.7 in the exchange.
 INSTANTIATE_TEST_SUITE_P(
     BothSchemes, SchemeCrash,
     ::testing::Combine(::testing::Values(PartitionScheme::kHistogramRefine,
@@ -717,6 +730,42 @@ TEST(SchemeCrash2, MidRefinementRoundKillRecovers) {
   verify_sorted(sorter, shards);
   EXPECT_GE(sorter.stats().recovery.recoveries, 1u);
   EXPECT_EQ(sorter.stats().recovery.final_members, 4u);
+}
+
+// Aimed shot at an interior node of the scope tree: at p=21 the root's
+// children each parent a subtree of four, so killing one mid-round orphans
+// its subtree, whose members wait on a parent that never answers. They
+// must notice through the failure detector and abort, and the attempt must
+// recover on the 20 survivors.
+TEST(SchemeCrash2, InteriorTreeNodeKillRecovers) {
+  const std::size_t p = 21;
+  const std::size_t victim = 6;
+  const ScopeTree node(p, victim);
+  ASSERT_EQ(node.parent, 0u);
+  ASSERT_EQ(node.children.size(), 4u);
+  auto shards = make_shards(gen::Distribution::kZipf, p * 4000, p);
+  const auto pilot = clean_scheme_stats(
+      shards, PartitionScheme::kHistogramRefine, 0.01);
+  ASSERT_GE(pilot.partition.rounds, 2u)
+      << "pilot resolved without iterating; tighten epsilon";
+  const auto& master = pilot.machines[0];
+  const sim::SimTime crash_at = master.steps[Step::kLocalSort] +
+                                master.steps[Step::kSampling] +
+                                master.steps[Step::kSplitterSelect] / 2;
+
+  net::FaultConfig fc;
+  fc.crashes = {net::CrashEvent{victim, crash_at}};
+  rt::Cluster<Msg> cluster(recovery_cluster(p, fc));
+  Sorter sorter(cluster,
+                scheme_recovery_config(PartitionScheme::kHistogramRefine,
+                                       0.01));
+  sorter.run(shards);  // the exactly-once audit runs inside the sorter
+  verify_sorted(sorter, shards);
+  const auto& rec = sorter.stats().recovery;
+  EXPECT_EQ(rec.recoveries, 1u);
+  EXPECT_EQ(rec.final_members, p - 1);
+  EXPECT_TRUE(sorter.partitions()[victim].empty());
+  EXPECT_EQ(rec.regenerated_shards, 1u);
 }
 
 TEST(SchemeCrash2, SchemeCrashScheduleReplaysBitIdentically) {

@@ -12,17 +12,23 @@
 //      lives: no simulation needed, so the full scale is cheap to test.
 //   3. End-to-end simulated sorts at p in {64, 256, 1024}: every scheme
 //      stays sorted, meets its scheme-appropriate imbalance bound, and all
-//      three schemes produce the identical final sorted sequence.
+//      three schemes produce the identical final sorted sequence. The
+//      k-ary scope tree the scale-out schemes' control rounds run over is
+//      checked here too: its shape, and the master's fan-out in a run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <numeric>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/distributed_sort.hpp"
 #include "core/validate.hpp"
 #include "datagen/distributions.hpp"
+#include "sim/trace.hpp"
 #include "sort/partition.hpp"
 
 namespace pgxd::sort {
@@ -588,6 +594,95 @@ TEST(SchemeBalanceLarge, HistogramAtP1024) {
   const std::size_t p = 1024;
   const auto shards = shards_for(gen::Distribution::kUniform, 32768, p);
   run_scheme(PartitionScheme::kHistogramRefine, shards, 1.0);
+}
+
+// ---- The scope tree the scale-out control plane runs over -------------------
+
+TEST(ScopeTree, ShapeForEveryScopeUpTo1100) {
+  constexpr std::size_t k = ScopeTree::kFanout;
+  for (std::size_t q = 1; q <= 1100; ++q) {
+    std::vector<ScopeTree> nodes;
+    for (std::size_t i = 0; i < q; ++i) nodes.emplace_back(q, i);
+    std::size_t max_depth = 0;  // ceil(log_k q): least d with k^d >= q
+    for (std::size_t reach = 1; reach < q; reach *= k) ++max_depth;
+    std::vector<std::size_t> listed_by(q, 0);
+    for (std::size_t i = 0; i < q; ++i) {
+      const ScopeTree& t = nodes[i];
+      ASSERT_LE(t.children.size(), k) << "q=" << q << " node " << i;
+      ASSERT_LE(t.depth, max_depth) << "q=" << q << " node " << i;
+      ASSERT_EQ(t.root(), i == 0);
+      // Children split the rest of the node's range into ascending,
+      // contiguous ranges, each of which is that child's own range.
+      std::size_t next = i + 1;
+      for (std::size_t c = 0; c < t.children.size(); ++c) {
+        const std::size_t j = t.children[c];
+        ASSERT_EQ(j, next) << "q=" << q << " node " << i;
+        ASSERT_EQ(t.child_pos(j), c);
+        ASSERT_EQ(nodes[j].parent, i);
+        ASSERT_EQ(nodes[j].depth, t.depth + 1);
+        ASSERT_EQ(nodes[j].end, t.child_end(c));
+        ASSERT_GT(t.child_end(c), j);
+        ++listed_by[j];
+        next = t.child_end(c);
+      }
+      ASSERT_EQ(next, t.end) << "q=" << q << " node " << i;
+      ASSERT_EQ(t.child_pos(i), t.children.size());
+    }
+    ASSERT_EQ(nodes[0].end, q);
+    ASSERT_EQ(listed_by[0], 0u);
+    for (std::size_t i = 1; i < q; ++i)
+      ASSERT_EQ(listed_by[i], 1u) << "q=" << q << " node " << i;
+    // Preorder is index order.
+    std::vector<std::size_t> order, stack{0};
+    while (!stack.empty()) {
+      const std::size_t i = stack.back();
+      stack.pop_back();
+      order.push_back(i);
+      const auto& ch = nodes[i].children;
+      stack.insert(stack.end(), ch.rbegin(), ch.rend());
+    }
+    std::vector<std::size_t> index_order(q);
+    std::iota(index_order.begin(), index_order.end(), std::size_t{0});
+    ASSERT_EQ(order, index_order) << "q=" << q;
+  }
+}
+
+// The scope master sends each control round's frames to its at most k tree
+// children only, never to every member. Flows carry the sender and the tag,
+// and on a clean fabric every child receives exactly one frame per round,
+// so the master's frames per round are its distinct destinations.
+TEST(ScopeTree, MasterSendsAtMostKFramesPerControlRound) {
+  const std::size_t p = 256;
+  const auto shards = shards_for(gen::Distribution::kZipf, p * 64, p);
+  for (const auto& [scheme, label] :
+       {std::pair{PartitionScheme::kHistogramRefine, "probe"},
+        std::pair{PartitionScheme::kTwoLevelAms, "group-splitters"}}) {
+    SortConfig cfg;
+    cfg.partition = scheme;
+    rt::ClusterConfig ccfg;
+    ccfg.machines = p;
+    ccfg.threads_per_machine = 2;
+    rt::Cluster<Sorter::Msg> cluster(ccfg);
+    sim::Trace trace;
+    Sorter sorter(cluster, cfg);
+    sorter.set_trace(&trace);
+    sorter.run(shards);
+
+    std::map<std::size_t, std::size_t> per_dst;
+    for (const auto& f : trace.flows())
+      if (f.src == 0 && f.kind == sim::Trace::FlowKind::kData &&
+          trace.tag_label(f.tag) == label)
+        ++per_dst[f.dst];
+    ASSERT_FALSE(per_dst.empty()) << label;
+    EXPECT_LE(per_dst.size(), ScopeTree::kFanout) << label;
+    const std::size_t rounds = per_dst.begin()->second;
+    for (const auto& [dst, frames] : per_dst)
+      EXPECT_EQ(frames, rounds) << label << " to rank " << dst;
+    if (scheme == PartitionScheme::kHistogramRefine) {
+      EXPECT_GE(rounds, 3u) << "a counting round, the resolution round and "
+                               "the down-sweep at least";
+    }
+  }
 }
 
 }  // namespace

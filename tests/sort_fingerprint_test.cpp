@@ -75,13 +75,34 @@ struct Hash64 {
   void add(std::uint64_t v) { h = (h ^ v) * 0x100000001b3ull; }
 };
 
-Fingerprint run_case(const Case& c) {
+std::vector<std::vector<Key>> few_distinct_shards(std::size_t machines,
+                                                  std::size_t total) {
   gen::DataGenConfig dcfg;
   dcfg.dist = gen::Distribution::kFewDistinct;
   dcfg.seed = 2017;
   std::vector<std::vector<Key>> shards;
-  for (std::size_t r = 0; r < kMachines; ++r)
-    shards.push_back(gen::generate_shard(dcfg, kTotalKeys, kMachines, r));
+  for (std::size_t r = 0; r < machines; ++r)
+    shards.push_back(gen::generate_shard(dcfg, total, machines, r));
+  return shards;
+}
+
+// Every output partition's size, then each item's key and provenance.
+std::uint64_t output_hash(const Sorter& sorter) {
+  Hash64 hash;
+  for (const auto& part : sorter.partitions()) {
+    hash.add(part.size());
+    for (const auto& item : part) {
+      hash.add(item.key);
+      hash.add(item.prov.prev_machine);
+      hash.add(item.prov.prev_index);
+    }
+  }
+  return hash.h;
+}
+
+Fingerprint run_case(const Case& c) {
+  std::vector<std::vector<Key>> shards =
+      few_distinct_shards(kMachines, kTotalKeys);
 
   SortConfig cfg;
   cfg.read_buffer_bytes = 2048;
@@ -110,16 +131,7 @@ Fingerprint run_case(const Case& c) {
     fp.peak_persistent = std::max(fp.peak_persistent, ms.peak_persistent_bytes);
     fp.peak_temp = std::max(fp.peak_temp, ms.peak_temp_bytes);
   }
-  Hash64 hash;
-  for (const auto& part : sorter.partitions()) {
-    hash.add(part.size());
-    for (const auto& item : part) {
-      hash.add(item.key);
-      hash.add(item.prov.prev_machine);
-      hash.add(item.prov.prev_index);
-    }
-  }
-  fp.output_hash = hash.h;
+  fp.output_hash = output_hash(sorter);
   fp.retransmits = cluster.comm().reliable_stats().retransmits;
   fp.duplicates_suppressed =
       cluster.comm().reliable_stats().duplicates_suppressed;
@@ -167,7 +179,7 @@ void lossy_reliable_fabric(SortConfig&, rt::ClusterConfig& ccfg) {
 
 // The recovery stack (reliable fail-fast delivery, failure detector,
 // supervisor) with rank 4 killed at 116 us: inside its level-2 group
-// exchange, which a clean run of this stack holds from 100.7 to 132.5 us.
+// exchange, which a clean run of this stack holds from 101.7 to 133.5 us.
 void crash_mid_exchange(SortConfig& cfg, rt::ClusterConfig& ccfg) {
   ccfg.net.faults.crashes = {net::CrashEvent{4, 116 * sim::kMicrosecond}};
   ccfg.reliable.enabled = true;
@@ -204,23 +216,23 @@ const Case kCases[] = {
      {199058, {37657, 3356, 12243, 13726, 100592, 40581},
       519488, 2880, 376, 3282, 160020, 192024, 0x06f27abe11ea9429ull}},
     {"HistogramKway", kHist, kKway, true,
-     {199063, {37657, 3038, 76200, 23716, 68270, 7402},
-      350304, 5440, 344, 2902, 160000, 192000, 0xd097ed39b5a94de5ull}},
+     {198256, {37657, 3038, 75393, 15556, 68270, 7402},
+      350432, 5568, 336, 2864, 160000, 192000, 0xd097ed39b5a94de5ull}},
     {"HistogramTree", kHist, kTree, true,
-     {205853, {37657, 3038, 76200, 23716, 68270, 14192},
-      350304, 5440, 344, 2902, 160000, 192000, 0xd097ed39b5a94de5ull}},
+     {205046, {37657, 3038, 75393, 15556, 68270, 14192},
+      350432, 5568, 336, 2864, 160000, 192000, 0xd097ed39b5a94de5ull}},
     {"HistogramKwaySeq", kHist, kSeq, true,
-     {232237, {37657, 3038, 76200, 23716, 68270, 40576},
-      350304, 5440, 344, 2902, 160000, 192000, 0xd097ed39b5a94de5ull}},
+     {231430, {37657, 3038, 75393, 15556, 68270, 40576},
+      350432, 5568, 336, 2864, 160000, 192000, 0xd097ed39b5a94de5ull}},
     {"TwoLevelKway", kAms, kKway, true,
-     {135793, {37657, 6627, 18333, 18973, 62844, 4706},
-      777840, 6384, 280, 2518, 160020, 256032, 0x72b173217d271c7dull}},
+     {134787, {37657, 6627, 17327, 18970, 64154, 4706},
+      777840, 6384, 280, 2519, 160020, 256032, 0x72b173217d271c7dull}},
     {"TwoLevelTree", kAms, kTree, true,
-     {138185, {37657, 6627, 18333, 18973, 62844, 7098},
-      777840, 6384, 280, 2518, 160020, 256032, 0x72b173217d271c7dull}},
+     {137179, {37657, 6627, 17327, 18970, 64154, 7098},
+      777840, 6384, 280, 2519, 160020, 256032, 0x72b173217d271c7dull}},
     {"TwoLevelKwaySeq", kAms, kSeq, true,
-     {151378, {37657, 6627, 18333, 18973, 62844, 20291},
-      777840, 6384, 280, 2518, 160020, 256032, 0x72b173217d271c7dull}},
+     {150372, {37657, 6627, 17327, 18970, 64154, 20291},
+      777840, 6384, 280, 2519, 160020, 256032, 0x72b173217d271c7dull}},
     {"OneLevelKwayBsp", kOne, kKway, false,
      {193997, {37657, 3356, 12243, 13726, 129704, 7402},
       519488, 2880, 376, 3298, 160020, 192024, 0x06f27abe11ea9429ull}},
@@ -229,8 +241,8 @@ const Case kCases[] = {
       519488, 2880, 840, 6278, 160020, 192024, 0x06f27abe11ea9429ull},
      lossy_reliable_fabric},
     {"TwoLevelKwayCrashRecovery", kAms, kKway, true,
-     {10119520, {47472, 22934, 20877, 20044, 78057, 4856},
-      1522872, 12344, 1329, 9447, 400060, 384064, 0xe4e2dcdde66306c5ull},
+     {10280214, {47472, 24937, 19990, 21044, 80387, 4856},
+      1522872, 12344, 1330, 9442, 400060, 384064, 0xe4e2dcdde66306c5ull},
      crash_mid_exchange},
     {"OneLevelKwayNoPool", kOne, kKway, true,
      {115664, {37657, 3356, 12243, 13726, 45367, 7402},
@@ -241,12 +253,12 @@ const Case kCases[] = {
       519488, 2880, 376, 3400, 160020, 192024, 0x06f27abe11ea9429ull},
      duplicating_fabric},
     {"HistogramKwayDuplicating", kHist, kKway, true,
-     {186473, {37657, 3046, 76230, 23738, 55477, 7402},
-      350304, 5440, 344, 3017, 160000, 192000, 0xd097ed39b5a94de5ull},
+     {193458, {37657, 3046, 75472, 15580, 63393, 7402},
+      350432, 5568, 336, 2969, 160000, 192000, 0xd097ed39b5a94de5ull},
      duplicating_fabric},
     {"TwoLevelKwayDuplicating", kAms, kKway, true,
-     {135869, {37657, 6665, 18409, 18975, 62844, 4706},
-      777840, 6384, 280, 2604, 160020, 256032, 0x72b173217d271c7dull},
+     {134866, {37657, 6703, 17406, 18975, 64159, 4706},
+      777840, 6384, 280, 2600, 160020, 256032, 0x72b173217d271c7dull},
      duplicating_fabric},
 };
 
@@ -312,6 +324,39 @@ TEST(SortFingerprint, SubstrateCasesExerciseTheirMachinery) {
     EXPECT_GT(dup.fabric_duplicates, 0u) << scheme;
     EXPECT_EQ(dup.retransmits, 0u) << scheme;
     EXPECT_EQ(dup.output_hash, measured(scheme).output_hash) << scheme;
+  }
+}
+
+// The scale-out control plane runs over a k-ary scope tree, and at p=9 that
+// tree is too shallow to tell a scope-order duplicate split from one that
+// only keeps order within each subtree. At p=77 (histogram) and p=81 (AMS
+// level 1) the tree is at least three levels deep with subtrees of unequal
+// size, and few-distinct keys put most boundaries inside one duplicate run,
+// so every member's duplicate take is non-trivial. The hashes were recorded
+// with the star-shaped control plane the tree replaced.
+TEST(SortFingerprint, DeepScopeTreesKeepTheOutput) {
+  struct Deep {
+    PartitionScheme scheme;
+    std::size_t machines;
+    std::uint64_t hash;
+  };
+  for (const Deep& d : {Deep{kHist, 77, 0x394e3900dada5254ull},
+                       Deep{kAms, 81, 0x3b2f7f06f7840d99ull}}) {
+    SortConfig cfg;
+    cfg.read_buffer_bytes = 2048;
+    cfg.partition = d.scheme;
+    rt::ClusterConfig ccfg;
+    ccfg.machines = d.machines;
+    ccfg.threads_per_machine = 8;
+    rt::Cluster<Sorter::Msg> cluster(ccfg);
+    Sorter sorter(cluster, cfg);
+    sorter.run(few_distinct_shards(d.machines, d.machines * 2000));
+    char got[32];
+    std::snprintf(got, sizeof got, "0x%016llxull",
+                  static_cast<unsigned long long>(output_hash(sorter)));
+    EXPECT_EQ(output_hash(sorter), d.hash)
+        << partition_scheme_name(d.scheme) << " at p=" << d.machines
+        << ": " << got;
   }
 }
 
