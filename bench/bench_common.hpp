@@ -3,9 +3,10 @@
 // Every bench accepts the same core flags (--n, --procs, --seed, --threads,
 // plus bench-specific ones) and prints through common/table.hpp so outputs
 // are uniform. Element counts default to 2^21 — the paper's 1-billion-entry
-// runs scaled to what a single-host simulation sweeps in seconds; the DES
-// cost model is linear in n, so curve *shapes* are scale-invariant (see
-// EXPERIMENTS.md for the scaling discussion).
+// runs scaled to what a single-host simulation sweeps in seconds. Curve
+// *shapes* are not scale-invariant: the cost model charges local sort as
+// n log n and the wire as n, so a shape measured at 2^21 need not hold at
+// the paper's sizes (see EXPERIMENTS.md for the scaling discussion).
 #pragma once
 
 #include <cstdint>

@@ -57,8 +57,8 @@ enum class Step : std::size_t {
 inline constexpr std::size_t kStepCount = 6;
 
 const char* step_name(Step s);
-// Metric-name-safe step suffix ("send/receive" -> "exchange"): step timings
-// appear in the registry as sort.step.<suffix>_ns.
+// Metric-name-safe step suffix ("send/receive" -> "exchange"): names a
+// step in the report's phases and in the benchmark's per-layer metrics.
 const char* step_metric_suffix(Step s);
 
 // Default for SortConfig::telemetry: true when the PGXD_TELEMETRY

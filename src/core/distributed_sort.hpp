@@ -14,6 +14,14 @@
 //   6. Balanced parallel merge of the per-source sorted runs, keeping each
 //      element's previous processor and index (provenance).
 //
+// One routine, partition_phase_impl, runs steps 2-6 for every partition
+// scheme (SortConfig::partition). kOneLevelSample is the paper's single
+// pass. kHistogramRefine seeds its splitter refinement from step 3's sample
+// gather. kTwoLevelAms runs steps 2-4 twice through the same code: level 1
+// over the whole membership with ~sqrt(p) rank groups as the parts, then a
+// bucket exchange to one partner per foreign group and a group-local merge;
+// level 2 within this rank's group, followed by steps 5-6.
+//
 // All data movement is real (the output partitions are physically sorted
 // real vectors); elapsed time is simulated through the cost model and the
 // network fabric.
@@ -225,8 +233,10 @@ class DistributedSorter {
 
   // Convenience: install shards, run this sort alone on the cluster, and
   // finalize statistics. With SortConfig::recovery enabled this runs the
-  // crash-recovery supervisor instead of a single cluster run.
+  // crash-recovery supervisor instead of a single cluster run. A sorter
+  // sorts once.
   void run(std::vector<std::vector<Key>> shards) {
+    claim_sort();
     set_input(std::move(shards));
     if (cfg_.recovery.enabled) {
       run_recovering();
@@ -290,43 +300,12 @@ class DistributedSorter {
     stats_.partition.level1_items = part_level1_items_;
     if (stats_.recovery.final_members == 0)
       stats_.recovery.final_members = output_.size();
-    if (cfg_.telemetry) {
-      // Fold the substrate's counters into the per-rank registries: NIC
-      // traffic/fault counters, the comm layer's reliable-delivery stats
-      // (rank 0), and the shared exchange buffer pool (rank 0 — the pool is
-      // cluster-wide).
+    // Fold the substrate's counters into the per-rank registries: NIC
+    // traffic/fault counters and the comm layer's reliable-delivery stats
+    // (rank 0). The sorter's own stats stay typed: SortStats, pool_stats().
+    if (cfg_.telemetry)
       for (std::size_t r = 0; r < metrics_.size(); ++r)
         cluster_.export_metrics(metrics_[r], r);
-      const rt::BufferPoolStats& ps = pool_.stats();
-      obs::MetricsRegistry& reg0 = metrics_[0];
-      reg0.counter("sort.pool.leases").inc(ps.leases);
-      reg0.counter("sort.pool.reuses").inc(ps.reuses);
-      reg0.counter("sort.pool.fresh_allocs").inc(ps.fresh_allocs);
-      reg0.counter("sort.pool.returns").inc(ps.returns);
-      reg0.gauge("sort.pool.peak_free").set(static_cast<double>(ps.peak_free));
-      const PartitionStats& pt = stats_.partition;
-      reg0.counter(std::string("sort.partition.scheme.") +
-                   partition_scheme_name(pt.scheme))
-          .inc(1);
-      reg0.counter("sort.partition.rounds").inc(pt.rounds);
-      reg0.counter("sort.partition.sample_keys").inc(pt.sample_keys);
-      reg0.counter("sort.partition.probe_keys").inc(pt.probe_keys);
-      reg0.gauge("sort.partition.groups")
-          .set(static_cast<double>(pt.groups));
-      reg0.gauge("sort.partition.achieved_epsilon")
-          .set(pt.achieved_epsilon);
-      if (cfg_.recovery.enabled) {
-        const RecoveryStats& rc = stats_.recovery;
-        reg0.counter("sort.recovery.recoveries").inc(rc.recoveries);
-        reg0.counter("sort.recovery.regenerated_shards")
-            .inc(rc.regenerated_shards);
-        reg0.counter("sort.recovery.abort_broadcasts").inc(rc.abort_broadcasts);
-        reg0.gauge("sort.recovery.wasted_work_ns")
-            .set(static_cast<double>(rc.wasted_work_ns));
-        reg0.gauge("sort.recovery.time_to_recover_max_ns")
-            .set(static_cast<double>(rc.time_to_recover_max_ns));
-      }
-    }
   }
 
   const std::vector<std::vector<ItemT>>& partitions() const { return output_; }
@@ -434,8 +413,6 @@ class DistributedSorter {
     AttemptCtx() = default;
     AttemptCtx(int a, std::vector<std::size_t> m)
         : attempt(a), members(std::move(m)), scope(members) {}
-    AttemptCtx(int a, std::vector<std::size_t> m, std::vector<std::size_t> s)
-        : attempt(a), members(std::move(m)), scope(std::move(s)) {}
   };
 
   enum class AttemptOutcome { kNotRun, kOk, kCrashed, kAborted };
@@ -554,28 +531,25 @@ class DistributedSorter {
   static constexpr std::size_t kWaitGraphHoldScope = 256;
 
   int tag(int t) const { return base_tag_ + t; }
+  // Stats accumulate over a sort, so a second sort on one sorter would
+  // report doubled step times, bytes and sample counts.
+  void claim_sort() {
+    PGXD_CHECK_MSG(!claimed_, "a DistributedSorter sorts once; construct a "
+                              "new one for the next sort");
+    claimed_ = true;
+  }
   void note_control_bytes(std::uint64_t b) { wire_control_bytes_ += b; }
   void note_data_bytes(std::uint64_t b) { wire_data_bytes_ += b; }
 
-  // Closes the paper step `rank` has run since `mark`: per-step timing, a
-  // trace span tagged with the bytes the step moved, and (telemetry on) a
-  // step-duration gauge in the rank's registry. Accumulating (+=) because
-  // the two-level scheme visits the sampling..exchange steps twice — once
-  // per level.
+  // Closes the paper step `rank` has run since `mark`: per-step timing and
+  // a trace span tagged with the bytes the step moved. Accumulating (+=)
+  // because the two-level scheme visits the sampling..exchange steps twice
+  // — once per level.
   void stamp(std::size_t rank, sim::SimTime& mark, Step s,
              std::uint64_t bytes = 0) {
     const sim::SimTime now = cluster_.simulator().now();
-    MachineStats& ms = stats_.machines[rank];
-    ms.steps[s] += now - mark;
+    stats_.machines[rank].steps[s] += now - mark;
     if (trace_) trace_->record(rank, step_name(s), mark, now, bytes);
-    if (cfg_.telemetry) {
-      obs::MetricsRegistry& reg = metrics_[rank];
-      reg.gauge(std::string("sort.step.") + step_metric_suffix(s) + "_ns")
-          .set(static_cast<double>(ms.steps[s]));
-      reg.counter(std::string("sort.step.") + step_metric_suffix(s) +
-                  "_bytes")
-          .inc(bytes);
-    }
     mark = now;
   }
 
@@ -843,15 +817,17 @@ class DistributedSorter {
   }
 
   // kHistogramRefine (Histogram Sort with Sampling), run by every member of
-  // the scope over its ScopeTree. The root seeds candidates from the small
-  // sample gather and drives sort::HistogramRefiner: counting rounds (exact
-  // global rank brackets for the probe set) alternate with draw rounds
-  // (fresh candidates from inside the still-unresolved brackets) until
-  // every splitter boundary is certified within the epsilon target or the
-  // round budget is spent. A round's request goes down the tree on
-  // kTagProbe; each node forwards it, does its local part, and once its
-  // children have answered sends one reply up on kTagReply: the rank
-  // brackets summed over its subtree, or its subtree's draws.
+  // the scope over its ScopeTree. The root seeds sort::HistogramRefiner with
+  // `seed`, the splitters partition_phase's sample gather selected, and
+  // `total_n`, the element count that gather summed from the members' shard
+  // sizes. Counting rounds (exact global rank brackets for the probe set)
+  // alternate with draw rounds (fresh candidates from inside the
+  // still-unresolved brackets) until every splitter boundary is certified
+  // within the epsilon target or the round budget is spent. A round's
+  // request goes down the tree on kTagProbe; each node forwards it, does
+  // its local part, and once its children have answered sends one reply up
+  // on kTagReply: the rank brackets summed over its subtree, or its
+  // subtree's draws.
   //
   // Resolution round: the refiner certifies a boundary by a key whose
   // duplicate run *brackets* the target rank — landing on that rank exactly
@@ -869,10 +845,11 @@ class DistributedSorter {
   // scheme ran.
   sim::Task<Msg> refine_splitters(rt::Machine& m, const AttemptCtx& ctx,
                                   const std::vector<Key>& local,
-                                  const std::vector<Key>& samples,
-                                  std::size_t n) {
+                                  const std::vector<Key>& seed,
+                                  std::uint64_t total_n) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
+    const std::size_t n = local.size();
     const std::size_t q = ctx.scope.size();
     const ScopeIndex midx(cluster_.size(), ctx.scope);
     const ScopeTree tree(q, midx.pos[rank]);
@@ -890,35 +867,16 @@ class DistributedSorter {
     std::vector<std::uint64_t> own_dup;
     std::vector<std::vector<std::uint64_t>> kid_dup(kids);
 
-    // Root: gather the sample pool and learn the exact total element count
-    // from the piggybacked shard sizes (the refiner's targets need N, not
-    // an estimate).
+    // Root: the refiner's targets need the exact total element count, not
+    // an estimate; the sample gather summed it from the shard sizes.
     std::optional<sort::HistogramRefiner<Key, Comp>> refiner;
-    std::uint64_t total_n = n;
     bool resolving = false;
     double certified_eps = 0.0;
     const auto max_rounds =
         static_cast<std::size_t>(cfg_.partition_max_rounds);
     if (tree.root()) {
-      SamplePool pool;
-      pool.add(samples, n);
-      for (SourceSet got(q, q - 1, 0); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
-        if (!got.first(midx.source(
-                msg.src, "samples from a rank outside the attempt membership")))
-          continue;
-        total_n += msg.payload.prov_base;
-        pool.add(msg.payload.keys, msg.payload.prov_base);
-      }
-      std::vector<Key> cands;
-      {
-        rt::TempAlloc pool_mem(m.memory(),
-                               pool.items.size() * sizeof(Key) * 2);
-        cands = pool.select(q, comp_);
-        co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
-      }
       refiner.emplace(q, total_n, cfg_.partition_epsilon, comp_);
-      keys = refiner->seed(std::move(cands));
+      keys = refiner->seed(seed);
     }
 
     for (;;) {
@@ -1061,11 +1019,10 @@ class DistributedSorter {
         kind = kProbeDone;
       }
     }
-    if (tree.root() && cfg_.telemetry) {
-      obs::MetricsRegistry& mreg = metrics_[rank];
-      mreg.counter("sort.partition.refine_rounds").inc(refiner->rounds());
-      mreg.gauge("sort.partition.certified_epsilon").set(certified_eps);
-    }
+    if (tree.root() && cfg_.telemetry)
+      metrics_[rank]
+          .gauge("sort.partition.certified_epsilon")
+          .set(certified_eps);
 
     // Down-sweep: take this rank's share of each boundary's owed
     // duplicates, then hand the rest to the children in scope order.
@@ -1090,19 +1047,10 @@ class DistributedSorter {
     co_return Msg(std::move(keys), std::move(takes), 0, 0);
   }
 
-  // One member's pipeline for one attempt, in member-index space: all
-  // per-source bookkeeping is indexed 0..q-1 over ctx.members; provenance
-  // and endpoints stay in physical rank space.
+  // One member's pipeline for one attempt: step (1), then steps (2)-(6)
+  // through partition_phase.
   sim::Task<void> sort_attempt_impl(rt::Machine& m, AttemptCtx ctx) {
-    auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
-    const std::size_t q = ctx.members.size();
-    const std::size_t master = ctx.members[0];
-    const ScopeIndex midx(cluster_.size(), ctx.members);
-    const std::size_t idx = midx.pos[rank];
-    PGXD_CHECK_MSG(idx < q, "sort attempt spawned on a non-member rank");
-    auto& mem = m.memory();
-    MachineStats& ms = stats_.machines[rank];
     obs::MetricsRegistry& reg = metrics_[rank];
     const bool telemetry = cfg_.telemetry;
     sim::SimTime mark = cluster_.simulator().now();
@@ -1119,7 +1067,7 @@ class DistributedSorter {
     {
       // Scratch for the in-node sort (the Fig. 2 ping-pong buffer / radix
       // scatter buffer).
-      rt::TempAlloc scratch_mem(mem, n * sizeof(Key));
+      rt::TempAlloc scratch_mem(m.memory(), n * sizeof(Key));
       const sort::LocalSortStats ls =
           sort::local_sort(local, cfg_.local_sort, comp_);
       if (ls.used_radix) {
@@ -1135,451 +1083,377 @@ class DistributedSorter {
     if (telemetry) reg.counter("sort.local.items").inc(n);
     stamp(rank, mark, Step::kLocalSort, n * sizeof(Key));
 
-    // ---- Partition scope ----------------------------------------------------
-    // Flat schemes partition once over the whole membership. kTwoLevelAms
-    // first routes whole key buckets between ~sqrt(q) contiguous rank
-    // groups (level 1: one partner per foreign group, so per-rank fan-out
-    // is ~sqrt(q) instead of q), then runs steps (2)-(6) within this rank's
-    // group. Group contiguity plus the ordered coarse splitters keep the
-    // global output sorted in rank order.
-    std::vector<std::size_t> scope = ctx.members;
-    // After a level-1 exchange, elements of `local` originate from other
-    // ranks' shards: `lprov[i]` records element i's true origin (pack_prov)
-    // so the group exchange can ship it and the final provenance — and the
-    // exactly-once audit — still point at original shard positions.
-    std::vector<std::uint64_t> lprov;
-    bool two_hop = false;
-    if (cfg_.partition == PartitionScheme::kTwoLevelAms) {
-      const sort::AmsLayout layout = sort::ams_layout(q);
-      part_groups_ = layout.groups;
-      if (layout.groups > 1) {
-        const std::size_t g_me = layout.group_of(idx);
-
-        // Level-1 sampling: the same regular-sample machinery, but the
-        // master only needs groups-1 coarse splitters out of it.
-        const std::uint64_t l1_sample_count =
-            sample_budget(q, n, /*histogram=*/false);
-        std::vector<Key> samples =
-            sort::regular_samples<Key>(local, l1_sample_count);
-        ms.sample_count += samples.size();
-        co_await m.charge_copy(samples.size());
-        if (rank != master) {
-          // prov_base carries the shard size so the master can weight
-          // samples from unequal shards.
-          const std::uint64_t bytes = samples.size() * sizeof(Key);
-          note_control_bytes(bytes);
-          co_await comm.send(rank, master, tag(kTagL1Samples),
-                             Msg::of_data(samples, n, 0), bytes);
-        }
-        if (telemetry)
-          reg.counter("sort.sampling.samples").inc(samples.size());
-        stamp(rank, mark, Step::kSampling, samples.size() * sizeof(Key));
-
-        // The master selects the coarse splitters; they reach every member
-        // down the scope tree, each member forwarding them to its children.
-        const ScopeTree tree(q, idx);
-        std::vector<Key> gsplit;
-        if (tree.root()) {
-          SamplePool gpool;
-          gpool.add(samples, n);
-          for (SourceSet got(q, q - 1, idx); !got.done();) {
-            auto msg = co_await recv_sort(m, ctx, tag(kTagL1Samples));
-            if (!got.first(midx.source(msg.src,
-                                       "level-1 samples from a rank outside "
-                                       "the attempt membership")))
-              continue;
-            gpool.add(msg.payload.keys, msg.payload.prov_base);
-          }
-          {
-            rt::TempAlloc pool_mem(mem, gpool.items.size() * sizeof(Key) * 2);
-            gsplit = gpool.select(layout.groups, comp_);
-            co_await m.compute_parallel(
-                m.cost().sort_time(gpool.items.size()));
-          }
-        } else {
-          auto gmsg = co_await recv_sort(m, ctx, tag(kTagGroupSplit));
-          PGXD_CHECK_MSG(gmsg.src == ctx.members[tree.parent],
-                         "group splitters from a rank other than the parent");
-          gsplit = std::move(gmsg.payload.keys);
-        }
-        for (const std::size_t child : tree.children) {
-          const std::uint64_t bytes = gsplit.size() * sizeof(Key);
-          note_control_bytes(bytes);
-          comm.post(rank, ctx.members[child], tag(kTagGroupSplit),
-                    Msg::of_keys(gsplit), bytes);
-        }
-        // The last rank of each group but the last borders the next group.
-        if (g_me + 1 < layout.groups && idx + 1 == layout.start[g_me + 1])
-          boundary_[rank] = gsplit[g_me];
-        stamp(rank, mark, Step::kSplitterSelect, gsplit.size() * sizeof(Key));
-
-        // Level-1 plan: one bucket per group, with the duplicate-splitter
-        // investigator balancing duplicate runs across group boundaries.
-        PartitionPlan gplan = plan_partition<Key, Comp>(
-            local, gsplit, cfg_.use_investigator, comp_);
-        ms.searches += gplan.searches;
-        ms.duplicate_groups += gplan.duplicate_groups;
-        co_await m.charge_binary_search(n, gplan.searches);
-
-        // Announce bucket sizes: a single u64 to each foreign group's
-        // partner. Receivers derive their expected sender set from the
-        // layout alone, so zero-sized buckets still need the frame.
-        const std::vector<std::uint64_t> gsizes = plan_sizes(gplan);
-        for (std::size_t g = 0; g < layout.groups; ++g) {
-          if (g == g_me) continue;
-          const std::size_t dst = ctx.members[layout.partner(idx, g)];
-          std::vector<std::uint64_t> one;
-          one.push_back(gsizes[g]);
-          const std::uint64_t bytes = sizeof(std::uint64_t);
-          note_control_bytes(bytes);
-          comm.post(rank, dst, tag(kTagL1Counts),
-                    Msg::of_counts(std::move(one)), bytes);
-        }
-        std::vector<std::size_t> senders;
-        for (std::size_t k = 0; k < q; ++k)
-          if (layout.group_of(k) != g_me && layout.partner(k, g_me) == idx)
-            senders.push_back(k);
-        std::vector<std::uint64_t> bucket_n(q, 0);
-        bucket_n[idx] = gsizes[g_me];
-        for (SourceSet got(q, senders.size(), idx); !got.done();) {
-          auto msg = co_await recv_sort(m, ctx, tag(kTagL1Counts));
-          PGXD_CHECK(msg.payload.counts.size() == 1);
-          const std::size_t sj = midx.pos[msg.src];
-          PGXD_CHECK_MSG(sj < q && layout.group_of(sj) != g_me &&
-                             layout.partner(sj, g_me) == idx,
-                         "level-1 counts from an unexpected sender");
-          if (got.first(sj)) bucket_n[sj] = msg.payload.counts[0];
-        }
-        stamp(rank, mark, Step::kPartitionPlan,
-              layout.groups * sizeof(std::uint64_t));
-
-        // Level-1 bucket exchange: one message per (sender, foreign group)
-        // pair — O(q * sqrt(q)) messages cluster-wide instead of O(q^2).
-        std::uint64_t l1_wire_sent = 0;
-        for (std::size_t g = 0; g < layout.groups; ++g) {
-          if (g == g_me) continue;
-          const std::size_t dst = ctx.members[layout.partner(idx, g)];
-          const std::size_t lo = gplan.bounds[g];
-          const std::size_t hi = gplan.bounds[g + 1];
-          if (lo == hi) continue;
-          std::vector<Key> bucket(
-              local.begin() + static_cast<std::ptrdiff_t>(lo),
-              local.begin() + static_cast<std::ptrdiff_t>(hi));
-          const std::uint64_t bytes =
-              bucket.size() * kDataWireBytesPerKey + kChunkHeaderBytes;
-          note_data_bytes(bytes);
-          ms.sent_elements += bucket.size();
-          l1_wire_sent += bytes;
-          co_await m.charge_copy(bucket.size());
-          comm.post(rank, dst, tag(kTagL1Data),
-                    Msg::of_data(std::move(bucket), lo, 0), bytes);
-        }
-        // Contributors to this rank's group-local array, in member-index
-        // order, so the merged result is deterministic under any arrival
-        // order.
-        std::vector<std::size_t> contrib;
-        for (std::size_t k = 0; k < q; ++k)
-          if (bucket_n[k] > 0) contrib.push_back(k);
-        std::vector<std::size_t> roff(contrib.size() + 1, 0);
-        for (std::size_t c = 0; c < contrib.size(); ++c)
-          roff[c + 1] = roff[c] + bucket_n[contrib[c]];
-        const std::size_t l1_total = roff.back();
-        std::vector<Key> merged(l1_total);
-        // Origin of each merged element: a level-1 bucket is a contiguous
-        // slice of its sender's locally sorted shard, so origin indices are
-        // reconstructed from the sender rank and the bucket's prov_base —
-        // provenance still costs zero bytes on this hop.
-        std::vector<std::uint64_t> mprov(l1_total);
-        std::size_t expect_msgs = 0;
-        for (std::size_t c = 0; c < contrib.size(); ++c) {
-          if (contrib[c] != idx) {
-            ++expect_msgs;
-            continue;
-          }
-          std::copy(
-              local.begin() + static_cast<std::ptrdiff_t>(gplan.bounds[g_me]),
-              local.begin() +
-                  static_cast<std::ptrdiff_t>(gplan.bounds[g_me + 1]),
-              merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
-          for (std::size_t i = 0; i < bucket_n[idx]; ++i)
-            mprov[roff[c] + i] = pack_prov(rank, gplan.bounds[g_me] + i);
-        }
-        co_await m.charge_copy(bucket_n[idx]);
-        {
-          std::uint64_t l1_recv = 0;
-          for (SourceSet got(q, expect_msgs, idx); !got.done();) {
-            auto msg = co_await recv_sort(m, ctx, tag(kTagL1Data));
-            const std::size_t sj =
-                midx.source(msg.src, "level-1 bucket from a rank outside the "
-                                     "attempt membership");
-            if (!got.first(sj)) continue;
-            const auto it =
-                std::lower_bound(contrib.begin(), contrib.end(), sj);
-            PGXD_CHECK_MSG(it != contrib.end() && *it == sj &&
-                               msg.payload.keys.size() == bucket_n[sj],
-                           "level-1 bucket does not match its announced size");
-            const auto c = static_cast<std::size_t>(it - contrib.begin());
-            std::copy(msg.payload.keys.begin(), msg.payload.keys.end(),
-                      merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
-            for (std::size_t i = 0; i < msg.payload.keys.size(); ++i)
-              mprov[roff[c] + i] =
-                  pack_prov(msg.src, msg.payload.prov_base + i);
-            l1_recv += msg.payload.keys.size();
-            co_await m.charge_copy(msg.payload.keys.size());
-          }
-          ms.received_elements += l1_recv;
-          part_level1_items_ += l1_recv;
-          if (telemetry)
-            reg.counter("sort.partition.level1_items").inc(l1_recv);
-        }
-        local = std::move(merged);
-        // Re-establish the sorted-local invariant over the received runs,
-        // carrying each element's origin through the same permutation.
-        {
-          PGXD_CHECK_MSG(l1_total <= std::numeric_limits<std::uint32_t>::max(),
-                         "AMS level-1 merge: a group-local array beyond u32 "
-                         "indexing is unsupported");
-          std::vector<std::size_t> bounds(roff.begin(), roff.end());
-          std::vector<std::uint32_t> perm(l1_total);
-          std::iota(perm.begin(), perm.end(), 0u);
-          std::vector<Key> kscr;
-          std::vector<std::uint32_t> pscr;
-          rt::TempAlloc scratch_mem(
-              mem, l1_total * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
-          const auto res = sort::balanced_merge_soa(
-              local, perm, std::move(bounds), kscr, pscr, comp_);
-          if (res.in_scratch) local = std::move(kscr);
-          const std::uint32_t* mp = (res.in_scratch ? pscr : perm).data();
-          std::vector<std::uint64_t> permuted(l1_total);
-          for (std::size_t i = 0; i < l1_total; ++i)
-            permuted[i] = mprov[mp[i]];
-          mprov = std::move(permuted);
-          co_await m.charge_balanced_merge(
-              l1_total, std::max<std::size_t>(1, contrib.size()));
-        }
-        lprov = std::move(mprov);
-        two_hop = true;
-        stamp(rank, mark, Step::kExchange, l1_wire_sent);
-        scope.assign(
-            ctx.members.begin() + static_cast<std::ptrdiff_t>(
-                                      layout.start[g_me]),
-            ctx.members.begin() + static_cast<std::ptrdiff_t>(
-                                      layout.start[g_me + 1]));
-      }
-    }
-
-    // Steps (2)-(6) over the partition scope.
-    AttemptCtx pctx(ctx.attempt, ctx.members, std::move(scope));
-    co_await partition_phase(m, std::move(pctx), std::move(local),
-                             std::move(lprov), two_hop);
-    co_return;
+    co_await partition_phase(m, std::move(ctx), std::move(local));
   }
 
   // Not a coroutine (GCC 12 pattern).
   sim::Task<void> partition_phase(rt::Machine& m, AttemptCtx ctx,
-                                  std::vector<Key> local,
-                                  std::vector<std::uint64_t> lprov = {},
-                                  bool two_hop = false) {
-    return partition_phase_impl(m, std::move(ctx), std::move(local),
-                                std::move(lprov), two_hop);
+                                  std::vector<Key> local) {
+    return partition_phase_impl(m, std::move(ctx), std::move(local));
   }
 
-  // Steps (2)-(6) of the pipeline over ctx.scope — the full membership for
-  // the flat schemes, this rank's group after the AMS level-1 exchange. All
-  // per-source bookkeeping is indexed 0..q-1 over ctx.scope; aborts and the
-  // failure detector keep watching the full membership through recv_sort.
+  // Steps (2)-(6) for every partition scheme, over ctx.scope.
+  // Steps (2)-(4) — regular samples, the master's gather and selection,
+  // the plan and the per-destination counts — run once for the flat
+  // schemes, and kHistogramRefine seeds refine_splitters from that same
+  // sample gather. kTwoLevelAms runs them twice. Level 1 cuts the whole
+  // membership into ~sqrt(q) contiguous rank groups: the coarse splitters
+  // go down the scope tree, each rank sends one count and one bucket to
+  // its partner in each foreign group (per-rank fan-out ~sqrt(q) instead
+  // of q) and merges the buckets it receives. ctx.scope then narrows to
+  // this rank's group and level 2 repeats steps (2)-(4) there before the
+  // exchange and final merge. Group contiguity plus the ordered coarse
+  // splitters keep the global output sorted in rank order. All per-source
+  // bookkeeping is indexed 0..q-1 over ctx.scope; provenance and endpoints
+  // stay in physical rank space, and aborts and the failure detector keep
+  // watching the full membership through recv_sort.
   sim::Task<void> partition_phase_impl(rt::Machine& m, AttemptCtx ctx,
-                                       std::vector<Key> local,
-                                       std::vector<std::uint64_t> lprov,
-                                       bool two_hop) {
+                                       std::vector<Key> local) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
-    const std::size_t q = ctx.scope.size();
-    const std::size_t master = ctx.scope[0];
-    const ScopeIndex midx(cluster_.size(), ctx.scope);
-    const std::size_t idx = midx.pos[rank];
-    PGXD_CHECK_MSG(idx < q, "partition phase running on a non-scope rank");
     auto& sim = cluster_.simulator();
     auto& mem = m.memory();
     MachineStats& ms = stats_.machines[rank];
     obs::MetricsRegistry& reg = metrics_[rank];
     const bool telemetry = cfg_.telemetry;
-    const std::size_t n = local.size();
-    // Explicit-provenance mode: a property of the attempt (the level-1
-    // exchange ran), shared by every scope member — a rank with an empty
-    // local array still receives origin planes from its peers.
-    const bool xprov = two_hop;
-    PGXD_CHECK(lprov.size() == (xprov ? n : 0));
     const bool histogram =
         cfg_.partition == PartitionScheme::kHistogramRefine;
+    sort::AmsLayout layout;
+    if (cfg_.partition == PartitionScheme::kTwoLevelAms) {
+      layout = sort::ams_layout(ctx.members.size());
+      part_groups_ = layout.groups;
+    }
+    // Explicit-provenance mode: a property of the attempt (level 1 runs),
+    // shared by every scope member — a rank with an empty local array
+    // still receives origin planes from its peers. After the level-1
+    // exchange, elements of `local` originate from other ranks' shards:
+    // `lprov[i]` records element i's true origin (pack_prov) so the group
+    // exchange can ship it and the final provenance — and the exactly-once
+    // audit — still point at original shard positions.
+    const bool xprov = layout.groups > 1;
+    std::vector<std::uint64_t> lprov;
+    ScopeIndex midx(cluster_.size(), ctx.scope);
+    std::size_t q = ctx.scope.size();
+    std::size_t idx = midx.pos[rank];
+    PGXD_CHECK_MSG(idx < q, "sort attempt spawned on a non-member rank");
+    PartitionPlan plan;
+    std::vector<std::uint64_t> recv_counts;
     sim::SimTime mark = sim.now();
 
-    // ---- Step 2: regular samples to the master ------------------------------
-    const std::uint64_t sample_count = sample_budget(q, n, histogram);
-    std::vector<Key> samples = sort::regular_samples<Key>(local, sample_count);
-    ms.sample_count += samples.size();
-    co_await m.charge_copy(samples.size());
-    if (rank != master) {
-      // prov_base carries the shard size so the master can weight samples
-      // from unequal shards (Spark's RangePartitioner does the same).
-      const std::uint64_t bytes = samples.size() * sizeof(Key);
-      note_control_bytes(bytes);
-      co_await comm.send(rank, master, tag(kTagSamples),
-                         Msg::of_data(samples, n, 0), bytes);
-    }
-    if (telemetry) reg.counter("sort.sampling.samples").inc(samples.size());
-    stamp(rank, mark, Step::kSampling, samples.size() * sizeof(Key));
+    for (bool level1 = xprov;; level1 = false) {
+      const std::size_t master = ctx.scope[0];
+      const std::size_t n = local.size();
+      // Level 1 cuts the scope into groups, every other pass into ranks.
+      const std::size_t parts = level1 ? layout.groups : q;
+      const std::size_t part = level1 ? layout.group_of(idx) : idx;
 
-    // ---- Step 3: splitter determination -------------------------------------
-    // kOneLevelSample (and AMS level 2): the paper's one-shot master
-    // selection, broadcast on kTagSplitters. kHistogramRefine: the scope
-    // tree certifies candidate splitters by their exact global ranks over
-    // kTagProbe/kTagReply rounds until every boundary is within the epsilon
-    // target, and hands each rank its duplicate takes. Either way steps
-    // (4)-(6) start from the same splitter frame.
-    Msg split;
-    if (histogram) {
-      split = co_await refine_splitters(m, ctx, local, samples, n);
-    } else {
+      // ---- Step 2: regular samples to the master ----------------------------
+      const std::uint64_t sample_count = sample_budget(q, n, histogram);
+      std::vector<Key> samples =
+          sort::regular_samples<Key>(local, sample_count);
+      ms.sample_count += samples.size();
+      co_await m.charge_copy(samples.size());
+      if (rank != master) {
+        // prov_base carries the shard size so the master can weight samples
+        // from unequal shards (Spark's RangePartitioner does the same).
+        const std::uint64_t bytes = samples.size() * sizeof(Key);
+        note_control_bytes(bytes);
+        co_await comm.send(rank, master,
+                           tag(level1 ? kTagL1Samples : kTagSamples),
+                           Msg::of_data(samples, n, 0), bytes);
+      }
+      stamp(rank, mark, Step::kSampling, samples.size() * sizeof(Key));
+
+      // ---- Step 3: splitter determination -----------------------------------
+      // The master gathers all sample vectors into its one read buffer and
+      // picks parts-1 splitters. kOneLevelSample (and AMS level 2)
+      // broadcasts them on kTagSplitters: the paper's one-shot selection.
+      // AMS level 1 sends the coarse splitters down the scope tree, each
+      // member forwarding them to its children. kHistogramRefine seeds the
+      // refinement with them: the scope tree certifies candidate splitters
+      // by their exact global ranks over kTagProbe/kTagReply rounds until
+      // every boundary is within the epsilon target, and hands each rank
+      // its duplicate takes. Either way the plan starts from the same
+      // splitter frame.
+      std::vector<Key> chosen;
+      std::uint64_t total_n = n;  // the master's sum of the shard sizes
       if (rank == master) {
-        // Gather all sample vectors into the master's one read buffer.
         SamplePool pool;
         pool.add(samples, n);
         for (SourceSet got(q, q - 1, idx); !got.done();) {
-          auto msg = co_await recv_sort(m, ctx, tag(kTagSamples));
+          auto msg = co_await recv_sort(
+              m, ctx, tag(level1 ? kTagL1Samples : kTagSamples));
           if (!got.first(midx.source(msg.src, "samples from a rank outside "
                                               "the attempt membership")))
             continue;
+          total_n += msg.payload.prov_base;
           pool.add(msg.payload.keys, msg.payload.prov_base);
         }
-        std::vector<Key> chosen;
-        {
-          rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
-          chosen = pool.select(q, comp_);
-          co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
+        rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
+        chosen = pool.select(parts, comp_);
+        co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
+      }
+      Msg split;
+      if (histogram) {
+        split = co_await refine_splitters(m, ctx, local, chosen, total_n);
+      } else if (level1) {
+        const ScopeTree tree(q, idx);
+        if (!tree.root()) {
+          auto msg = co_await recv_sort(m, ctx, tag(kTagGroupSplit));
+          PGXD_CHECK_MSG(msg.src == ctx.scope[tree.parent],
+                         "group splitters from a rank other than the parent");
+          chosen = std::move(msg.payload.keys);
         }
-        for (std::size_t j = 0; j < q; ++j) {
-          const std::size_t dst = ctx.scope[j];
+        for (const std::size_t child : tree.children) {
           const std::uint64_t bytes = chosen.size() * sizeof(Key);
-          if (dst != master) note_control_bytes(bytes);
-          comm.post(master, dst, tag(kTagSplitters), Msg::of_keys(chosen),
-                    bytes);
+          note_control_bytes(bytes);
+          comm.post(rank, ctx.scope[child], tag(kTagGroupSplit),
+                    Msg::of_keys(chosen), bytes);
         }
-      }
-      auto splitters_msg = co_await recv_sort(m, ctx, tag(kTagSplitters));
-      split = std::move(splitters_msg.payload);
-    }
-    const std::vector<Key> splitters = std::move(split.keys);
-    const std::vector<std::uint64_t> dup_takes = std::move(split.counts);
-    if (idx + 1 < q) boundary_[rank] = splitters[idx];
-    stamp(rank, mark, Step::kSplitterSelect, splitters.size() * sizeof(Key));
-
-    // ---- Step 4: partition plan + counts exchange ----------------------------
-    PartitionPlan plan;
-    if (histogram && !splitters.empty() &&
-        dup_takes.size() == splitters.size()) {
-      // Exact-rank bounds from the refinement's resolution round: every
-      // duplicate of splitter i sits right of lower_bound, and this rank's
-      // take from the down-sweep says how many of ours move left of the
-      // boundary.
-      plan.bounds.assign(q + 1, 0);
-      plan.bounds[q] = n;
-      for (std::size_t i = 0; i < splitters.size(); ++i) {
-        const auto lb = static_cast<std::size_t>(
-            std::lower_bound(local.begin(), local.end(), splitters[i],
-                             comp_) -
-            local.begin());
-        const auto ub = static_cast<std::size_t>(
-            std::upper_bound(local.begin(), local.end(), splitters[i],
-                             comp_) -
-            local.begin());
-        const std::size_t b =
-            std::min(ub, lb + static_cast<std::size_t>(dup_takes[i]));
-        plan.bounds[i + 1] = std::max(b, plan.bounds[i]);
-      }
-      plan.searches = 2 * splitters.size();
-    } else {
-      plan = plan_partition<Key, Comp>(local, splitters,
-                                       cfg_.use_investigator, comp_);
-    }
-    ms.searches += plan.searches;
-    ms.duplicate_groups += plan.duplicate_groups;
-    co_await m.charge_binary_search(n, plan.searches);
-
-    // Slim counts: each destination only needs its own element count, so
-    // one u64 travels per (sender, receiver) pair — not the full q-entry
-    // vector, whose transient bytes would grow O(q^3) cluster-wide. Past
-    // kBatchedCountsScope members that is q^2 tiny messages cluster-wide,
-    // and per-message overhead (headers, acks, event scheduling) dwarfs
-    // the payload — so large scopes relay the count matrix through the
-    // scope master instead: 2(q-1) q-entry messages, 2q^2 u64 transient.
-    const std::vector<std::uint64_t> send_counts = plan_sizes(plan);
-    std::vector<std::uint64_t> recv_counts(q, 0);
-    if (q > kBatchedCountsScope) {
-      if (rank == master) {
-        std::vector<std::vector<std::uint64_t>> matrix(q);
-        matrix[idx] = send_counts;
-        for (SourceSet got(q, q - 1, idx); !got.done();) {
-          auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
-          const std::size_t sj = midx.source(
-              msg.src, "counts from a rank outside the attempt membership");
-          if (!got.first(sj)) continue;
-          PGXD_CHECK(msg.payload.counts.size() == q);
-          matrix[sj] = std::move(msg.payload.counts);
-        }
-        for (std::size_t j = 0; j < q; ++j) {
-          std::vector<std::uint64_t> col(q);
-          for (std::size_t s = 0; s < q; ++s) col[s] = matrix[s][j];
-          if (j == idx) {
-            recv_counts = std::move(col);
-            continue;
+        split.keys = std::move(chosen);
+      } else {
+        if (rank == master) {
+          for (std::size_t j = 0; j < q; ++j) {
+            const std::size_t dst = ctx.scope[j];
+            const std::uint64_t bytes = chosen.size() * sizeof(Key);
+            if (dst != master) note_control_bytes(bytes);
+            comm.post(master, dst, tag(kTagSplitters), Msg::of_keys(chosen),
+                      bytes);
           }
+        }
+        auto msg = co_await recv_sort(m, ctx, tag(kTagSplitters));
+        split = std::move(msg.payload);
+      }
+      const std::vector<Key> splitters = std::move(split.keys);
+      const std::vector<std::uint64_t> dup_takes = std::move(split.counts);
+      // The last rank of each part but the last borders the next part.
+      if (part + 1 < parts && (!level1 || idx + 1 == layout.start[part + 1]))
+        boundary_[rank] = splitters[part];
+      stamp(rank, mark, Step::kSplitterSelect, splitters.size() * sizeof(Key));
+
+      // ---- Step 4: partition plan + counts exchange -------------------------
+      if (histogram && !splitters.empty() &&
+          dup_takes.size() == splitters.size()) {
+        // Exact-rank bounds from the refinement's resolution round: every
+        // duplicate of splitter i sits right of lower_bound, and this
+        // rank's take from the down-sweep says how many of ours move left
+        // of the boundary.
+        plan.bounds.assign(q + 1, 0);
+        plan.bounds[q] = n;
+        for (std::size_t i = 0; i < splitters.size(); ++i) {
+          const auto lb = static_cast<std::size_t>(
+              std::lower_bound(local.begin(), local.end(), splitters[i],
+                               comp_) -
+              local.begin());
+          const auto ub = static_cast<std::size_t>(
+              std::upper_bound(local.begin(), local.end(), splitters[i],
+                               comp_) -
+              local.begin());
+          const std::size_t b =
+              std::min(ub, lb + static_cast<std::size_t>(dup_takes[i]));
+          plan.bounds[i + 1] = std::max(b, plan.bounds[i]);
+        }
+        plan.searches = 2 * splitters.size();
+      } else {
+        // The duplicate-splitter investigator balances duplicate runs
+        // across part boundaries.
+        plan = plan_partition<Key, Comp>(local, splitters,
+                                         cfg_.use_investigator, comp_);
+      }
+      ms.searches += plan.searches;
+      ms.duplicate_groups += plan.duplicate_groups;
+      co_await m.charge_binary_search(n, plan.searches);
+
+      // Slim counts: each destination only needs its own element count, so
+      // one u64 travels per (sender, receiver) pair — not the full q-entry
+      // vector, whose transient bytes would grow O(q^3) cluster-wide. Past
+      // kBatchedCountsScope members that is q^2 tiny messages
+      // cluster-wide, and per-message overhead (headers, acks, event
+      // scheduling) dwarfs the payload — so large level-2 scopes relay the
+      // count matrix through the scope master instead: 2(q-1) q-entry
+      // messages, 2q^2 u64 transient. Level 1 sends only ~sqrt(q) per rank.
+      const std::vector<std::uint64_t> send_counts = plan_sizes(plan);
+      recv_counts.assign(q, 0);
+      if (!level1 && q > kBatchedCountsScope) {
+        if (rank == master) {
+          std::vector<std::vector<std::uint64_t>> matrix(q);
+          matrix[idx] = send_counts;
+          for (SourceSet got(q, q - 1, idx); !got.done();) {
+            auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
+            const std::size_t sj = midx.source(
+                msg.src, "counts from a rank outside the attempt membership");
+            if (!got.first(sj)) continue;
+            PGXD_CHECK(msg.payload.counts.size() == q);
+            matrix[sj] = std::move(msg.payload.counts);
+          }
+          for (std::size_t j = 0; j < q; ++j) {
+            std::vector<std::uint64_t> col(q);
+            for (std::size_t s = 0; s < q; ++s) col[s] = matrix[s][j];
+            if (j == idx) {
+              recv_counts = std::move(col);
+              continue;
+            }
+            const std::uint64_t bytes = q * sizeof(std::uint64_t);
+            note_control_bytes(bytes);
+            comm.post(rank, ctx.scope[j], tag(kTagCounts),
+                      Msg::of_counts(std::move(col)), bytes);
+          }
+        } else {
           const std::uint64_t bytes = q * sizeof(std::uint64_t);
           note_control_bytes(bytes);
-          comm.post(rank, ctx.scope[j], tag(kTagCounts),
-                    Msg::of_counts(std::move(col)), bytes);
+          comm.post(rank, master, tag(kTagCounts),
+                    Msg::of_counts(std::vector<std::uint64_t>(send_counts)),
+                    bytes);
+          for (;;) {
+            auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
+            if (msg.src != master) continue;  // stray frame: master's is law
+            PGXD_CHECK(msg.payload.counts.size() == q);
+            recv_counts = std::move(msg.payload.counts);
+            break;
+          }
         }
       } else {
-        const std::uint64_t bytes = q * sizeof(std::uint64_t);
-        note_control_bytes(bytes);
-        comm.post(rank, master, tag(kTagCounts),
-                  Msg::of_counts(std::vector<std::uint64_t>(send_counts)),
-                  bytes);
-        for (;;) {
-          auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
-          if (msg.src != master) continue;  // stray frame: master's is law
-          PGXD_CHECK(msg.payload.counts.size() == q);
-          recv_counts = std::move(msg.payload.counts);
-          break;
+        // One u64 to the member that receives each foreign part: every
+        // other member, or at level 1 this rank's partner in each foreign
+        // group. Receivers derive their sender set from the layout alone,
+        // so zero-sized parts still need the frame.
+        for (std::size_t j = 0; j < parts; ++j) {
+          if (j == part) continue;
+          std::vector<std::uint64_t> one;
+          one.push_back(send_counts[j]);
+          const std::uint64_t bytes = sizeof(std::uint64_t);
+          note_control_bytes(bytes);
+          comm.post(rank, ctx.scope[level1 ? layout.partner(idx, j) : j],
+                    tag(level1 ? kTagL1Counts : kTagCounts),
+                    Msg::of_counts(std::move(one)), bytes);
+        }
+        // recv_counts[k] = elements member k sends us.
+        const auto sends_here = [&](std::size_t k) {
+          return level1 ? layout.group_of(k) != part &&
+                              layout.partner(k, part) == idx
+                        : k != idx;
+        };
+        std::size_t senders = 0;
+        for (std::size_t k = 0; k < q; ++k) senders += sends_here(k);
+        recv_counts[idx] = send_counts[part];
+        for (SourceSet got(q, senders, idx); !got.done();) {
+          auto msg = co_await recv_sort(
+              m, ctx, tag(level1 ? kTagL1Counts : kTagCounts));
+          PGXD_CHECK(msg.payload.counts.size() == 1);
+          const std::size_t sj = midx.source(
+              msg.src, "counts from a rank outside the attempt membership");
+          PGXD_CHECK_MSG(sends_here(sj), "counts from an unexpected sender");
+          if (got.first(sj)) recv_counts[sj] = msg.payload.counts[0];
         }
       }
-    } else {
-      for (std::size_t j = 0; j < q; ++j) {
-        const std::size_t dst = ctx.scope[j];
-        if (dst == rank) continue;
-        std::vector<std::uint64_t> one;
-        one.push_back(send_counts[j]);
-        const std::uint64_t bytes = sizeof(std::uint64_t);
-        note_control_bytes(bytes);
-        comm.post(rank, dst, tag(kTagCounts), Msg::of_counts(std::move(one)),
-                  bytes);
+      stamp(rank, mark, Step::kPartitionPlan, parts * sizeof(std::uint64_t));
+      if (!level1) break;
+
+      // ---- AMS level 1: bucket exchange and group-local merge ---------------
+      // One message per (sender, foreign group) pair — O(q * sqrt(q))
+      // messages cluster-wide instead of O(q^2).
+      std::uint64_t l1_wire_sent = 0;
+      for (std::size_t g = 0; g < parts; ++g) {
+        if (g == part) continue;
+        const std::size_t lo = plan.bounds[g];
+        const std::size_t hi = plan.bounds[g + 1];
+        if (lo == hi) continue;
+        std::vector<Key> bucket(
+            local.begin() + static_cast<std::ptrdiff_t>(lo),
+            local.begin() + static_cast<std::ptrdiff_t>(hi));
+        const std::uint64_t bytes =
+            bucket.size() * kDataWireBytesPerKey + kChunkHeaderBytes;
+        note_data_bytes(bytes);
+        ms.sent_elements += bucket.size();
+        l1_wire_sent += bytes;
+        co_await m.charge_copy(bucket.size());
+        comm.post(rank, ctx.scope[layout.partner(idx, g)], tag(kTagL1Data),
+                  Msg::of_data(std::move(bucket), lo, 0), bytes);
       }
-      // Receive everyone's counts; recv_counts[j] = elements member j sends
-      // us.
-      recv_counts[idx] = send_counts[idx];
-      for (SourceSet got(q, q - 1, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagCounts));
-        PGXD_CHECK(msg.payload.counts.size() == 1);
-        const std::size_t sj = midx.source(
-            msg.src, "counts from a rank outside the attempt membership");
-        if (got.first(sj)) recv_counts[sj] = msg.payload.counts[0];
+      // Contributors to this rank's group-local array, in member-index
+      // order, so the merged result is deterministic under any arrival
+      // order.
+      std::vector<std::size_t> contrib;
+      for (std::size_t k = 0; k < q; ++k)
+        if (recv_counts[k] > 0) contrib.push_back(k);
+      std::vector<std::size_t> roff(contrib.size() + 1, 0);
+      for (std::size_t c = 0; c < contrib.size(); ++c)
+        roff[c + 1] = roff[c] + recv_counts[contrib[c]];
+      const std::size_t l1_total = roff.back();
+      std::vector<Key> merged(l1_total);
+      // Origin of each merged element: a level-1 bucket is a contiguous
+      // slice of its sender's locally sorted shard, so origin indices are
+      // reconstructed from the sender rank and the bucket's prov_base —
+      // provenance still costs zero bytes on this hop.
+      std::vector<std::uint64_t> mprov(l1_total);
+      std::size_t expect_msgs = 0;
+      for (std::size_t c = 0; c < contrib.size(); ++c) {
+        if (contrib[c] != idx) {
+          ++expect_msgs;
+          continue;
+        }
+        std::copy(
+            local.begin() + static_cast<std::ptrdiff_t>(plan.bounds[part]),
+            local.begin() + static_cast<std::ptrdiff_t>(plan.bounds[part + 1]),
+            merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
+        for (std::size_t i = 0; i < recv_counts[idx]; ++i)
+          mprov[roff[c] + i] = pack_prov(rank, plan.bounds[part] + i);
       }
+      co_await m.charge_copy(recv_counts[idx]);
+      std::uint64_t l1_recv = 0;
+      for (SourceSet got(q, expect_msgs, idx); !got.done();) {
+        auto msg = co_await recv_sort(m, ctx, tag(kTagL1Data));
+        const std::size_t sj =
+            midx.source(msg.src, "level-1 bucket from a rank outside the "
+                                 "attempt membership");
+        if (!got.first(sj)) continue;
+        const auto it = std::lower_bound(contrib.begin(), contrib.end(), sj);
+        PGXD_CHECK_MSG(it != contrib.end() && *it == sj &&
+                           msg.payload.keys.size() == recv_counts[sj],
+                       "level-1 bucket does not match its announced size");
+        const auto c = static_cast<std::size_t>(it - contrib.begin());
+        std::copy(msg.payload.keys.begin(), msg.payload.keys.end(),
+                  merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
+        for (std::size_t i = 0; i < msg.payload.keys.size(); ++i)
+          mprov[roff[c] + i] = pack_prov(msg.src, msg.payload.prov_base + i);
+        l1_recv += msg.payload.keys.size();
+        co_await m.charge_copy(msg.payload.keys.size());
+      }
+      ms.received_elements += l1_recv;
+      part_level1_items_ += l1_recv;
+      local = std::move(merged);
+      // Re-establish the sorted-local invariant over the received runs,
+      // carrying each element's origin through the same permutation.
+      {
+        PGXD_CHECK_MSG(l1_total <= std::numeric_limits<std::uint32_t>::max(),
+                       "AMS level-1 merge: a group-local array beyond u32 "
+                       "indexing is unsupported");
+        std::vector<std::size_t> bounds(roff.begin(), roff.end());
+        std::vector<std::uint32_t> perm(l1_total);
+        std::iota(perm.begin(), perm.end(), 0u);
+        std::vector<Key> kscr;
+        std::vector<std::uint32_t> pscr;
+        rt::TempAlloc scratch_mem(
+            mem, l1_total * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
+        const auto res = sort::balanced_merge_soa(
+            local, perm, std::move(bounds), kscr, pscr, comp_);
+        if (res.in_scratch) local = std::move(kscr);
+        const std::uint32_t* mp = (res.in_scratch ? pscr : perm).data();
+        lprov.resize(l1_total);
+        for (std::size_t i = 0; i < l1_total; ++i) lprov[i] = mprov[mp[i]];
+        co_await m.charge_balanced_merge(
+            l1_total, std::max<std::size_t>(1, contrib.size()));
+      }
+      stamp(rank, mark, Step::kExchange, l1_wire_sent);
+      // Level 2 runs over this rank's group.
+      ctx.scope.assign(
+          ctx.members.begin() + static_cast<std::ptrdiff_t>(layout.start[part]),
+          ctx.members.begin() +
+              static_cast<std::ptrdiff_t>(layout.start[part + 1]));
+      midx = ScopeIndex(cluster_.size(), ctx.scope);
+      q = ctx.scope.size();
+      idx = midx.pos[rank];
     }
-    if (telemetry) {
-      reg.counter("sort.plan.searches").inc(plan.searches);
-      reg.counter("sort.plan.duplicate_groups").inc(plan.duplicate_groups);
-    }
-    stamp(rank, mark, Step::kPartitionPlan, q * sizeof(std::uint64_t));
 
     // ---- Step 5: simultaneous send/receive ---------------------------------
     // "each processor knows how much data it will receive ... by applying
@@ -1938,10 +1812,6 @@ class DistributedSorter {
                                     src_lo[s] + (pos - offsets[s])}};
         }
       }
-      if (telemetry)
-        reg.counter(std::string("sort.merge.algo.") +
-                    merge_algo_name(merge_algo))
-            .inc(1);
     }
     recv_keys = std::vector<Key>();
     recv_keys_mem.reset();
@@ -1962,15 +1832,7 @@ class DistributedSorter {
 
     ms.peak_persistent_bytes = mem.peak_persistent();
     ms.peak_temp_bytes = mem.peak_temp();
-    if (telemetry) {
-      reg.counter("sort.load.items").inc(total_recv);
-      reg.counter("sort.load.bytes").inc(total_recv * kStoredBytesPerItem);
-      reg.gauge("sort.memory.peak_persistent_bytes")
-          .set(static_cast<double>(ms.peak_persistent_bytes));
-      reg.gauge("sort.memory.peak_temp_bytes")
-          .set(static_cast<double>(ms.peak_temp_bytes));
-    }
-    co_return;
+    if (telemetry) reg.counter("sort.load.items").inc(total_recv);
   }
 
   Cluster& cluster_;
@@ -2020,6 +1882,7 @@ class DistributedSorter {
   // the wait-for graph and the perturbation explorer still catch that
   // deadlock.
   bool scoped_pending_guard_ = true;
+  bool claimed_ = false;  // see claim_sort
 
   friend struct SorterTestHooks;
 
@@ -2031,9 +1894,10 @@ class DistributedSorter {
 
 // Runs several sorters over the same cluster in one simulation — the
 // paper's "sort multiple different data simultaneously". Each sorter must
-// have a distinct sort_id and its input installed via set_input(). Not
-// recovery-aware: a cluster with a crash schedule or a sorter with
-// recovery enabled is rejected (use DistributedSorter::run).
+// have a distinct sort_id and its input installed via set_input(), and must
+// not have sorted before. Not recovery-aware: a cluster with a crash
+// schedule or a sorter with recovery enabled is rejected (use
+// DistributedSorter::run).
 template <typename Key, typename Comp = sort::Less>
 sim::SimTime sort_simultaneously(
     rt::Cluster<SortMsg<Key>>& cluster,
@@ -2046,7 +1910,10 @@ sim::SimTime sort_simultaneously(
     PGXD_CHECK_MSG(!sorter->config().recovery.enabled,
                    "sort_simultaneously: recovery-enabled sorters are "
                    "unsupported; use DistributedSorter::run");
-  for (auto* sorter : sorters) sorter->audit_slots_.arm(sorter->input_);
+  for (auto* sorter : sorters) {
+    sorter->claim_sort();
+    sorter->audit_slots_.arm(sorter->input_);
+  }
   auto& sim = cluster.simulator();
   const sim::SimTime start = sim.now();
   for (std::size_t r = 0; r < cluster.size(); ++r)

@@ -283,8 +283,8 @@ class Comm {
   // arguments bound to coroutine by-value parameters (the temporary and the
   // frame copy end up sharing ownership — double free). Materializing the
   // argument as this function's named parameter and forwarding an xvalue
-  // into the coroutine sidesteps that; see tests/sim_test.cpp's
-  // PrvaluePayloadRegression.
+  // into the coroutine sidesteps that; see tests/runtime_test.cpp's
+  // Comm.PrvaluePayloadRegression.
   sim::Task<void> send(std::size_t src, std::size_t dst, int tag,
                        Payload payload, std::uint64_t bytes) {
     return send_impl(src, dst, tag, std::move(payload), bytes);

@@ -425,6 +425,21 @@ TEST(DistributedSortDeathTest, SimultaneousRejectsRecoveryEnabledSorter) {
                "recovery-enabled sorters are unsupported");
 }
 
+// A sorter's stats accumulate over its sort, so a second sort on the same
+// sorter would report doubled step times, bytes and sample counts. Both
+// entry points refuse it.
+TEST(DistributedSortDeathTest, SecondSortOnOneSorterIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::size_t machines = 4;
+  const auto shards =
+      make_shards(gen::Distribution::kUniform, 4000, machines, 1);
+  rt::Cluster<Sorter::Msg> cluster(test_cluster(machines));
+  Sorter sorter(cluster, SortConfig{});
+  sorter.run(shards);
+  EXPECT_DEATH(sorter.run(shards), "sorts once");
+  EXPECT_DEATH(sort_simultaneously<Key>(cluster, {&sorter}), "sorts once");
+}
+
 // The sorter is generic over the key type: a composite struct key with a
 // custom comparator (sort by score, tie-break by id).
 struct ScoredId {

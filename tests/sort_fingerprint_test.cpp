@@ -100,9 +100,9 @@ std::uint64_t output_hash(const Sorter& sorter) {
   return hash.h;
 }
 
-Fingerprint run_case(const Case& c) {
-  std::vector<std::vector<Key>> shards =
-      few_distinct_shards(kMachines, kTotalKeys);
+Fingerprint run_case(const Case& c, std::size_t machines = kMachines,
+                     std::size_t total = kTotalKeys) {
+  std::vector<std::vector<Key>> shards = few_distinct_shards(machines, total);
 
   SortConfig cfg;
   cfg.read_buffer_bytes = 2048;
@@ -112,7 +112,7 @@ Fingerprint run_case(const Case& c) {
   cfg.telemetry = false;
 
   rt::ClusterConfig ccfg;
-  ccfg.machines = kMachines;
+  ccfg.machines = machines;
   ccfg.threads_per_machine = 8;
   if (c.setup != nullptr) c.setup(cfg, ccfg);
   rt::Cluster<Sorter::Msg> cluster(ccfg);
@@ -332,32 +332,29 @@ TEST(SortFingerprint, SubstrateCasesExerciseTheirMachinery) {
 // only keeps order within each subtree. At p=77 (histogram) and p=81 (AMS
 // level 1) the tree is at least three levels deep with subtrees of unequal
 // size, and few-distinct keys put most boundaries inside one duplicate run,
-// so every member's duplicate take is non-trivial. The hashes were recorded
-// with the star-shaped control plane the tree replaced.
+// so every member's duplicate take is non-trivial. The p=77 run is also the
+// only pinned case whose step-4 counts go through the master relay
+// (q > 64). The output hashes were recorded with the star-shaped control
+// plane the tree replaced; the rest of each golden with the tree.
 TEST(SortFingerprint, DeepScopeTreesKeepTheOutput) {
   struct Deep {
-    PartitionScheme scheme;
+    Case c;
     std::size_t machines;
-    std::uint64_t hash;
   };
-  for (const Deep& d : {Deep{kHist, 77, 0x394e3900dada5254ull},
-                       Deep{kAms, 81, 0x3b2f7f06f7840d99ull}}) {
-    SortConfig cfg;
-    cfg.read_buffer_bytes = 2048;
-    cfg.partition = d.scheme;
-    rt::ClusterConfig ccfg;
-    ccfg.machines = d.machines;
-    ccfg.threads_per_machine = 8;
-    rt::Cluster<Sorter::Msg> cluster(ccfg);
-    Sorter sorter(cluster, cfg);
-    sorter.run(few_distinct_shards(d.machines, d.machines * 2000));
-    char got[32];
-    std::snprintf(got, sizeof got, "0x%016llxull",
-                  static_cast<unsigned long long>(output_hash(sorter)));
-    EXPECT_EQ(output_hash(sorter), d.hash)
-        << partition_scheme_name(d.scheme) << " at p=" << d.machines
-        << ": " << got;
-  }
+  const Deep deep[] = {
+      {{"HistogramKwayP77", kHist, kKway, true,
+        {298744, {12635, 3232, 154531, 111654, 84097, 4184},
+         1538464, 360224, 1745, 14752, 40000, 48000, 0x394e3900dada5254ull}},
+       77},
+      {{"TwoLevelKwayP81", kAms, kKway, true,
+        {110095, {12635, 6482, 31552, 32326, 42701, 3820},
+         2363904, 38144, 2968, 24640, 57280, 91648, 0x3b2f7f06f7840d99ull}},
+       81},
+  };
+  for (const Deep& d : deep)
+    EXPECT_EQ(format(run_case(d.c, d.machines, d.machines * 2000)),
+              format(d.c.golden))
+        << d.c.name;
 }
 
 }  // namespace
