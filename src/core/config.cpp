@@ -13,24 +13,6 @@ bool telemetry_default() {
   return enabled;
 }
 
-const char* merge_algo_name(MergeAlgo a) {
-  switch (a) {
-    case MergeAlgo::kPairwiseTree: return "pairwise_tree";
-    case MergeAlgo::kParallelKway: return "parallel_kway";
-    case MergeAlgo::kSequentialKway: return "sequential_kway";
-  }
-  return "unknown";
-}
-
-const char* local_sort_algo_name(LocalSortAlgo a) {
-  switch (a) {
-    case LocalSortAlgo::kComparison: return "comparison";
-    case LocalSortAlgo::kRadix: return "radix";
-    case LocalSortAlgo::kAdaptive: return "adaptive";
-  }
-  return "unknown";
-}
-
 const char* partition_scheme_name(PartitionScheme s) {
   switch (s) {
     case PartitionScheme::kOneLevelSample: return "one-level-sample";

@@ -32,12 +32,10 @@ enum class MergeAlgo {
   // no-parallelism ablation).
   kSequentialKway,
 };
-const char* merge_algo_name(MergeAlgo a);
 
 // Local-sort strategy for step (1); the enum lives with the kernel in
 // sort/local_sort.hpp.
 using sort::LocalSortAlgo;
-const char* local_sort_algo_name(LocalSortAlgo a);
 
 // Partitioning strategy for steps (2)-(4); the enum and the pure strategy
 // kernels live in sort/partition.hpp.

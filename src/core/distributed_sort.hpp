@@ -79,9 +79,16 @@ namespace pgxd::core {
 // side provenance arrays, Fig. 11) both follow from this design.
 template <typename Key>
 struct SortMsg {
-  std::vector<Key> keys;              // kTagSamples / kTagSplitters / kTagData
-  std::vector<std::uint64_t> counts;  // kTagCounts / kTagCtrl
-  std::uint64_t prov_base = 0;        // kTagData: sender-side start offset
+  // Samples, splitters and data chunks; histogram probes and drawn
+  // candidates (kTagProbe / kTagReply); AMS level-1 samples and buckets.
+  std::vector<Key> keys;
+  // Send counts and control frames (kTagCounts / kTagCtrl); probe headers
+  // and subtree replies (kTagProbe / kTagReply); AMS level-1 bucket sizes;
+  // the origin plane of a two-hop data chunk.
+  std::vector<std::uint64_t> counts;
+  // kTagData / kTagL1Data: sender-side start offset; samples: the sender's
+  // shard size.
+  std::uint64_t prov_base = 0;
   // kTagData: offset of this chunk within the (src -> dst) range, so
   // receivers place chunks correctly even if the fabric reorders them
   // (e.g. under latency jitter).
@@ -267,16 +274,17 @@ class DistributedSorter {
     // Balance and boundaries over the ranks that produced output: after a
     // recovery the dead ranks' partitions are empty by construction, and
     // counting them would report a meaningless imbalance.
-    std::vector<std::size_t> ranks = final_members_;
-    if (ranks.empty()) {
-      ranks.resize(output_.size());
-      std::iota(ranks.begin(), ranks.end(), std::size_t{0});
+    if (final_members_.empty()) {
+      final_members_.resize(output_.size());
+      std::iota(final_members_.begin(), final_members_.end(), std::size_t{0});
     }
     std::vector<std::uint64_t> sizes;
     stats_.splitters.clear();
-    for (std::size_t i = 0; i < ranks.size(); ++i) {
-      sizes.push_back(output_[ranks[i]].size());
-      if (i + 1 < ranks.size()) stats_.splitters.push_back(boundary_[ranks[i]]);
+    for (std::size_t i = 0; i < final_members_.size(); ++i) {
+      const std::size_t r = final_members_[i];
+      sizes.push_back(output_[r].size());
+      if (i + 1 < final_members_.size())
+        stats_.splitters.push_back(boundary_[r]);
     }
     stats_.balance = balance_report(sizes);
     stats_.wire_bytes_total = wire_data_bytes_ + wire_control_bytes_;
@@ -298,8 +306,7 @@ class DistributedSorter {
     stats_.partition.sample_keys = sample_keys;
     stats_.partition.probe_keys = part_probe_keys_;
     stats_.partition.level1_items = part_level1_items_;
-    if (stats_.recovery.final_members == 0)
-      stats_.recovery.final_members = output_.size();
+    stats_.recovery.final_members = final_members_.size();
     // Fold the substrate's counters into the per-rank registries: NIC
     // traffic/fault counters and the comm layer's reliable-delivery stats
     // (rank 0). The sorter's own stats stay typed: SortStats, pool_stats().
@@ -309,13 +316,12 @@ class DistributedSorter {
   }
 
   const std::vector<std::vector<ItemT>>& partitions() const { return output_; }
-  std::vector<std::vector<ItemT>>& mutable_partitions() { return output_; }
   const SortStats<Key>& stats() const { return stats_; }
   const SortConfig& config() const { return cfg_; }
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
-  // Ranks that produced the final output; equals 0..p-1 unless a recovery
-  // shrank the membership.
+  // Ranks that produced the final output, in member order; after run() it
+  // equals 0..p-1 unless a recovery shrank the membership.
   const std::vector<std::size_t>& final_members() const {
     return final_members_;
   }
@@ -331,9 +337,6 @@ class DistributedSorter {
   // Per-rank telemetry (populated when SortConfig::telemetry is on).
   const obs::MetricsRegistry& metrics(std::size_t rank) const {
     return metrics_[rank];
-  }
-  const std::vector<obs::MetricsRegistry>& per_rank_metrics() const {
-    return metrics_;
   }
   // Cluster-wide view: counters sum, gauges keep the max, histograms merge.
   obs::MetricsRegistry merged_metrics() const {
@@ -674,7 +677,6 @@ class DistributedSorter {
       }
       if (!failed) {
         stats_.recovery.final_attempt = attempt;
-        stats_.recovery.final_members = members.size();
         final_members_ = members;
         recovery_active_ = false;
         attempt_input_.clear();

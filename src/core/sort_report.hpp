@@ -56,9 +56,10 @@ struct LoadReport {
 };
 
 // Splitter quality: how far each realized partition boundary lands from the
-// ideal i*N/p quantile, as a fraction of N.
+// ideal i*N/m quantile, as a fraction of N, over the m final members in
+// member order (m == p unless a recovery shrank the membership).
 struct SplitterReport {
-  std::vector<double> boundary_error;  // i = 1 .. p-1
+  std::vector<double> boundary_error;  // i = 1 .. m-1
   double max_error = 0.0;
   double mean_error = 0.0;
 };
@@ -265,11 +266,11 @@ struct SortReport {
 
 // Builds the report from a finished sorter (duck-typed so this header does
 // not need the full DistributedSorter definition: any engine exposing
-// stats()/partitions()/pool_stats()/merged_metrics()/config() plus the
-// kStoredBytesPerItem constant works). Phase timings, load balance, and
-// splitter error come from the always-on SortStats; the network section and
-// the metrics registry are only populated when the run had
-// SortConfig::telemetry enabled (they read as zero/empty otherwise).
+// stats()/partitions()/final_members()/pool_stats()/merged_metrics()/
+// config() plus the kStoredBytesPerItem constant works). Phase timings,
+// load balance, and splitter error come from the always-on SortStats; the
+// network section and the metrics registry are only populated when the run
+// had SortConfig::telemetry enabled (they read as zero/empty otherwise).
 template <typename Sorter>
 SortReport build_sort_report(const Sorter& sorter, SortRunInfo run) {
   SortReport rep;
@@ -296,11 +297,12 @@ SortReport build_sort_report(const Sorter& sorter, SortRunInfo run) {
     rep.phases.push_back(std::move(ph));
   }
 
-  // Load balance is judged against the membership that actually held data:
-  // after a recovery onto survivors, a dead rank's empty partition would
-  // otherwise drag the mean below every live rank's share.
-  const std::size_t holders =
-      stats.recovery.final_members ? stats.recovery.final_members : p;
+  // Load balance and splitter error are judged against the membership that
+  // actually held data: after a recovery onto survivors, a dead rank's
+  // empty partition would otherwise drag the mean below every live rank's
+  // share and shift every later boundary's ideal.
+  const auto& members = sorter.final_members();
+  const std::size_t holders = members.size();
   auto fill_load = [holders](LoadReport& l, std::uint64_t total,
                              std::uint64_t mn, std::uint64_t mx,
                              double ideal_denominator) {
@@ -328,10 +330,10 @@ SortReport build_sort_report(const Sorter& sorter, SortRunInfo run) {
   const auto& parts = sorter.partitions();
   const double total_n = static_cast<double>(bal.total);
   std::uint64_t prefix = 0;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    prefix += parts[i].size();
+  for (std::size_t i = 0; i + 1 < holders; ++i) {
+    prefix += parts[members[i]].size();
     const double ideal =
-        total_n * static_cast<double>(i + 1) / static_cast<double>(p);
+        total_n * static_cast<double>(i + 1) / static_cast<double>(holders);
     const double err =
         total_n > 0.0
             ? std::fabs(static_cast<double>(prefix) - ideal) / total_n
@@ -372,9 +374,7 @@ SortReport build_sort_report(const Sorter& sorter, SortRunInfo run) {
   rep.recovery.enabled = sorter.config().recovery.enabled;
   rep.recovery.recoveries = rc.recoveries;
   rep.recovery.final_attempt = rc.final_attempt;
-  rep.recovery.final_members =
-      rc.final_members ? static_cast<std::uint64_t>(rc.final_members)
-                       : static_cast<std::uint64_t>(p);
+  rep.recovery.final_members = holders;
   rep.recovery.regenerated_shards = rc.regenerated_shards;
   rep.recovery.abort_broadcasts = rc.abort_broadcasts;
   rep.recovery.detector_suspicions = m.counter_value("detector.suspicions");

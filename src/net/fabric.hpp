@@ -43,7 +43,6 @@ class SerialLink {
     return sim.delay(next_free_ - sim.now());
   }
 
-  sim::SimTime next_free() const { return next_free_; }
   sim::SimTime busy_time() const { return busy_; }
 
  private:

@@ -137,8 +137,6 @@ class TimeSeriesSampler {
                              TimeSeries(capacity_)});
   }
 
-  std::size_t series_count() const { return entries_.size(); }
-  sim::SimTime interval() const { return interval_; }
   bool running() const { return running_; }
 
   // One synchronous snapshot of every probe at instant `now` — also usable

@@ -337,16 +337,6 @@ class Comm {
     return mailbox(rank, tag).try_recv();
   }
 
-  // Receives `count` messages of `tag`, in arrival order.
-  sim::Task<std::vector<Msg>> recv_n(std::size_t rank, int tag,
-                                     std::size_t count) {
-    std::vector<Msg> out;
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-      out.push_back(co_await recv(rank, tag));
-    co_return out;
-  }
-
   // Barrier arrival with wait-graph bookkeeping: a suspended arriver trades
   // its "not yet arrived" hold for a barrier wait edge; the last arriver
   // re-arms every rank's hold for the next round and marks the released

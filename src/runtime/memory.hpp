@@ -25,11 +25,6 @@ class MemoryTracker {
     bump_total_peak();
   }
 
-  void free_persistent(std::uint64_t bytes) {
-    PGXD_CHECK_MSG(bytes <= persistent_, "persistent free exceeds allocation");
-    persistent_ -= bytes;
-  }
-
   void alloc_temp(std::uint64_t bytes) {
     temp_ += bytes;
     peak_temp_ = std::max(peak_temp_, temp_);

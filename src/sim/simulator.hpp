@@ -69,7 +69,6 @@ class Simulator {
   // wait-for graph to abort a detected deadlock at the wedge instant
   // instead of idling behind heartbeat timers.
   void request_stop() { stop_requested_ = true; }
-  bool stop_requested() const { return stop_requested_; }
 
   // Like schedule_at, but returns a ticket that can remove the wake-up
   // before it fires (see cancel). Timeout builds on this so an abandoned
@@ -116,9 +115,6 @@ class Simulator {
   static Simulator* current();
 
   std::uint64_t events_processed() const { return events_processed_; }
-  std::size_t pending_events() const {
-    return queue_.size() - cancelled_.size();
-  }
 
  private:
   friend struct detail::PromiseBase;

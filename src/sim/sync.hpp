@@ -5,11 +5,10 @@
 // firing process keeps running until its own next suspension point, exactly
 // like a SimPy-style kernel.
 //
-// Semaphore and Channel use *direct handoff*: a released permit or sent
-// value destined for a queued waiter is handed to that waiter's awaiter
-// object rather than returned to the shared pool, so a process that calls
-// acquire()/recv() between the wake-up being scheduled and the waiter
-// actually resuming cannot steal it.
+// Channel uses *direct handoff*: a sent value destined for a queued
+// receiver is handed to that receiver's awaiter object rather than queued,
+// so a process that calls recv() between the wake-up being scheduled and
+// the receiver actually resuming cannot steal it.
 #pragma once
 
 #include <algorithm>
@@ -23,39 +22,6 @@
 #include "sim/simulator.hpp"
 
 namespace pgxd::sim {
-
-// One-shot event with any number of waiters. Waiting after fire() completes
-// immediately.
-class Event {
- public:
-  explicit Event(Simulator& sim) : sim_(sim) {}
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-
-  void fire() {
-    if (fired_) return;
-    fired_ = true;
-    for (auto h : waiters_) sim_.schedule_now(h);
-    waiters_.clear();
-  }
-
-  bool fired() const { return fired_; }
-
-  auto wait() {
-    struct Awaiter {
-      Event& ev;
-      bool await_ready() const noexcept { return ev.fired_; }
-      void await_suspend(std::coroutine_handle<> h) { ev.waiters_.push_back(h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
- private:
-  Simulator& sim_;
-  bool fired_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
 
 // Cyclic barrier over a fixed number of participants; reusable across
 // rounds. The last arriver of a round does not suspend; it releases the
@@ -97,70 +63,6 @@ class Barrier {
   std::size_t participants_;
   std::size_t arrived_ = 0;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-// Counted semaphore with FIFO grant order and direct handoff.
-class Semaphore {
- public:
-  Semaphore(Simulator& sim, std::size_t permits) : sim_(sim), permits_(permits) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  struct [[nodiscard]] AcquireAwaiter {
-    Semaphore& s;
-    std::coroutine_handle<> handle;
-    bool granted = false;  // permit handed directly by release()
-
-    bool await_ready() const noexcept {
-      return s.permits_ > 0 && s.waiters_.empty();
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      s.waiters_.push_back(this);
-    }
-    void await_resume() noexcept {
-      if (granted) return;  // handed off; pool untouched
-      PGXD_DCHECK(s.permits_ > 0);
-      --s.permits_;
-    }
-  };
-
-  AcquireAwaiter acquire() { return AcquireAwaiter{*this, {}, false}; }
-
-  void release() {
-    if (!waiters_.empty()) {
-      AcquireAwaiter* w = waiters_.front();
-      waiters_.pop_front();
-      w->granted = true;
-      sim_.schedule_now(w->handle);
-      return;
-    }
-    ++permits_;
-  }
-
-  std::size_t available() const { return permits_; }
-  std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  Simulator& sim_;
-  std::size_t permits_;
-  std::deque<AcquireAwaiter*> waiters_;
-};
-
-// RAII permit for Semaphore within a coroutine scope.
-class SemaphoreGuard {
- public:
-  explicit SemaphoreGuard(Semaphore& s) : sem_(&s) {}
-  SemaphoreGuard(SemaphoreGuard&& o) noexcept : sem_(std::exchange(o.sem_, nullptr)) {}
-  SemaphoreGuard(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(SemaphoreGuard&&) = delete;
-  ~SemaphoreGuard() {
-    if (sem_) sem_->release();
-  }
-
- private:
-  Semaphore* sem_;
 };
 
 // Unbounded FIFO channel. send() never suspends; recv() suspends until a

@@ -8,27 +8,31 @@
 //                      in one shot. No balance guarantee beyond the sample
 //                      density.
 //   kHistogramRefine — Histogram Sort with Sampling (Harsh, Kale,
-//                      Solomonik): the master starts from a *small* sample
-//                      and iteratively certifies candidate splitters by
-//                      their exact global ranks (a histogram round),
+//                      Solomonik): the master starts from a 1/8-density
+//                      sample and iteratively certifies candidate
+//                      splitters by their exact global ranks (a histogram
+//                      round: probes go down the sorter's 4-ary scope
+//                      tree, rank brackets are summed on the way up),
 //                      drawing new candidates inside the still-unresolved
 //                      rank brackets until every boundary is within the
 //                      configured epsilon of its target rank or the round
 //                      budget is spent. Guaranteed eps-balance on distinct
-//                      keys with provably fewer samples.
+//                      keys, paid for in probe and draw traffic.
 //   kTwoLevelAms     — AMS-style two-level recursion (Axtmann et al.,
 //                      "Practical Massively Parallel Sorting"): ranks are
-//                      split into ~sqrt(p) contiguous groups; a coarse
-//                      splitter set routes whole buckets to one partner
-//                      per group (fan-out sqrt(p), not p), then each group
-//                      runs the one-level partition internally. Caps both
-//                      per-rank connection count and the O(p^2) control
-//                      volume of the flat scheme.
+//                      split into ~sqrt(p) contiguous groups; coarse
+//                      splitters, sent down the scope tree, route whole
+//                      buckets to one partner per group (fan-out sqrt(p),
+//                      not p), then each group runs the one-level
+//                      partition internally. Caps both the per-rank
+//                      connection count and the O(p^2) splitter and
+//                      counts traffic of the flat scheme.
 //
 // Everything in this header is pure host-side logic (no simulation state):
-// the master-side refinement engine, the member-side rank-counting and
-// candidate-draw kernels, the AMS group geometry, and the closed-form
-// control-volume model the crossover bench extrapolates with.
+// the refinement engine the histogram root runs, the member-side
+// rank-counting and candidate-draw kernels, and the AMS group geometry.
+// The sorter drives them over its scope tree; bench/ablation_partition
+// measures all three schemes by full simulated sorts.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
@@ -104,6 +108,12 @@ inline AmsLayout ams_layout(std::size_t q) {
 }
 
 // ---- Histogram refinement: member-side kernels -----------------------------
+
+// Fraction of the one-level sample each rank ships under kHistogramRefine;
+// the refinement rounds buy back the precision the smaller sample gives up.
+inline constexpr std::uint64_t kHistogramSampleDivisor = 8;
+// Candidate keys each member returns per unresolved interval per round.
+inline constexpr std::size_t kDrawPerInterval = 4;
 
 // Exact local rank bracket of each probe key over this rank's sorted data:
 // lo[i] = #keys strictly below probes[i], hi[i] = #keys <= probes[i].
@@ -405,80 +415,5 @@ class HistogramRefiner {
   std::size_t rounds_ = 0;
   std::size_t probe_keys_ = 0;
 };
-
-// ---- Control-volume model --------------------------------------------------
-
-// Closed-form control-plane wire volume per scheme (samples + splitter
-// broadcast + counts + histogram probes), used by the crossover ablation to
-// extrapolate the O(q^2) schemes past what a simulated run can execute.
-// Mirrors the sorter's actual message shapes: slim one-u64 counts, key-only
-// sample/splitter frames.
-struct PartitionVolume {
-  std::uint64_t sample_bytes = 0;
-  std::uint64_t splitter_bytes = 0;
-  std::uint64_t counts_bytes = 0;
-  std::uint64_t probe_bytes = 0;
-
-  std::uint64_t total() const {
-    return sample_bytes + splitter_bytes + counts_bytes + probe_bytes;
-  }
-};
-
-// Fraction of the one-level sample each rank ships under kHistogramRefine;
-// the refinement rounds buy back the precision the smaller sample gives up.
-inline constexpr std::uint64_t kHistogramSampleDivisor = 8;
-// Candidate keys each member returns per unresolved interval per round.
-inline constexpr std::size_t kDrawPerInterval = 4;
-
-inline PartitionVolume model_control_volume(PartitionScheme scheme,
-                                            std::uint64_t q,
-                                            std::uint64_t key_bytes,
-                                            std::uint64_t sample_keys_per_rank,
-                                            std::uint64_t rounds,
-                                            std::uint64_t probes_per_round) {
-  PartitionVolume v;
-  const std::uint64_t cnt_bytes = sizeof(std::uint64_t);
-  // Mirrors the sorter's Step-4 shape: per-pair slim u64s up to 64 scope
-  // members, master-relayed q-entry vectors (2q^2 transient) beyond.
-  const auto exchange_counts = [&](std::uint64_t scope) {
-    return scope > 64 ? 2 * scope * scope * cnt_bytes
-                      : scope * (scope - 1) * cnt_bytes;
-  };
-  switch (scheme) {
-    case PartitionScheme::kOneLevelSample:
-      v.sample_bytes = q * sample_keys_per_rank * key_bytes;
-      v.splitter_bytes = q * (q - 1) * key_bytes;
-      v.counts_bytes = exchange_counts(q);
-      break;
-    case PartitionScheme::kHistogramRefine:
-      v.sample_bytes =
-          q * std::max<std::uint64_t>(
-                  2, sample_keys_per_rank / kHistogramSampleDivisor) *
-          key_bytes;
-      v.splitter_bytes = q * (q - 1) * key_bytes;
-      v.counts_bytes = exchange_counts(q);
-      // Per round: the probe broadcast (key each) plus every member's two
-      // rank counts per probe, then the draw round's interval request and
-      // candidate replies.
-      v.probe_bytes = rounds * q * probes_per_round *
-                      (key_bytes + 2 * cnt_bytes + 3 * key_bytes);
-      break;
-    case PartitionScheme::kTwoLevelAms: {
-      const std::uint64_t g = ams_group_count(q);
-      const std::uint64_t gsz = (q + g - 1) / g;
-      // Level 1: full-density samples to the master, g-1 coarse splitters
-      // to everyone, one count per (sender, foreign group) pair.
-      v.sample_bytes = q * sample_keys_per_rank * key_bytes;
-      v.splitter_bytes = q * (g - 1) * key_bytes;
-      v.counts_bytes = q * (g - 1) * cnt_bytes;
-      // Level 2, per group of ~gsz members: the flat scheme at sqrt scale.
-      v.sample_bytes += q * sample_keys_per_rank * key_bytes;
-      v.splitter_bytes += g * gsz * (gsz - 1) * key_bytes;
-      v.counts_bytes += g * exchange_counts(gsz);
-      break;
-    }
-  }
-  return v;
-}
 
 }  // namespace pgxd::sort

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/distributed_sort.hpp"
+#include "core/sort_report.hpp"
 #include "datagen/distributions.hpp"
 #include "net/fabric.hpp"
 #include "runtime/cluster.hpp"
@@ -510,6 +511,40 @@ TEST(CrashRecovery, RankDeadBeforeTheRunIsExcludedWithoutARerun) {
   EXPECT_GE(rec.regenerated_shards, 1u);
   EXPECT_EQ(rec.wasted_work_ns, 0);
   EXPECT_TRUE(sorter.partitions()[2].empty());
+}
+
+// The chaos sweep's first row (pgxd_sim --n=200000 --p=5 --recovery
+// --crash=2@50): rank 2 dies early and the survivors re-sort. Splitter
+// error must be judged over the four final members in member order
+// against i*N/4; counting the dead rank's empty partition shifts every
+// boundary's ideal and reads 5-10% error on a balanced output.
+TEST(CrashRecovery, ReportSplitterErrorCoversOnlyTheFinalMembers) {
+  const std::size_t p = 5;
+  auto shards = make_shards(gen::Distribution::kUniform, 200000, p);
+  {
+    // Without recovery every rank is a final member.
+    rt::Cluster<Msg> cluster(faulty_cluster(p, {}));
+    Sorter sorter(cluster, SortConfig{});
+    sorter.run(shards);
+    EXPECT_EQ(sorter.final_members(),
+              (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  }
+  SortConfig cfg;
+  cfg.recovery.enabled = true;
+  net::FaultConfig fc;
+  fc.crashes = {net::CrashEvent{2, 50 * sim::kMicrosecond}};
+  rt::Cluster<Msg> cluster(recovery_cluster(p, fc));
+  Sorter sorter(cluster, cfg);
+  sorter.run(shards);
+  verify_sorted(sorter, shards);
+
+  const SortReport rep = build_sort_report(sorter, SortRunInfo{});
+  ASSERT_EQ(rep.recovery.final_members, 4u);
+  EXPECT_EQ(sorter.final_members(), (std::vector<std::size_t>{0, 1, 3, 4}));
+  EXPECT_EQ(rep.splitters.boundary_error.size(),
+            rep.recovery.final_members - 1);
+  EXPECT_LE(rep.splitters.max_error, 0.01);
+  EXPECT_LE(rep.items.imbalance, 1.01);
 }
 
 TEST(CrashRecovery, CrashDuringFabricFaultsStillRecovers) {

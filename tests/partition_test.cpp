@@ -360,45 +360,6 @@ TEST(RefinerPresorted, ContiguousRangeShardsMeetEpsilon) {
   }
 }
 
-// ---- Control-volume crossover ----------------------------------------------
-
-TEST(ControlVolume, CrossoverFavorsScalableSchemesAtLargeP) {
-  const std::uint64_t key_bytes = 8, sample = 512, rounds = 3, probes = 8;
-  auto total = [&](PartitionScheme s, std::uint64_t q) {
-    return model_control_volume(s, q, key_bytes, sample, rounds, probes)
-        .total();
-  };
-  // Small p: the flat scheme's O(p^2) terms are still cheap and the extra
-  // machinery costs more than it saves.
-  EXPECT_LE(total(PartitionScheme::kOneLevelSample, 16),
-            total(PartitionScheme::kTwoLevelAms, 16));
-  // Large p: both refined schemes beat the baseline on total volume, and
-  // AMS kills the O(p^2) splitter/counts control plane outright (its total
-  // is dominated by the benign sample term).
-  auto control = [&](PartitionScheme s, std::uint64_t q) {
-    const auto v =
-        model_control_volume(s, q, key_bytes, sample, rounds, probes);
-    return v.splitter_bytes + v.counts_bytes;
-  };
-  for (std::uint64_t q : {1024u, 2048u, 4096u}) {
-    EXPECT_LT(total(PartitionScheme::kHistogramRefine, q),
-              total(PartitionScheme::kOneLevelSample, q))
-        << q;
-    EXPECT_LT(total(PartitionScheme::kTwoLevelAms, q),
-              total(PartitionScheme::kOneLevelSample, q))
-        << q;
-    EXPECT_LT(control(PartitionScheme::kTwoLevelAms, q),
-              control(PartitionScheme::kOneLevelSample, q) / 10)
-        << q;
-  }
-  // The model is monotone in q for every scheme.
-  for (auto s : {PartitionScheme::kOneLevelSample,
-                 PartitionScheme::kHistogramRefine,
-                 PartitionScheme::kTwoLevelAms})
-    for (std::uint64_t q = 64; q < 4096; q *= 2)
-      EXPECT_LT(total(s, q), total(s, q * 2)) << static_cast<int>(s);
-}
-
 }  // namespace
 }  // namespace pgxd::sort
 

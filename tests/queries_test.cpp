@@ -1,5 +1,5 @@
-// Tests for when_all and the in-simulation distributed query engine
-// (find / count / top_k over sorted distributed data).
+// Tests for the in-simulation distributed query engine (find / count /
+// top_k over sorted distributed data).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,53 +9,9 @@
 #include "core/distributed_sort.hpp"
 #include "core/queries.hpp"
 #include "datagen/distributions.hpp"
-#include "sim/when_all.hpp"
 
 namespace pgxd {
 namespace {
-
-// --- when_all ---------------------------------------------------------------
-
-sim::Task<void> sleep_and_mark(sim::Simulator& sim, sim::SimTime dt,
-                               std::vector<sim::SimTime>& log) {
-  co_await sim.delay(dt);
-  log.push_back(sim.now());
-}
-
-sim::Task<void> join_three(sim::Simulator& sim, std::vector<sim::SimTime>& log,
-                           sim::SimTime& joined_at) {
-  std::vector<sim::Task<void>> tasks;
-  tasks.push_back(sleep_and_mark(sim, 30, log));
-  tasks.push_back(sleep_and_mark(sim, 10, log));
-  tasks.push_back(sleep_and_mark(sim, 20, log));
-  co_await sim::when_all(sim, std::move(tasks));
-  joined_at = sim.now();
-}
-
-TEST(WhenAll, CompletesAtSlowestMember) {
-  sim::Simulator sim;
-  std::vector<sim::SimTime> log;
-  sim::SimTime joined_at = -1;
-  sim.spawn(join_three(sim, log, joined_at));
-  sim.run();
-  EXPECT_EQ(log, (std::vector<sim::SimTime>{10, 20, 30}));
-  EXPECT_EQ(joined_at, 30);
-  EXPECT_TRUE(sim.quiescent());
-}
-
-sim::Task<void> join_empty(sim::Simulator& sim, bool& done) {
-  co_await sim::when_all(sim, {});
-  done = true;
-}
-
-TEST(WhenAll, EmptyListCompletesImmediately) {
-  sim::Simulator sim;
-  bool done = false;
-  sim.spawn(join_empty(sim, done));
-  sim.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(sim.now(), 0);
-}
 
 // --- DistributedQueries -----------------------------------------------------
 

@@ -324,8 +324,10 @@ TEST(Comm, RecvNGathersFromAllRanks) {
     if (m.rank() != 0) {
       comm.post(m.rank(), 0, 9, {static_cast<int>(m.rank())}, 4);
     } else {
-      auto msgs = co_await comm.recv_n(0, 9, 3);
-      for (const auto& msg : msgs) got.push_back(msg.payload[0]);
+      for (int i = 0; i < 3; ++i) {
+        auto msg = co_await comm.recv(0, 9);
+        got.push_back(msg.payload[0]);
+      }
     }
     co_return;
   });

@@ -15,7 +15,6 @@
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
-#include "sim/when_all.hpp"
 
 namespace pgxd::sim {
 namespace {
@@ -148,71 +147,6 @@ TEST(BarrierFuzz, RoundsNeverInterleave) {
     // All releases of round r precede any of round r+1.
     for (std::size_t i = 0; i < releases.size(); ++i)
       EXPECT_EQ(releases[i], static_cast<int>(i / kWorkers));
-  }
-}
-
-// --- Semaphore fuzz: mutual exclusion under random hold times ---------------
-
-Task<void> sem_worker(Simulator& sim, Semaphore& sem, std::uint64_t seed,
-                      int rounds, int& inside, int& max_inside,
-                      std::size_t permits) {
-  Rng rng(seed);
-  for (int r = 0; r < rounds; ++r) {
-    co_await sim.delay(static_cast<SimTime>(rng.bounded(30)));
-    co_await sem.acquire();
-    ++inside;
-    max_inside = std::max(max_inside, inside);
-    EXPECT_LE(static_cast<std::size_t>(inside), permits);
-    co_await sim.delay(static_cast<SimTime>(1 + rng.bounded(10)));
-    --inside;
-    sem.release();
-  }
-}
-
-TEST(SemaphoreFuzz, NeverExceedsPermits) {
-  for (std::size_t permits : {1u, 2u, 5u}) {
-    Simulator sim;
-    Semaphore sem(sim, permits);
-    int inside = 0, max_inside = 0;
-    for (int wkr = 0; wkr < 12; ++wkr)
-      sim.spawn(sem_worker(sim, sem, derive_seed(permits, wkr), 20, inside,
-                           max_inside, permits));
-    sim.run();
-    EXPECT_TRUE(sim.quiescent());
-    EXPECT_EQ(inside, 0);
-    EXPECT_EQ(static_cast<std::size_t>(max_inside), permits)
-        << "semaphore underutilized — permits " << permits;
-    EXPECT_EQ(sem.available(), permits);
-  }
-}
-
-// --- when_all fuzz: nested fork/join trees ----------------------------------
-
-Task<void> fork_join_tree(Simulator& sim, std::uint64_t seed, int depth,
-                          int& leaves) {
-  if (depth == 0) {
-    Rng rng(seed);
-    co_await sim.delay(static_cast<SimTime>(rng.bounded(40)));
-    ++leaves;
-    co_return;
-  }
-  Rng rng(seed);
-  const std::size_t fanout = 1 + rng.bounded(3);
-  std::vector<Task<void>> children;
-  for (std::size_t c = 0; c < fanout; ++c)
-    children.push_back(
-        fork_join_tree(sim, derive_seed(seed, c), depth - 1, leaves));
-  co_await when_all(sim, std::move(children));
-}
-
-TEST(WhenAllFuzz, NestedTreesJoinCompletely) {
-  for (std::uint64_t seed : {3ULL, 17ULL, 31ULL}) {
-    Simulator sim;
-    int leaves = 0;
-    sim.spawn(fork_join_tree(sim, seed, 4, leaves));
-    sim.run();
-    EXPECT_TRUE(sim.quiescent());
-    EXPECT_GE(leaves, 1);
   }
 }
 

@@ -13,7 +13,6 @@
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "sim/timeout.hpp"
-#include "sim/when_any.hpp"
 
 namespace pgxd::sim {
 namespace {
@@ -146,42 +145,6 @@ TEST(Task, NestedAwaitRunsInOrder) {
   EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
 
-// --- Event ---------------------------------------------------------------
-
-Task<void> wait_event(Simulator& sim, Event& ev, std::vector<SimTime>& log) {
-  co_await ev.wait();
-  log.push_back(sim.now());
-}
-
-Task<void> fire_at(Simulator& sim, Event& ev, SimTime at) {
-  co_await sim.delay(at);
-  ev.fire();
-}
-
-TEST(Event, ReleasesAllWaitersAtFireTime) {
-  Simulator sim;
-  Event ev(sim);
-  std::vector<SimTime> log;
-  sim.spawn(wait_event(sim, ev, log));
-  sim.spawn(wait_event(sim, ev, log));
-  sim.spawn(wait_event(sim, ev, log));
-  sim.spawn(fire_at(sim, ev, 77));
-  sim.run();
-  EXPECT_EQ(log, (std::vector<SimTime>{77, 77, 77}));
-}
-
-TEST(Event, WaitAfterFireDoesNotBlock) {
-  Simulator sim;
-  Event ev(sim);
-  std::vector<SimTime> log;
-  ev.fire();
-  sim.spawn(wait_event(sim, ev, log));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0], 0);
-  EXPECT_TRUE(sim.quiescent());
-}
-
 // --- Barrier ---------------------------------------------------------------
 
 Task<void> barrier_rounds(Simulator& sim, Barrier& bar, int id, SimTime work,
@@ -229,68 +192,6 @@ TEST(Barrier, SingleParticipantNeverBlocks) {
   sim.run();
   ASSERT_EQ(log.size(), 4u);
   EXPECT_TRUE(sim.quiescent());
-}
-
-// --- Semaphore ---------------------------------------------------------------
-
-Task<void> hold_permit(Simulator& sim, Semaphore& sem, SimTime hold, int id,
-                       std::vector<std::pair<int, SimTime>>& acquired) {
-  co_await sem.acquire();
-  acquired.emplace_back(id, sim.now());
-  co_await sim.delay(hold);
-  sem.release();
-}
-
-TEST(Semaphore, SerializesWhenSinglePermit) {
-  Simulator sim;
-  Semaphore sem(sim, 1);
-  std::vector<std::pair<int, SimTime>> acquired;
-  for (int id = 0; id < 4; ++id) sim.spawn(hold_permit(sim, sem, 100, id, acquired));
-  sim.run();
-  ASSERT_EQ(acquired.size(), 4u);
-  // FIFO: each acquires exactly when the previous holder releases.
-  for (int id = 0; id < 4; ++id) {
-    EXPECT_EQ(acquired[id].first, id);
-    EXPECT_EQ(acquired[id].second, 100 * id);
-  }
-  EXPECT_EQ(sem.available(), 1u);
-}
-
-Task<void> late_thief(Simulator& sim, Semaphore& sem, SimTime at,
-                      std::vector<std::pair<int, SimTime>>& acquired) {
-  co_await sim.delay(at);
-  co_await sem.acquire();
-  acquired.emplace_back(99, sim.now());
-  sem.release();
-}
-
-TEST(Semaphore, ReleasedPermitGoesToQueuedWaiterNotNewcomer) {
-  Simulator sim;
-  Semaphore sem(sim, 1);
-  std::vector<std::pair<int, SimTime>> acquired;
-  sim.spawn(hold_permit(sim, sem, 100, 0, acquired));  // holds [0, 100)
-  sim.spawn(hold_permit(sim, sem, 50, 1, acquired));   // queued at t=0
-  sim.spawn(late_thief(sim, sem, 100, acquired));      // arrives as 0 releases
-  sim.run();
-  ASSERT_EQ(acquired.size(), 3u);
-  EXPECT_EQ(acquired[1].first, 1) << "queued waiter must beat the newcomer";
-  EXPECT_EQ(acquired[1].second, 100);
-  EXPECT_EQ(acquired[2].first, 99);
-  EXPECT_EQ(acquired[2].second, 150);
-}
-
-TEST(Semaphore, MultiplePermitsAdmitConcurrently) {
-  Simulator sim;
-  Semaphore sem(sim, 3);
-  std::vector<std::pair<int, SimTime>> acquired;
-  for (int id = 0; id < 5; ++id) sim.spawn(hold_permit(sim, sem, 100, id, acquired));
-  sim.run();
-  ASSERT_EQ(acquired.size(), 5u);
-  EXPECT_EQ(acquired[0].second, 0);
-  EXPECT_EQ(acquired[1].second, 0);
-  EXPECT_EQ(acquired[2].second, 0);
-  EXPECT_EQ(acquired[3].second, 100);
-  EXPECT_EQ(acquired[4].second, 100);
 }
 
 // --- Channel ---------------------------------------------------------------
@@ -484,61 +385,6 @@ TEST(Timeout, CancelAfterExpiryIsANoOp) {
   EXPECT_TRUE(log[0].expired);
 }
 
-Task<void> race_and_record(
-    Simulator& sim, std::vector<Task<void>> tasks,
-    std::vector<std::pair<std::size_t, SimTime>>& log) {
-  const std::size_t winner = co_await when_any(sim, std::move(tasks));
-  log.push_back({winner, sim.now()});
-}
-
-TEST(WhenAny, ResumesAtFirstCompletionWithItsIndex) {
-  Simulator sim;
-  std::vector<SimTime> done;
-  std::vector<Task<void>> tasks;
-  tasks.push_back(delay_then_record(sim, 300, done));
-  tasks.push_back(delay_then_record(sim, 100, done));
-  tasks.push_back(delay_then_record(sim, 200, done));
-  std::vector<std::pair<std::size_t, SimTime>> log;
-  sim.spawn(race_and_record(sim, std::move(tasks), log));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].first, 1u);   // the 100-tick task wins
-  EXPECT_EQ(log[0].second, 100);
-  // Losers keep running to completion; the run reaches quiescence.
-  EXPECT_EQ(done, (std::vector<SimTime>{100, 200, 300}));
-  EXPECT_EQ(sim.now(), 300);
-  EXPECT_TRUE(sim.quiescent());
-}
-
-TEST(WhenAny, TieBreaksByBatchOrder) {
-  Simulator sim;
-  std::vector<SimTime> done;
-  std::vector<Task<void>> tasks;
-  tasks.push_back(delay_then_record(sim, 100, done));
-  tasks.push_back(delay_then_record(sim, 100, done));
-  std::vector<std::pair<std::size_t, SimTime>> log;
-  sim.spawn(race_and_record(sim, std::move(tasks), log));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].first, 0u);
-  EXPECT_EQ(log[0].second, 100);
-}
-
-Task<void> timeout_vs_event(Simulator& sim, Event& ev, SimTime rto,
-                            std::vector<TimeoutWake>& log) {
-  Timeout t(sim, rto);
-  std::vector<Task<void>> race;
-  race.push_back(await_timeout(sim, t, log));
-  race.push_back([](Simulator&, Event& e, Timeout& to) -> Task<void> {
-    co_await e.wait();
-    to.cancel();
-  }(sim, ev, t));
-  co_await when_any(sim, std::move(race));
-  // Both racers complete (the loser is the cancelled timer's waiter, woken
-  // by cancel), so the stack-allocated Timeout dies with no waiter left.
-  co_await sim.delay(0);
-}
-
 TEST(Timeout, CancelArrivingAtTheDeadlineInstantIsDeterministic) {
   // The cancellation race at exactly the deadline timestamp: the deadline
   // event was scheduled first (at Timeout construction), so by (at, seq)
@@ -560,23 +406,6 @@ TEST(Timeout, CancelArrivingAtTheDeadlineInstantIsDeterministic) {
   EXPECT_TRUE(expired1);
   EXPECT_EQ(log1[0].expired, log2[0].expired);
   EXPECT_EQ(expired1, expired2);
-}
-
-TEST(WhenAny, AckOrTimeoutPatternCancelsTheLoser) {
-  Simulator sim;
-  Event ack(sim);
-  std::vector<TimeoutWake> log;
-  sim.spawn(timeout_vs_event(sim, ack, 1000, log));
-  sim.spawn([](Simulator& s, Event& e) -> Task<void> {
-    co_await s.delay(40);
-    e.fire();
-  }(sim, ack));
-  sim.run();
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0].at, 40);
-  EXPECT_FALSE(log[0].expired);
-  EXPECT_EQ(sim.now(), 40);  // the 1000-tick deadline never fires
-  EXPECT_TRUE(sim.quiescent());
 }
 
 // --- Schedule perturbation ---------------------------------------------------

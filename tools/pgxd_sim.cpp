@@ -429,50 +429,6 @@ int run_radix(const Options& opt) {
                             sorter.stats().wire_bytes);
 }
 
-const char* merge_name(pgxd::core::MergeAlgo m) {
-  switch (m) {
-    case pgxd::core::MergeAlgo::kParallelKway: return "kway";
-    case pgxd::core::MergeAlgo::kPairwiseTree: return "pairwise";
-    case pgxd::core::MergeAlgo::kSequentialKway: return "kway-seq";
-  }
-  return "?";
-}
-
-const char* local_sort_name(pgxd::core::LocalSortAlgo a) {
-  switch (a) {
-    case pgxd::core::LocalSortAlgo::kAdaptive: return "adaptive";
-    case pgxd::core::LocalSortAlgo::kComparison: return "quicksort";
-    case pgxd::core::LocalSortAlgo::kRadix: return "radix";
-  }
-  return "?";
-}
-
-// --print-config: the effective SortConfig knobs as one JSON object on
-// stdout. scripts/bench.sh embeds this as the `meta.sort_config` block of
-// the committed benchmark baseline, so every baseline says exactly which
-// algorithm configuration produced it.
-int print_config(const pgxd::core::SortConfig& cfg) {
-  pgxd::obs::JsonWriter w;
-  w.begin_object();
-  w.kv("read_buffer_bytes", cfg.read_buffer_bytes);
-  w.kv("sample_factor", cfg.sample_factor);
-  w.kv("use_investigator", cfg.use_investigator);
-  w.kv("final_merge", merge_name(cfg.final_merge));
-  w.kv("local_sort", local_sort_name(cfg.local_sort));
-  w.kv("async_exchange", cfg.async_exchange);
-  w.kv("use_buffer_pool", cfg.use_buffer_pool);
-  w.kv("telemetry", cfg.telemetry);
-  w.kv("recovery_enabled", cfg.recovery.enabled);
-  w.kv("partition", std::string_view(pgxd::core::partition_scheme_name(
-                        cfg.partition)));
-  w.kv("partition_epsilon", cfg.partition_epsilon);
-  w.kv("partition_max_rounds",
-       static_cast<std::int64_t>(cfg.partition_max_rounds));
-  w.end_object();
-  std::printf("%s\n", w.str().c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -509,9 +465,6 @@ int main(int argc, char** argv) {
   flags.declare("perturb-jitter-ns",
                 "also jitter mailbox wake-ups by up to this many simulated "
                 "ns (needs --perturb) (pgxd only)", "0");
-  flags.declare("print-config",
-                "print the effective SortConfig knobs as JSON and exit",
-                "false");
   flags.declare("validate", "validate the sorted result", "true");
   flags.declare("investigator", "duplicate-splitter investigator (pgxd)", "true");
   flags.declare("async", "asynchronous exchange (pgxd)", "true");
@@ -633,7 +586,6 @@ int main(int argc, char** argv) {
                  "--engine=pgxd\n");
     return 2;
   }
-  if (flags.boolean("print-config")) return print_config(opt.sort_cfg);
   if ((opt.critical_path || opt.sample_us > 0 || opt.perturb_seed != 0) &&
       opt.engine != "pgxd") {
     std::fprintf(stderr,

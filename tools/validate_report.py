@@ -8,8 +8,9 @@ schema language cannot express:
 
   * the phases cover all six Fig. 7 step names, each exactly once;
   * per-phase and per-load min <= mean <= max;
-  * load totals match run.n, and splitter boundary_error has machines-1
-    entries bounded by max_error;
+  * load totals match run.n, and splitter boundary_error has one entry
+    per boundary between the recovery.final_members ranks that produced
+    the output (final_members-1), each bounded by max_error;
   * required sort.* metric counters are present in the merged registry;
   * the partition section is self-consistent per scheme: the one-level
     baseline reports exactly one round, one group, and no probe/level-1
@@ -142,9 +143,11 @@ def semantic_checks(doc, errors):
         errors.append("load.items.total != run.n")
 
     boundary = doc.get("splitters", {}).get("boundary_error", [])
-    if machines and len(boundary) != machines - 1:
-        errors.append("splitters.boundary_error: %d entries, want machines-1=%d"
-                      % (len(boundary), machines - 1))
+    holders = doc.get("recovery", {}).get("final_members", 0)
+    if holders and len(boundary) != holders - 1:
+        errors.append("splitters.boundary_error: %d entries, want "
+                      "recovery.final_members-1=%d"
+                      % (len(boundary), holders - 1))
     max_err = doc.get("splitters", {}).get("max_error", 0)
     for i, e in enumerate(boundary):
         if e > max_err + 1e-12:
@@ -396,6 +399,20 @@ def selftest(schema):
         doc["waits"]["max_blocked"] = 99
         return doc
 
+    def recovered_onto_one_member(doc):
+        doc["recovery"].update({
+            "enabled": True, "recoveries": 1, "final_attempt": 1,
+            "final_members": 1, "regenerated_shards": 1,
+            "wasted_work_ns": 10, "time_to_recover_max_ns": 5,
+            "time_to_recover_mean_ns": 5.0})
+        doc["splitters"]["boundary_error"] = []
+        return doc
+
+    def recovered_boundaries_count_dead_rank(doc):
+        doc = recovered_onto_one_member(doc)
+        doc["splitters"]["boundary_error"] = [0.0]
+        return doc
+
     def ts_time_backwards(doc):
         doc["timeseries"]["series"]["rank0.mailbox_depth"] = {
             "capacity": 4, "dropped": 0, "points": [[200, 1.0], [100, 0.0]],
@@ -421,6 +438,10 @@ def selftest(schema):
         ("waits deadlock in completed run", waits_deadlock_in_report,
          False, False),
         ("waits max_blocked exceeds machines", waits_overblocked,
+         False, False),
+        ("recovered onto one member", recovered_onto_one_member,
+         True, True),
+        ("boundaries count a dead rank", recovered_boundaries_count_dead_rank,
          False, False),
         ("timeseries time backwards", ts_time_backwards, False, False),
     ]
