@@ -135,10 +135,6 @@ struct SortConfig {
   // Send-while-receive exchange; false = send everything, barrier, then
   // receive (bulk-synchronous ablation).
   bool async_exchange = true;
-  // Lease exchange chunk buffers from a recycling pool instead of
-  // allocating one vector per chunk; false = fresh allocation per chunk
-  // (ablation).
-  bool use_buffer_pool = true;
   // Telemetry master switch: per-rank obs::MetricsRegistry population and
   // SortReport support. Near-zero cost — every instrumentation point is a
   // branch on this flag, and the counters themselves are plain integer adds

@@ -43,6 +43,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -70,22 +71,40 @@
 
 namespace pgxd::core {
 
+// A rank's locally sorted run, shared read-only by every bulk data frame
+// (kTagData, kTagL1Data) cut from it: a frame is a view, not a copy, so a
+// fabric duplicate or a retransmit copies a pointer. `origins` is the run's
+// origin plane on the two-hop (AMS) path and empty otherwise. The run is
+// freed once its sender and the last frame viewing it have let go, so a
+// frame left in a mailbox (a trailing duplicate, an aborted attempt's
+// stray) stays valid for as long as it exists.
+template <typename Key>
+struct SortedRun {
+  std::vector<Key> keys;
+  std::vector<std::uint64_t> origins;
+
+  SortedRun(std::vector<Key> k, std::vector<std::uint64_t> o)
+      : keys(std::move(k)), origins(std::move(o)) {}
+};
+
 // Message payload for the sort's communication; which member is populated
 // depends on the tag.
-// Only keys travel on the wire. Data chunks carry `prov_base`: the chunk's
+// Only keys travel on the wire. Data frames carry `prov_base`: the frame's
 // start offset in the sender's locally sorted sequence, from which the
 // receiver reconstructs per-element provenance — the paper's low exchange
 // volume and its "memory used for keeping previous information" (receiver-
 // side provenance arrays, Fig. 11) both follow from this design.
 template <typename Key>
 struct SortMsg {
-  // Samples, splitters and data chunks; histogram probes and drawn
-  // candidates (kTagProbe / kTagReply); AMS level-1 samples and buckets.
+  // Samples and splitters; histogram probes and drawn candidates
+  // (kTagProbe / kTagReply); AMS level-1 samples.
   std::vector<Key> keys;
   // Send counts and control frames (kTagCounts / kTagCtrl); probe headers
-  // and subtree replies (kTagProbe / kTagReply); AMS level-1 bucket sizes;
-  // the origin plane of a two-hop data chunk.
+  // and subtree replies (kTagProbe / kTagReply); AMS level-1 bucket sizes.
   std::vector<std::uint64_t> counts;
+  // kTagData / kTagL1Data: the sender's sorted run; the frame carries its
+  // elements [prov_base, prov_base + len).
+  std::shared_ptr<const SortedRun<Key>> run;
   // kTagData / kTagL1Data: sender-side start offset; samples: the sender's
   // shard size.
   std::uint64_t prov_base = 0;
@@ -93,6 +112,7 @@ struct SortMsg {
   // receivers place chunks correctly even if the fabric reorders them
   // (e.g. under latency jitter).
   std::uint64_t rel_offset = 0;
+  std::uint64_t len = 0;  // kTagData / kTagL1Data: elements viewed
 
   // User-declared constructors are load-bearing; see the note on
   // rt::Message about GCC 12 and aggregate temporaries in co_await.
@@ -102,15 +122,34 @@ struct SortMsg {
       : keys(std::move(k)), counts(std::move(c)), prov_base(base),
         rel_offset(rel) {}
 
-  static SortMsg of_data(std::vector<Key> v, std::uint64_t base,
+  // A data frame: elements [base, base + n) of `r`, at `rel` within the
+  // (src -> dst) range.
+  static SortMsg of_view(std::shared_ptr<const SortedRun<Key>> r,
+                         std::uint64_t base, std::uint64_t n,
                          std::uint64_t rel) {
-    return SortMsg(std::move(v), {}, base, rel);
+    SortMsg msg({}, {}, base, rel);
+    msg.run = std::move(r);
+    msg.len = n;
+    return msg;
+  }
+  static SortMsg of_samples(std::vector<Key> v, std::uint64_t shard_n) {
+    return SortMsg(std::move(v), {}, shard_n, 0);
   }
   static SortMsg of_keys(std::vector<Key> v) {
     return SortMsg(std::move(v), {}, 0, 0);
   }
   static SortMsg of_counts(std::vector<std::uint64_t> v) {
     return SortMsg({}, std::move(v), 0, 0);
+  }
+
+  // A data frame's keys, and their origins on the two-hop path (empty
+  // otherwise).
+  std::span<const Key> view() const {
+    return {run->keys.data() + prov_base, len};
+  }
+  std::span<const std::uint64_t> origins() const {
+    if (run->origins.empty()) return {};
+    return {run->origins.data() + prov_base, len};
   }
 };
 
@@ -165,10 +204,6 @@ struct ScopeTree {
                : children.size();
   }
 };
-
-// Test-only access to DistributedSorter internals; defined by the tests
-// that use it.
-struct SorterTestHooks;
 
 template <typename Key, typename Comp = sort::Less>
 class DistributedSorter {
@@ -309,7 +344,7 @@ class DistributedSorter {
     stats_.recovery.final_members = final_members_.size();
     // Fold the substrate's counters into the per-rank registries: NIC
     // traffic/fault counters and the comm layer's reliable-delivery stats
-    // (rank 0). The sorter's own stats stay typed: SortStats, pool_stats().
+    // (rank 0). The sorter's own stats stay typed: SortStats.
     if (cfg_.telemetry)
       for (std::size_t r = 0; r < metrics_.size(); ++r)
         cluster_.export_metrics(metrics_[r], r);
@@ -325,9 +360,10 @@ class DistributedSorter {
   const std::vector<std::size_t>& final_members() const {
     return final_members_;
   }
-  // Exchange buffer-pool counters (shared across the simulated machines,
-  // which live in one address space).
-  const rt::BufferPoolStats& pool_stats() const { return pool_.stats(); }
+  // All zero: exchange frames are views of the sender's sorted run, so no
+  // buffer pool exists. Kept for the benchmark's runtime.pool.* fields
+  // until they retire.
+  rt::BufferPoolStats pool_stats() const { return {}; }
   // Runtime wait-for graph counters (edges registered, detection passes,
   // peak simultaneously-blocked ranks) for the report's waits section.
   const sim::WaitGraph::Stats& wait_stats() const {
@@ -369,9 +405,9 @@ class DistributedSorter {
   }
 
   // Optional time-series telemetry: registers this sorter's live probes —
-  // per-rank mailbox depth, exchange BufferPool occupancy/outstanding
-  // chunks, failure-detector suspicion — on the sampler and attaches it to
-  // the cluster, which starts/stops its sampling loop around each run.
+  // per-rank mailbox depth, blocked ranks, failure-detector suspicion — on
+  // the sampler and attaches it to the cluster, which starts/stops its
+  // sampling loop around each run.
   // The probes observe `this` and the cluster: the sampler must not
   // outlive either while attached. nullptr detaches.
   void set_sampler(obs::TimeSeriesSampler* sampler) {
@@ -382,12 +418,6 @@ class DistributedSorter {
                      [&comm, r] {
                        return static_cast<double>(comm.pending_total(r));
                      });
-      sampler->add("pool.free_buffers", [this] {
-        return static_cast<double>(pool_.free_buffers());
-      });
-      sampler->add("pool.outstanding_chunks", [this] {
-        return static_cast<double>(pool_.outstanding());
-      });
       sampler->add("waitgraph.blocked_ranks", [this] {
         return static_cast<double>(cluster_.wait_graph().blocked());
       });
@@ -420,29 +450,14 @@ class DistributedSorter {
 
   enum class AttemptOutcome { kNotRun, kOk, kCrashed, kAborted };
 
-  // RAII annotation edge for the exchange's pool-backpressure park: the
-  // edge must come off whether the wrapped receive completes or throws
-  // (RankCrashedError / SortAbortedError unwind this coroutine frame), or
-  // a stale pool edge would misname every later deadlock cycle.
-  struct PoolWaitGuard {
-    sim::WaitGraph* graph;
-    std::size_t token;
-    PoolWaitGuard(sim::WaitGraph* g, std::size_t t) : graph(g), token(t) {}
-    PoolWaitGuard(const PoolWaitGuard&) = delete;
-    PoolWaitGuard& operator=(const PoolWaitGuard&) = delete;
-    ~PoolWaitGuard() {
-      if (graph != nullptr) graph->end_wait(token);
-    }
-  };
-
   // Origin provenance packed into one u64 for the two-hop (AMS) path. The
   // level-1 exchange destroys the "contiguous slice of the sender's sorted
   // shard" property the flat exchange relies on, so the group exchange
   // carries each element's true origin explicitly: machine in the top 24
-  // bits, index into the origin's locally sorted shard below. Shipped in
-  // the chunk's counts plane as audit metadata — not counted as modeled
-  // wire bytes, matching the provenance.hpp convention that provenance is
-  // an audit artifact, not protocol payload.
+  // bits, index into the origin's locally sorted shard below. Viewed from
+  // the run's origin plane as audit metadata — not counted as modeled wire
+  // bytes, matching the provenance.hpp convention that provenance is an
+  // audit artifact, not protocol payload.
   static constexpr std::uint64_t kProvIndexBits = 40;
   static std::uint64_t pack_prov(std::size_t machine, std::uint64_t index) {
     PGXD_CHECK(machine < (std::uint64_t{1} << (64 - kProvIndexBits)) &&
@@ -655,15 +670,10 @@ class DistributedSorter {
             return resilient_program(m, std::move(ctx));
           });
       const sim::SimTime t1 = sim.now();
-      // Aborted attempts strand frames in mailboxes and their buffers with
-      // them; a clean slate per attempt keeps chunk dedup and pool
-      // backpressure honest.
+      // Aborted attempts strand frames in mailboxes; a clean slate per
+      // attempt keeps chunk dedup honest, and a dropped frame lets go of
+      // its view of the sender's run.
       comm.drain_mailboxes();
-      pool_.reconcile_after_drain();
-      // Drained frames strand their pool-hold naming edges; with every
-      // attempt program finished nothing is in flight, so all pool holds
-      // are stale by construction.
-      cluster_.wait_graph().clear_holds(sim::WaitResource::pool());
       bool failed = false;
       std::optional<sim::SimTime> first_crash;
       for (std::size_t r : members) {
@@ -1061,11 +1071,12 @@ class DistributedSorter {
     // Provenance convention: an element's previous location is its position
     // in its previous machine's *locally sorted* sequence (what the
     // exchange actually ships; receivers reconstruct indices from chunk
-    // offsets, so provenance never rides the wire).
-    const std::vector<Key>& shard =
-        recovery_active_ ? attempt_input_[rank] : input_[rank];
-    const std::size_t n = shard.size();
-    std::vector<Key> local = shard;
+    // offsets, so provenance never rides the wire). The shard moves into the
+    // sort: nothing reads it again, and a recovery attempt moves from its
+    // own copy, leaving input_ whole for re-dealing dead ranks' shards.
+    std::vector<Key> local =
+        std::move(recovery_active_ ? attempt_input_[rank] : input_[rank]);
+    const std::size_t n = local.size();
     {
       // Scratch for the in-node sort (the Fig. 2 ping-pong buffer / radix
       // scatter buffer).
@@ -1162,7 +1173,7 @@ class DistributedSorter {
         note_control_bytes(bytes);
         co_await comm.send(rank, master,
                            tag(level1 ? kTagL1Samples : kTagSamples),
-                           Msg::of_data(samples, n, 0), bytes);
+                           Msg::of_samples(samples, n), bytes);
       }
       stamp(rank, mark, Step::kSampling, samples.size() * sizeof(Key));
 
@@ -1353,24 +1364,24 @@ class DistributedSorter {
 
       // ---- AMS level 1: bucket exchange and group-local merge ---------------
       // One message per (sender, foreign group) pair — O(q * sqrt(q))
-      // messages cluster-wide instead of O(q^2).
+      // messages cluster-wide instead of O(q^2). Each bucket is a view of
+      // this rank's sorted run.
+      auto l1_run = std::make_shared<const SortedRun<Key>>(
+          std::move(local), std::vector<std::uint64_t>{});
       std::uint64_t l1_wire_sent = 0;
       for (std::size_t g = 0; g < parts; ++g) {
         if (g == part) continue;
         const std::size_t lo = plan.bounds[g];
         const std::size_t hi = plan.bounds[g + 1];
         if (lo == hi) continue;
-        std::vector<Key> bucket(
-            local.begin() + static_cast<std::ptrdiff_t>(lo),
-            local.begin() + static_cast<std::ptrdiff_t>(hi));
         const std::uint64_t bytes =
-            bucket.size() * kDataWireBytesPerKey + kChunkHeaderBytes;
+            (hi - lo) * kDataWireBytesPerKey + kChunkHeaderBytes;
         note_data_bytes(bytes);
-        ms.sent_elements += bucket.size();
+        ms.sent_elements += hi - lo;
         l1_wire_sent += bytes;
-        co_await m.charge_copy(bucket.size());
+        co_await m.charge_copy(hi - lo);
         comm.post(rank, ctx.scope[layout.partner(idx, g)], tag(kTagL1Data),
-                  Msg::of_data(std::move(bucket), lo, 0), bytes);
+                  Msg::of_view(l1_run, lo, hi - lo, 0), bytes);
       }
       // Contributors to this rank's group-local array, in member-index
       // order, so the merged result is deterministic under any arrival
@@ -1394,10 +1405,10 @@ class DistributedSorter {
           ++expect_msgs;
           continue;
         }
-        std::copy(
-            local.begin() + static_cast<std::ptrdiff_t>(plan.bounds[part]),
-            local.begin() + static_cast<std::ptrdiff_t>(plan.bounds[part + 1]),
-            merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
+        const std::span<const Key> own(
+            l1_run->keys.data() + plan.bounds[part], recv_counts[idx]);
+        std::copy(own.begin(), own.end(),
+                  merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
         for (std::size_t i = 0; i < recv_counts[idx]; ++i)
           mprov[roff[c] + i] = pack_prov(rank, plan.bounds[part] + i);
       }
@@ -1410,19 +1421,21 @@ class DistributedSorter {
                                  "attempt membership");
         if (!got.first(sj)) continue;
         const auto it = std::lower_bound(contrib.begin(), contrib.end(), sj);
+        const std::span<const Key> bucket = msg.payload.view();
         PGXD_CHECK_MSG(it != contrib.end() && *it == sj &&
-                           msg.payload.keys.size() == recv_counts[sj],
+                           bucket.size() == recv_counts[sj],
                        "level-1 bucket does not match its announced size");
         const auto c = static_cast<std::size_t>(it - contrib.begin());
-        std::copy(msg.payload.keys.begin(), msg.payload.keys.end(),
+        std::copy(bucket.begin(), bucket.end(),
                   merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
-        for (std::size_t i = 0; i < msg.payload.keys.size(); ++i)
+        for (std::size_t i = 0; i < bucket.size(); ++i)
           mprov[roff[c] + i] = pack_prov(msg.src, msg.payload.prov_base + i);
-        l1_recv += msg.payload.keys.size();
-        co_await m.charge_copy(msg.payload.keys.size());
+        l1_recv += bucket.size();
+        co_await m.charge_copy(bucket.size());
       }
       ms.received_elements += l1_recv;
       part_level1_items_ += l1_recv;
+      l1_run.reset();  // frames partners have not read yet keep it alive
       local = std::move(merged);
       // Re-establish the sorted-local invariant over the received runs,
       // carrying each element's origin through the same permutation.
@@ -1483,14 +1496,10 @@ class DistributedSorter {
     PGXD_CHECK_MSG(total_recv <= std::numeric_limits<std::uint32_t>::max(),
                    "final merge: a partition beyond u32 indexing is "
                    "unsupported");
-    const bool use_pool = cfg_.use_buffer_pool;
-    // PGX.D keeps a fixed set of request buffers per machine; this is the
-    // cluster-wide equivalent (the pool is shared — one address space).
-    // Once this many leases are outstanding and the free list is dry, a
-    // sender must recycle an arrived chunk before leasing another, which
-    // bounds exchange allocations at O(q) instead of O(chunks).
-    const std::int64_t pool_cap =
-        static_cast<std::int64_t>(std::max<std::size_t>(2 * q, 8));
+    // The sorted run (and its two-hop origin plane) moves into one shared,
+    // read-only block; every data chunk sent below is a view of it.
+    auto run = std::make_shared<const SortedRun<Key>>(std::move(local),
+                                                      std::move(lprov));
     // src_lo[s]: start of the (member s -> rank) range in s's locally
     // sorted sequence, learned from any of s's chunks (prov_base -
     // rel_offset). The provenance of the element at receive position pos is
@@ -1512,13 +1521,13 @@ class DistributedSorter {
       const std::size_t lo = plan.bounds[idx];
       const std::size_t hi = plan.bounds[idx + 1];
       src_lo[idx] = lo;
-      std::copy(local.begin() + static_cast<std::ptrdiff_t>(lo),
-                local.begin() + static_cast<std::ptrdiff_t>(hi),
+      std::copy(run->keys.begin() + static_cast<std::ptrdiff_t>(lo),
+                run->keys.begin() + static_cast<std::ptrdiff_t>(hi),
                 recv_keys.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
       if (xprov)
         std::copy(
-            lprov.begin() + static_cast<std::ptrdiff_t>(lo),
-            lprov.begin() + static_cast<std::ptrdiff_t>(hi),
+            run->origins.begin() + static_cast<std::ptrdiff_t>(lo),
+            run->origins.begin() + static_cast<std::ptrdiff_t>(hi),
             recv_prov.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
       cursor[idx] += hi - lo;
       co_await m.charge_copy(hi - lo);
@@ -1541,8 +1550,7 @@ class DistributedSorter {
     std::size_t remote_placed = 0;
     // Hold edges for deadlock *naming* (never detection): each peer that
     // still owes this rank chunks "holds" the rank's data mailbox until
-    // its range is fully placed, and a pooled chunk in flight to dst means
-    // dst "holds" a pool buffer. Mailbox holds are O(q) per rank, so they
+    // its range is fully placed. Mailbox holds are O(q) per rank, so they
     // are capped at kWaitGraphHoldScope members; past that a deadlock is
     // still detected and reported, just without per-peer attribution.
     auto& wg = cluster_.wait_graph();
@@ -1577,14 +1585,13 @@ class DistributedSorter {
     }
 
     // Places one arriving chunk — dedup, copy to its final offset,
-    // provenance/range-start bookkeeping, buffer return to the pool — and
-    // returns the elements placed (0 for a duplicate). The caller charges
-    // the simulated copy cost.
-    auto place_chunk = [&](auto& msg) -> std::size_t {
+    // provenance/range-start bookkeeping — and returns the elements placed
+    // (0 for a duplicate). The caller charges the simulated copy cost.
+    auto place_chunk = [&](const auto& msg) -> std::size_t {
       PGXD_CHECK(msg.src != rank);
       const std::size_t sj = midx.source(
           msg.src, "data chunk from a rank outside the attempt membership");
-      auto& keys = msg.payload.keys;
+      const std::span<const Key> keys = msg.payload.view();
       const std::uint64_t cidx = msg.payload.rel_offset / chunk_elems;
       const std::size_t word =
           seen_base[sj] + static_cast<std::size_t>(cidx / 64);
@@ -1595,10 +1602,6 @@ class DistributedSorter {
       if (seen_words[word] & bit) {
         ++ms.duplicate_chunks;
         if (c_dup_chunks) c_dup_chunks->inc();
-        if (use_pool) {
-          pool_.release(std::move(keys));
-          wg.remove_hold(sim::WaitResource::pool(), rank);
-        }
         return 0;
       }
       seen_words[word] |= bit;
@@ -1609,9 +1612,10 @@ class DistributedSorter {
       std::copy(keys.begin(), keys.end(),
                 recv_keys.begin() + static_cast<std::ptrdiff_t>(at));
       if (xprov) {
-        PGXD_CHECK_MSG(msg.payload.counts.size() == keys.size(),
+        const std::span<const std::uint64_t> origins = msg.payload.origins();
+        PGXD_CHECK_MSG(origins.size() == keys.size(),
                        "two-hop data chunk arrived without its origin plane");
-        std::copy(msg.payload.counts.begin(), msg.payload.counts.end(),
+        std::copy(origins.begin(), origins.end(),
                   recv_prov.begin() + static_cast<std::ptrdiff_t>(at));
       }
       const std::size_t placed = keys.size();
@@ -1620,27 +1624,15 @@ class DistributedSorter {
       if (track_holds && cursor[sj] == offsets[sj + 1])
         wg.remove_hold(mbox, ctx.scope[sj]);
       if (c_items_recv) c_items_recv->inc(placed);
-      if (use_pool) {
-        pool_.release(std::move(keys));
-        wg.remove_hold(sim::WaitResource::pool(), rank);
-      }
       return placed;
     };
 
-    // Sends: lease a chunk buffer from the pool, pack it from a span slice
-    // of the local array (one reserve either way), and post asynchronously
-    // (async mode) or send blocking + barrier (bulk-synchronous ablation).
-    // In async mode the loop also drains chunks that have already arrived —
-    // the paper's "simultaneous asynchronous send/receive" — which both
-    // overlaps the copies and returns buffers to the pool for re-lease.
-    // In a scoped (AMS group) exchange the cluster-wide pool is shared by
-    // several concurrent exchanges, so "a buffer is outstanding" no longer
-    // implies "a chunk is in flight to a member of *this* exchange" — a
-    // whole group parked in the backpressure recv before posting any send
-    // would sleep through the pool refilling. Scoped senders therefore only
-    // block to drain chunks that have actually arrived and otherwise let
-    // the pool allocate fresh.
-    const bool scoped_exchange = q < ctx.members.size();
+    // Sends: post each chunk as a view of the sorted run — asynchronously
+    // (async mode) or blocking + barrier (bulk-synchronous ablation). No
+    // payload is copied, so no sender ever waits for a buffer. The
+    // simulated pack charge stays: PGX.D still fills a request buffer per
+    // chunk. In async mode the loop also drains chunks that have already
+    // arrived — the paper's "simultaneous asynchronous send/receive".
     for (std::size_t step = 1; step < q; ++step) {
       // Ring order starting after own member index spreads incast across
       // receivers.
@@ -1649,41 +1641,8 @@ class DistributedSorter {
       const std::size_t lo = plan.bounds[dstj];
       const std::size_t hi = plan.bounds[dstj + 1];
       for (std::size_t at = lo; at < hi;) {
-        // Backpressure: with the pool dry and the outstanding cap reached,
-        // block on a receive — placing the arrived chunk returns its buffer
-        // — instead of allocating yet another. Deadlock-free: we only block
-        // while peers still owe us data, and (in the whole-membership case)
-        // every outstanding buffer is in flight to (or queued at) a machine
-        // that is still draining.
-        while (use_pool && cfg_.async_exchange &&
-               remote_placed < remote_expected && pool_.free_buffers() == 0 &&
-               pool_.outstanding() >= pool_cap &&
-               (!scoped_exchange || !scoped_pending_guard_ ||
-                comm.pending(rank, tag(kTagData)) > 0)) {
-          // Annotation edge: while parked here the rank is really waiting
-          // for a pool buffer, not just its mailbox. Never counted by the
-          // detector; it only enriches a deadlock cycle's naming. The
-          // guard's destructor drops the edge even when recv_sort throws
-          // (crash / abort translation).
-          PoolWaitGuard pw{&cluster_.wait_graph(),
-                           cluster_.wait_graph().begin_wait(
-                               rank, sim::WaitResource::pool(),
-                               /*annotation=*/true)};
-          auto msg = co_await recv_sort(m, ctx, tag(kTagData));
-          const std::size_t placed = place_chunk(msg);
-          if (placed > 0) co_await m.charge_copy(placed);
-        }
         const std::size_t take =
             std::min<std::uint64_t>(hi - at, chunk_elems);
-        const std::span<const Key> slice(local.data() + at, take);
-        std::vector<Key> chunk =
-            use_pool ? pool_.acquire(take) : std::vector<Key>();
-        chunk.reserve(take);
-        chunk.assign(slice.begin(), slice.end());
-        std::vector<std::uint64_t> pchunk;
-        if (xprov)
-          pchunk.assign(lprov.begin() + static_cast<std::ptrdiff_t>(at),
-                        lprov.begin() + static_cast<std::ptrdiff_t>(at + take));
         const std::uint64_t bytes =
             take * kDataWireBytesPerKey + kChunkHeaderBytes;
         note_data_bytes(bytes);
@@ -1696,11 +1655,9 @@ class DistributedSorter {
           h_chunk_elems->add(take);
         }
         co_await m.charge_copy(take);  // pack the request buffer
-        if (use_pool) wg.add_hold(sim::WaitResource::pool(), dst);
         if (cfg_.async_exchange) {
           comm.post(rank, dst, tag(kTagData),
-                    Msg(std::move(chunk), std::move(pchunk), at, at - lo),
-                    bytes);
+                    Msg::of_view(run, at, take, at - lo), bytes);
           while (remote_placed < remote_expected &&
                  comm.pending(rank, tag(kTagData)) > 0) {
             auto msg = co_await recv_sort(m, ctx, tag(kTagData));
@@ -1709,9 +1666,7 @@ class DistributedSorter {
           }
         } else {
           co_await comm.send(rank, dst, tag(kTagData),
-                             Msg(std::move(chunk), std::move(pchunk), at,
-                                 at - lo),
-                             bytes);
+                             Msg::of_view(run, at, take, at - lo), bytes);
         }
         at += take;
       }
@@ -1732,12 +1687,7 @@ class DistributedSorter {
       PGXD_CHECK_MSG(cursor[s] == offsets[s + 1],
                      "exchange delivered wrong element counts");
     ms.received_elements += total_recv;
-    // The local pre-sorted array (and its origin plane) can be released
-    // now.
-    local.clear();
-    local.shrink_to_fit();
-    lprov.clear();
-    lprov.shrink_to_fit();
+    run.reset();  // frames peers have not read yet keep it alive
     stamp(rank, mark, Step::kExchange, exchange_wire_sent);
 
     // ---- Step 6: final merge ------------------------------------------------
@@ -1870,23 +1820,10 @@ class DistributedSorter {
   std::vector<AttemptOutcome> outcomes_;
   std::vector<char> abort_sent_;
   std::vector<std::size_t> final_members_;
-  // Exchange chunk buffers: leased by senders, returned by receivers. One
-  // pool for the whole cluster — the simulation shares an address space, so
-  // a buffer posted by machine A is the same storage machine B receives.
-  rt::BufferPool<Key> pool_;
   // The exactly-once audit's slot map, armed over the attempt's input
   // before every cluster run of this sort.
   AuditSlots audit_slots_;
-  // Scoped (AMS group) exchanges only park in the pool-backpressure
-  // receive while data frames are actually pending for this rank — the
-  // lost-wakeup fix for the shared-pool deadlock under kTwoLevelAms. Only
-  // the deadlock regression suite turns it off (SorterTestHooks), to prove
-  // the wait-for graph and the perturbation explorer still catch that
-  // deadlock.
-  bool scoped_pending_guard_ = true;
   bool claimed_ = false;  // see claim_sort
-
-  friend struct SorterTestHooks;
 
   template <typename K, typename C>
   friend sim::SimTime sort_simultaneously(

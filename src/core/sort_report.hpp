@@ -2,8 +2,8 @@
 // document per run covering everything the paper's evaluation reports —
 // phase timings (Fig. 7), per-rank load balance (Table II / Fig. 10),
 // splitter quality vs the ideal p-quantiles, network/fault/retransmit
-// counters from the fabric and the reliable-delivery layer, buffer-pool hit
-// rates, and the full merged metrics registry.
+// counters from the fabric and the reliable-delivery layer, and the full
+// merged metrics registry.
 //
 // The schema is checked in at tools/report_schema.json and validated by
 // tools/validate_report.py (scripts/check.sh telemetry).
@@ -89,6 +89,9 @@ struct NetworkReport {
   std::uint64_t duplicate_chunks = 0;      // application-level discards
 };
 
+// All zero: the exchange has no buffer pool (frames are views of the
+// sender's sorted run). The section stays until the benchmark's
+// runtime.pool.* metrics, which read it, retire.
 struct PoolReport {
   std::uint64_t leases = 0;
   std::uint64_t reuses = 0;
@@ -122,7 +125,7 @@ struct RecoveryReport {
 struct WaitReport {
   std::uint64_t mailbox_waits = 0;
   std::uint64_t barrier_waits = 0;
-  std::uint64_t pool_waits = 0;    // annotation edges under pool backpressure
+  std::uint64_t pool_waits = 0;    // pool annotation edges; nothing adds them
   std::uint64_t holds_added = 0;
   std::uint64_t deadlock_checks = 0;
   std::uint64_t deadlocks = 0;
@@ -266,7 +269,7 @@ struct SortReport {
 
 // Builds the report from a finished sorter (duck-typed so this header does
 // not need the full DistributedSorter definition: any engine exposing
-// stats()/partitions()/final_members()/pool_stats()/merged_metrics()/
+// stats()/partitions()/final_members()/wait_stats()/merged_metrics()/
 // config() plus the kStoredBytesPerItem constant works). Phase timings,
 // load balance, and splitter error come from the always-on SortStats; the
 // network section and the metrics registry are only populated when the run
@@ -277,32 +280,32 @@ SortReport build_sort_report(const Sorter& sorter, SortRunInfo run) {
   rep.run = std::move(run);
   const auto& stats = sorter.stats();
   rep.total_time_ns = stats.total_time;
-  const std::size_t p = stats.machines.size();
-  if (rep.run.machines == 0) rep.run.machines = p;
+  if (rep.run.machines == 0) rep.run.machines = stats.machines.size();
 
+  // Phases, load balance and splitter error are judged against the
+  // membership that actually held data: after a recovery onto survivors, a
+  // dead rank's zero step times and empty partition would otherwise drag
+  // every minimum and mean below the live ranks' and shift every later
+  // boundary's ideal.
+  const auto& members = sorter.final_members();
+  const std::size_t holders = members.size();
   for (std::size_t i = 0; i < kStepCount; ++i) {
     const Step s = static_cast<Step>(i);
     PhaseReport ph;
     ph.name = step_name(s);
     ph.metric = step_metric_suffix(s);
-    ph.min_ns = p ? stats.machines[0].steps[s] : 0;
+    ph.min_ns = holders ? stats.machines[members[0]].steps[s] : 0;
     double sum = 0.0;
-    for (const auto& ms : stats.machines) {
-      const sim::SimTime t = ms.steps[s];
+    for (const std::size_t r : members) {
+      const sim::SimTime t = stats.machines[r].steps[s];
       if (t < ph.min_ns) ph.min_ns = t;
       if (t > ph.max_ns) ph.max_ns = t;
       sum += static_cast<double>(t);
     }
-    ph.mean_ns = p ? sum / static_cast<double>(p) : 0.0;
+    ph.mean_ns = holders ? sum / static_cast<double>(holders) : 0.0;
     rep.phases.push_back(std::move(ph));
   }
 
-  // Load balance and splitter error are judged against the membership that
-  // actually held data: after a recovery onto survivors, a dead rank's
-  // empty partition would otherwise drag the mean below every live rank's
-  // share and shift every later boundary's ideal.
-  const auto& members = sorter.final_members();
-  const std::size_t holders = members.size();
   auto fill_load = [holders](LoadReport& l, std::uint64_t total,
                              std::uint64_t mn, std::uint64_t mx,
                              double ideal_denominator) {
@@ -395,15 +398,6 @@ SortReport build_sort_report(const Sorter& sorter, SortRunInfo run) {
   rep.waits.deadlock_checks = ws.deadlock_checks;
   rep.waits.deadlocks = ws.deadlocks;
   rep.waits.max_blocked = static_cast<std::uint64_t>(ws.max_blocked);
-
-  const auto& ps = sorter.pool_stats();
-  rep.pool.leases = ps.leases;
-  rep.pool.reuses = ps.reuses;
-  rep.pool.fresh_allocs = ps.fresh_allocs;
-  rep.pool.returns = ps.returns;
-  rep.pool.hit_rate =
-      ps.leases ? static_cast<double>(ps.reuses) / static_cast<double>(ps.leases)
-                : 0.0;
   return rep;
 }
 

@@ -1,5 +1,5 @@
 // Time-series telemetry: periodic sim-time snapshots of cheap probes
-// (mailbox depth, BufferPool occupancy, failure-detector suspicion, ...)
+// (mailbox depth, blocked ranks, failure-detector suspicion, ...)
 // into fixed-size ring buffers. A TimeSeriesSampler owns named probes and
 // a sampling coroutine driven by sim::Timeout: the loop samples at the
 // start instant and then every `interval`, and request_stop() cancels the

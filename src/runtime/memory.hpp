@@ -9,9 +9,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 
@@ -77,97 +74,16 @@ class TempAlloc {
   std::uint64_t bytes_;
 };
 
+// Counters of the exchange buffer pool that chunk frames once leased
+// their payloads from. Frames are views of the sender's sorted run now, so
+// every field reads zero; the struct stays only because the benchmark's
+// runtime.pool.* metrics read it, and goes when they retire.
 struct BufferPoolStats {
-  std::uint64_t leases = 0;        // acquire() calls
-  std::uint64_t reuses = 0;        // leases served from the free list
-  std::uint64_t fresh_allocs = 0;  // leases that had to allocate
-  std::uint64_t returns = 0;       // release() calls
-  std::size_t peak_free = 0;       // high-water mark of the free list
-};
-
-// Recycling pool of vector buffers for the exchange hot path: chunk
-// payloads are leased here by the sender and returned by the receiver once
-// placed, so a steady-state exchange allocates O(outstanding buffers) ≈ O(p)
-// vectors total instead of one per chunk — including under reliable-mode
-// retransmits, which resend modeled bytes only and never touch a payload
-// after its first delivery.
-//
-// Thread-safety contract: acquire()/release()/free_buffers()/outstanding()
-// may race freely (a mutex guards the free list and tallies — uncontended
-// in the simulator, where machines are cooperatively scheduled coroutines
-// in one OS thread). stats() returns an unlocked reference and is for
-// quiescent reads only: after a sort completes or between exchanges, never
-// concurrently with lease/release traffic.
-template <typename T>
-class BufferPool {
- public:
-  // Leases a buffer with capacity >= reserve_hint, empty. Reuses the most
-  // recently returned buffer when one is available.
-  std::vector<T> acquire(std::size_t reserve_hint) {
-    std::vector<T> buf;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.leases;
-      if (!free_.empty()) {
-        ++stats_.reuses;
-        buf = std::move(free_.back());
-        free_.pop_back();
-      } else {
-        ++stats_.fresh_allocs;
-      }
-    }
-    buf.clear();
-    buf.reserve(reserve_hint);
-    return buf;
-  }
-
-  // Returns a buffer to the free list. Any buffer is accepted — a
-  // duplicating fabric clones messages, so returns may outnumber leases —
-  // but storage already on the free list is rejected loudly: releasing the
-  // same allocation twice would alias two future leases.
-  void release(std::vector<T>&& buf) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.returns;
-    if (buf.capacity() == 0) return;  // moved-from or never allocated
-    for (const auto& f : free_)
-      PGXD_CHECK_MSG(f.data() != buf.data(),
-                     "buffer pool: storage released twice");
-    free_.push_back(std::move(buf));
-    stats_.peak_free = std::max(stats_.peak_free, free_.size());
-  }
-
-  // Recovery-supervisor hook, quiescent-state only: buffers leased into an
-  // aborted attempt are destroyed along with the drained mailboxes and can
-  // never be release()d, which would leave `outstanding` permanently
-  // inflated and eventually wedge the next attempt's backpressure loop.
-  // Reconciling counts every unreturned lease as returned-by-destruction.
-  void reconcile_after_drain() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.returns = std::max(stats_.returns, stats_.leases);
-  }
-
-  std::size_t free_buffers() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return free_.size();
-  }
-
-  // Leased-but-unreturned buffers. Signed: a duplicating fabric returns
-  // cloned storage that was never leased, which can push returns past
-  // leases — that undercounts outstanding, which only ever relaxes
-  // backpressure, never wedges it.
-  std::int64_t outstanding() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<std::int64_t>(stats_.leases) -
-           static_cast<std::int64_t>(stats_.returns);
-  }
-
-  // Quiescent-state read (see the class comment).
-  const BufferPoolStats& stats() const { return stats_; }
-
- private:
-  mutable std::mutex mu_;  // pgxd-lock-order: buffer-pool rank 10
-  std::vector<std::vector<T>> free_;
-  BufferPoolStats stats_;
+  std::uint64_t leases = 0;
+  std::uint64_t reuses = 0;
+  std::uint64_t fresh_allocs = 0;
+  std::uint64_t returns = 0;
+  std::size_t peak_free = 0;
 };
 
 }  // namespace pgxd::rt

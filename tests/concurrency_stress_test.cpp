@@ -1,24 +1,23 @@
 // Concurrency stress suite — the workloads scripts/check.sh runs under
-// ThreadSanitizer (and ASan) to keep the thread pool, the parallel merge
-// tree, and the exchange buffer pool race-free. Each test drives one
-// subsystem through the interleavings TSan needs to observe to prove the
-// synchronization: pool churn (construction/teardown under load), nested
-// submission, parallel merge rounds, and concurrent lease/release traffic.
+// ThreadSanitizer (and ASan) to keep the thread pool and the parallel merge
+// tree race-free. Each test drives one subsystem through the interleavings
+// TSan needs to observe to prove the synchronization: pool churn
+// (construction/teardown under load), nested submission, and parallel
+// merge rounds.
 //
 // Workloads are sized to finish in seconds under TSan's ~10x slowdown.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
-#include <thread>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "runtime/memory.hpp"
 #include "sort/balanced_merge.hpp"
 #include "sort/parallel_sort.hpp"
 
@@ -114,54 +113,6 @@ TEST(MergeTreeStress, ParallelSortReusedPool) {
     sort::parallel_sort(data, scratch, std::less<>{}, &pool);
     ASSERT_TRUE(std::is_sorted(data.begin(), data.end()));
   }
-}
-
-// --- BufferPool --------------------------------------------------------------
-
-// Concurrent lease/release traffic from several threads. The pool's mutex
-// must keep the free list and tallies coherent: afterwards every lease is
-// matched by a return, the free list holds distinct storage, and the
-// aliasing check never fired (PGXD_CHECK aborts on double release).
-TEST(BufferPoolStress, ConcurrentAcquireRelease) {
-  rt::BufferPool<std::uint64_t> pool;
-  constexpr std::size_t kThreads = 4;
-  constexpr int kIters = 2000;
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t)
-      threads.emplace_back([&pool, t] {
-        Rng rng(0xb0f + t);
-        for (int i = 0; i < kIters; ++i) {
-          auto buf = pool.acquire(64 + rng.bounded(64));
-          buf.push_back(rng.next());
-          // Hold a second lease half the time so the free list sees
-          // interleaved returns, not lock-step pairs.
-          if (rng.bounded(2) == 0) {
-            auto buf2 = pool.acquire(32);
-            buf2.push_back(buf.back());
-            pool.release(std::move(buf2));
-          }
-          pool.release(std::move(buf));
-        }
-      });
-    for (auto& t : threads) t.join();
-  }
-  const auto& st = pool.stats();
-  EXPECT_EQ(st.leases, st.returns);
-  EXPECT_GE(st.leases, static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(pool.outstanding(), 0);
-  EXPECT_GT(st.reuses, 0u);
-  // Free-list storage must be pairwise distinct (the release-time aliasing
-  // check enforced this throughout; draining re-verifies it end-state).
-  std::vector<const void*> datas;
-  while (pool.free_buffers() > 0) {
-    auto buf = pool.acquire(0);
-    datas.push_back(buf.data());
-    buf.shrink_to_fit();  // retire the storage instead of re-pooling it
-  }
-  std::sort(datas.begin(), datas.end());
-  EXPECT_EQ(std::adjacent_find(datas.begin(), datas.end()), datas.end());
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // of {investigator, final-merge strategy, async exchange, exchange chunk
 // size, partition scheme} must produce a correct sort on both easy and
 // adversarial data. Catches interactions between ablation paths that
-// single-switch tests miss. (The buffer pool stays at its default — on —
-// here; its on/off behaviour has dedicated coverage in buffer_pool_test.)
+// single-switch tests miss.
 //
 // Every exchange streams read-buffer-sized chunks. The default read buffer
 // holds this sweep's whole input, so the "Whole" cases send every (sender,

@@ -1,15 +1,9 @@
-// Regression suite for the shared-pool deadlock (two-level AMS scoped
-// exchanges contending on the cluster-wide BufferPool) and the schedule
-// perturbation explorer that hunts for ordering-dependent wedges.
-//
-// The sorter's scoped pending guard is the fix: scoped senders only park
-// in the pool-backpressure receive while data frames are actually pending
-// for them. With the guard disabled (SorterTestHooks, this suite's seam
-// into the sorter) the deadlock comes back, and these tests
-// pin the whole detection chain: the run aborts at the instant it wedges,
-// the wait-for graph names the pool-wait cycle, a committed perturbation
-// seed reproduces the same wedge from an alternative schedule, and clean
-// configurations survive perturbation without a single false positive.
+// The schedule perturbation explorer, which hunts for ordering-dependent
+// wedges, over the two-level AMS sort, whose scoped group exchanges run
+// concurrently: a clean configuration must survive every explored schedule
+// without a single false-positive deadlock abort, a seed must reproduce its
+// schedule exactly, and distinct seeds must explore distinct schedules.
+// The wait-for graph's counters reach the sort report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,16 +18,6 @@
 #include "runtime/cluster.hpp"
 
 namespace pgxd {
-
-namespace core {
-struct SorterTestHooks {
-  template <typename K, typename C>
-  static void disable_pending_guard(DistributedSorter<K, C>& sorter) {
-    sorter.scoped_pending_guard_ = false;
-  }
-};
-}  // namespace core
-
 namespace {
 
 using core::DistributedSorter;
@@ -44,13 +28,12 @@ using Key = std::uint64_t;
 using Sorter = DistributedSorter<Key>;
 using Msg = SortMsg<Key>;
 
-// The committed reproduction seed: one alternative same-timestamp delivery
-// order under which the unguarded backpressure loop also wedges. Found by
-// the --perturb sweep in scripts/check.sh analyze; keep in sync with it.
-constexpr std::uint64_t kReproSeed = 7;
+// One of the seeds scripts/check.sh analyze sweeps with --perturb; keep in
+// sync with it.
+constexpr std::uint64_t kSweepSeed = 7;
 
-// 3x3 AMS groups + small chunks: several scoped exchanges share the pool
-// and drain it, the exact contention the pending guard exists for.
+// 3x3 AMS groups + small chunks: three scoped exchanges run at once, each
+// streaming many chunks.
 constexpr std::size_t kMachines = 9;
 constexpr std::size_t kTotalKeys = 60000;
 
@@ -68,7 +51,7 @@ std::vector<std::vector<Key>> ams_shards() {
 SortConfig ams_config() {
   SortConfig cfg;
   cfg.partition = PartitionScheme::kTwoLevelAms;
-  cfg.read_buffer_bytes = 2048;  // 256-key chunks: heavy pool traffic
+  cfg.read_buffer_bytes = 2048;  // 256-key chunks
   return cfg;
 }
 
@@ -88,14 +71,13 @@ struct AmsRun {
   sim::SimTime elapsed = 0;
 };
 
-AmsRun run_ams(bool pending_guard, std::uint64_t perturb_seed) {
+AmsRun run_ams(std::uint64_t perturb_seed) {
   AmsRun r;
   r.cluster = std::make_unique<rt::Cluster<Msg>>(ams_cluster());
   if (perturb_seed != 0)
     r.cluster->simulator().set_perturbation(
         {true, perturb_seed, /*wake_jitter=*/50});
   r.sorter = std::make_unique<Sorter>(*r.cluster, ams_config());
-  if (!pending_guard) core::SorterTestHooks::disable_pending_guard(*r.sorter);
   r.sorter->run(ams_shards());
   r.elapsed = r.cluster->simulator().now();
   return r;
@@ -118,45 +100,14 @@ void expect_sorted_output(const Sorter& sorter) {
   EXPECT_EQ(total, kTotalKeys);
 }
 
-// --- The regression itself ---------------------------------------------------
-
-TEST(PoolDeadlockRegression, UnguardedBackpressureWedgesAndNamesThePool) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The wait-for graph must (a) abort instead of hanging, and (b) name the
-  // pool annotation on the cycling data-tag waits — the diagnostic that
-  // distinguishes "pool starvation" from a plain lost message.
-  EXPECT_DEATH(run_ams(/*pending_guard=*/false, 0),
-               "deadlocked.*buffer-pool");
-}
-
-TEST(PoolDeadlockRegression, CommittedPerturbationSeedReproducesTheWedge) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The explorer's committed seed drives an alternative delivery order
-  // into the same wedge: the bug is schedule-dependent, and this pins a
-  // second, independent route to it.
-  EXPECT_DEATH(run_ams(/*pending_guard=*/false, kReproSeed),
-               "deadlocked.*buffer-pool");
-}
-
-TEST(PoolDeadlockRegression, PendingGuardKeepsTheSameConfigLive) {
-  const AmsRun r = run_ams(/*pending_guard=*/true, 0);
-  expect_sorted_output(*r.sorter);
-  const auto& ws = r.sorter->wait_stats();
-  EXPECT_EQ(ws.deadlocks, 0u);
-  EXPECT_GT(ws.mailbox_waits, 0u);  // the graph was live, not bypassed
-  EXPECT_GT(ws.holds_added, 0u);    // pool/mailbox hold edges registered
-  const auto& ps = r.sorter->pool_stats();
-  EXPECT_EQ(ps.returns, ps.leases);  // every buffer came home
-}
-
 // --- Perturbation explorer ---------------------------------------------------
 
 TEST(PerturbationExplorer, CleanConfigSurvivesASeedSweep) {
-  // Zero false positives: the guarded sort must complete and validate
-  // under every explored schedule. Each seed is one deterministic
-  // alternative ordering, so a wedge here would be reproducible.
+  // Zero false positives: the sort must complete and validate under every
+  // explored schedule. Each seed is one deterministic alternative
+  // ordering, so a wedge here would be reproducible.
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const AmsRun r = run_ams(/*pending_guard=*/true, seed);
+    const AmsRun r = run_ams(seed);
     expect_sorted_output(*r.sorter);
     EXPECT_EQ(r.sorter->wait_stats().deadlocks, 0u) << "seed " << seed;
   }
@@ -166,15 +117,15 @@ TEST(PerturbationExplorer, SameSeedSameSchedule) {
   // A perturbed run is still a deterministic simulation: re-running the
   // seed reproduces the elapsed time exactly (which is how a failure found
   // by the sweep becomes a committed regression).
-  const auto t1 = run_ams(/*pending_guard=*/true, kReproSeed).elapsed;
-  const auto t2 = run_ams(/*pending_guard=*/true, kReproSeed).elapsed;
+  const auto t1 = run_ams(kSweepSeed).elapsed;
+  const auto t2 = run_ams(kSweepSeed).elapsed;
   EXPECT_EQ(t1, t2);
 }
 
 TEST(PerturbationExplorer, DifferentSeedsExploreDifferentSchedules) {
-  const auto t0 = run_ams(/*pending_guard=*/true, 0).elapsed;
-  const auto t1 = run_ams(/*pending_guard=*/true, 1).elapsed;
-  const auto t2 = run_ams(/*pending_guard=*/true, 42).elapsed;
+  const auto t0 = run_ams(0).elapsed;
+  const auto t1 = run_ams(1).elapsed;
+  const auto t2 = run_ams(42).elapsed;
   // Wake jitter shifts mailbox handoffs, so distinct seeds should land on
   // distinct elapsed times; all must still sort correctly (checked above).
   EXPECT_TRUE(t0 != t1 || t1 != t2)
@@ -184,11 +135,13 @@ TEST(PerturbationExplorer, DifferentSeedsExploreDifferentSchedules) {
 // --- Report plumbing ---------------------------------------------------------
 
 TEST(WaitReport, CleanRunExportsWaitStats) {
-  const AmsRun r = run_ams(/*pending_guard=*/true, 0);
+  const AmsRun r = run_ams(0);
+  expect_sorted_output(*r.sorter);
   const core::SortReport rep =
       core::build_sort_report(*r.sorter, core::SortRunInfo{});
   EXPECT_EQ(rep.waits.deadlocks, 0u);
-  EXPECT_GT(rep.waits.mailbox_waits, 0u);
+  EXPECT_GT(rep.waits.mailbox_waits, 0u);  // the graph was live
+  EXPECT_GT(rep.waits.holds_added, 0u);    // exchange mailbox holds
   EXPECT_GT(rep.waits.deadlock_checks + rep.waits.mailbox_waits, 0u);
   EXPECT_LE(rep.waits.max_blocked, kMachines);
   const std::string json = rep.to_json();

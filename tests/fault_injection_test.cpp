@@ -547,6 +547,40 @@ TEST(CrashRecovery, ReportSplitterErrorCoversOnlyTheFinalMembers) {
   EXPECT_LE(rep.items.imbalance, 1.01);
 }
 
+// The same crash: each phase's min and mean come from the four final
+// members. Rank 2 ran no step of the final attempt, so counting it reads
+// every min as 0 and averages its zeros into every mean.
+TEST(CrashRecovery, ReportPhasesCoverOnlyTheFinalMembers) {
+  const std::size_t p = 5;
+  auto shards = make_shards(gen::Distribution::kUniform, 200000, p);
+  SortConfig cfg;
+  cfg.recovery.enabled = true;
+  net::FaultConfig fc;
+  fc.crashes = {net::CrashEvent{2, 50 * sim::kMicrosecond}};
+  rt::Cluster<Msg> cluster(recovery_cluster(p, fc));
+  Sorter sorter(cluster, cfg);
+  sorter.run(shards);
+
+  const SortReport rep = build_sort_report(sorter, SortRunInfo{});
+  const auto& members = sorter.final_members();
+  ASSERT_EQ(members, (std::vector<std::size_t>{0, 1, 3, 4}));
+  ASSERT_EQ(rep.phases.size(), kStepCount);
+  for (std::size_t i = 0; i < kStepCount; ++i) {
+    const Step s = static_cast<Step>(i);
+    sim::SimTime mn = sorter.stats().machines[members[0]].steps[s];
+    double sum = 0.0;
+    for (const std::size_t r : members) {
+      mn = std::min(mn, sorter.stats().machines[r].steps[s]);
+      sum += static_cast<double>(sorter.stats().machines[r].steps[s]);
+    }
+    EXPECT_GT(mn, 0) << step_name(s);
+    EXPECT_EQ(rep.phases[i].min_ns, mn) << step_name(s);
+    EXPECT_DOUBLE_EQ(rep.phases[i].mean_ns,
+                     sum / static_cast<double>(members.size()))
+        << step_name(s);
+  }
+}
+
 TEST(CrashRecovery, CrashDuringFabricFaultsStillRecovers) {
   const std::size_t p = 5;
   auto shards = make_shards(gen::Distribution::kRightSkewed, 20000, p);

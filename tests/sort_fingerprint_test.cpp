@@ -2,9 +2,8 @@
 // and final-merge paths: every partition scheme x every final-merge
 // strategy, plus the bulk-synchronous exchange ablation, and substrate
 // cases: reliable delivery over a lossy, duplicating fabric, two-level AMS
-// recovering from a rank killed mid-exchange, the exchange without its
-// buffer pool, and every partition scheme over a duplicating fabric with
-// no reliable layer beneath the sorter.
+// recovering from a rank killed mid-exchange, and every partition scheme
+// over a duplicating fabric with no reliable layer beneath the sorter.
 // A fingerprint pins what the simulation did, not just that the output is
 // sorted: total and per-step simulated time, wire bytes, fabric messages,
 // DES events, peak modelled memory, and a hash over every output item's
@@ -56,7 +55,6 @@ struct Fingerprint {
   std::uint64_t fabric_duplicates = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t final_members = 0;
-  std::uint64_t pool_leases = 0;
 };
 
 struct Case {
@@ -138,7 +136,6 @@ Fingerprint run_case(const Case& c, std::size_t machines = kMachines,
   fp.fabric_duplicates = cluster.fabric().total_duplicated();
   fp.recoveries = st.recovery.recoveries;
   fp.final_members = st.recovery.final_members;
-  fp.pool_leases = sorter.pool_stats().leases;
   return fp;
 }
 
@@ -198,32 +195,28 @@ void duplicating_fabric(SortConfig&, rt::ClusterConfig& ccfg) {
   ccfg.allow_undrained = true;
 }
 
-void no_buffer_pool(SortConfig& cfg, rt::ClusterConfig&) {
-  cfg.use_buffer_pool = false;
-}
-
 // Golden fields: {total ns, {six per-step max ns}, wire_bytes_total,
 // wire_bytes_samples, fabric messages, DES events, max peak persistent
 // bytes, max peak temp bytes, output hash}.
 const Case kCases[] = {
     {"OneLevelKway", kOne, kKway, true,
-     {165879, {37657, 3356, 12243, 13726, 100592, 7402},
-      519488, 2880, 376, 3282, 160020, 192024, 0x06f27abe11ea9429ull}},
+     {115664, {37657, 3356, 12243, 13726, 45367, 7402},
+      519488, 2880, 376, 3284, 160020, 192024, 0x06f27abe11ea9429ull}},
     {"OneLevelTree", kOne, kTree, true,
-     {172673, {37657, 3356, 12243, 13726, 100592, 14196},
-      519488, 2880, 376, 3282, 160020, 192024, 0x06f27abe11ea9429ull}},
+     {122458, {37657, 3356, 12243, 13726, 45367, 14196},
+      519488, 2880, 376, 3284, 160020, 192024, 0x06f27abe11ea9429ull}},
     {"OneLevelKwaySeq", kOne, kSeq, true,
-     {199058, {37657, 3356, 12243, 13726, 100592, 40581},
-      519488, 2880, 376, 3282, 160020, 192024, 0x06f27abe11ea9429ull}},
+     {148843, {37657, 3356, 12243, 13726, 45367, 40581},
+      519488, 2880, 376, 3284, 160020, 192024, 0x06f27abe11ea9429ull}},
     {"HistogramKway", kHist, kKway, true,
-     {198256, {37657, 3038, 75393, 15556, 68270, 7402},
-      350432, 5568, 336, 2864, 160000, 192000, 0xd097ed39b5a94de5ull}},
+     {175868, {37657, 3038, 75393, 15556, 45919, 7402},
+      350432, 5568, 336, 2859, 160000, 192000, 0xd097ed39b5a94de5ull}},
     {"HistogramTree", kHist, kTree, true,
-     {205046, {37657, 3038, 75393, 15556, 68270, 14192},
-      350432, 5568, 336, 2864, 160000, 192000, 0xd097ed39b5a94de5ull}},
+     {182658, {37657, 3038, 75393, 15556, 45919, 14192},
+      350432, 5568, 336, 2859, 160000, 192000, 0xd097ed39b5a94de5ull}},
     {"HistogramKwaySeq", kHist, kSeq, true,
-     {231430, {37657, 3038, 75393, 15556, 68270, 40576},
-      350432, 5568, 336, 2864, 160000, 192000, 0xd097ed39b5a94de5ull}},
+     {209042, {37657, 3038, 75393, 15556, 45919, 40576},
+      350432, 5568, 336, 2859, 160000, 192000, 0xd097ed39b5a94de5ull}},
     {"TwoLevelKway", kAms, kKway, true,
      {134787, {37657, 6627, 17327, 18970, 64154, 4706},
       777840, 6384, 280, 2519, 160020, 256032, 0x72b173217d271c7dull}},
@@ -237,23 +230,19 @@ const Case kCases[] = {
      {193997, {37657, 3356, 12243, 13726, 129704, 7402},
       519488, 2880, 376, 3298, 160020, 192024, 0x06f27abe11ea9429ull}},
     {"OneLevelKwayLossyReliable", kOne, kKway, true,
-     {3838516, {37657, 13117, 8096, 1374723, 3761223, 7402},
-      519488, 2880, 840, 6278, 160020, 192024, 0x06f27abe11ea9429ull},
+     {4019453, {37657, 13117, 8096, 1374723, 2667956, 7402},
+      519488, 2880, 835, 6200, 160020, 192024, 0x06f27abe11ea9429ull},
      lossy_reliable_fabric},
     {"TwoLevelKwayCrashRecovery", kAms, kKway, true,
      {10280214, {47472, 24937, 19990, 21044, 80387, 4856},
       1522872, 12344, 1330, 9442, 400060, 384064, 0xe4e2dcdde66306c5ull},
      crash_mid_exchange},
-    {"OneLevelKwayNoPool", kOne, kKway, true,
-     {115664, {37657, 3356, 12243, 13726, 45367, 7402},
-      519488, 2880, 376, 3284, 160020, 192024, 0x06f27abe11ea9429ull},
-     no_buffer_pool},
     {"OneLevelKwayDuplicating", kOne, kKway, true,
-     {150083, {37657, 3432, 12319, 13726, 82716, 7402},
-      519488, 2880, 376, 3400, 160020, 192024, 0x06f27abe11ea9429ull},
+     {115742, {37657, 3432, 12319, 13726, 45369, 7402},
+      519488, 2880, 376, 3410, 160020, 192024, 0x06f27abe11ea9429ull},
      duplicating_fabric},
     {"HistogramKwayDuplicating", kHist, kKway, true,
-     {193458, {37657, 3046, 75472, 15580, 63393, 7402},
+     {175947, {37657, 3046, 75472, 15580, 46011, 7402},
       350432, 5568, 336, 2969, 160000, 192000, 0xd097ed39b5a94de5ull},
      duplicating_fabric},
     {"TwoLevelKwayDuplicating", kAms, kKway, true,
@@ -302,8 +291,7 @@ TEST(SortFingerprint, MergeStrategiesAgreeWithinEachScheme) {
 }
 
 // The substrate goldens only pin what they claim if the run really went
-// through that machinery. Faults and the pool change timing, never the
-// output.
+// through that machinery. Faults change timing, never the output.
 TEST(SortFingerprint, SubstrateCasesExerciseTheirMachinery) {
   const Fingerprint& lossy = measured("OneLevelKwayLossyReliable");
   EXPECT_GT(lossy.retransmits, 0u);
@@ -313,11 +301,6 @@ TEST(SortFingerprint, SubstrateCasesExerciseTheirMachinery) {
   const Fingerprint& crash = measured("TwoLevelKwayCrashRecovery");
   EXPECT_EQ(crash.recoveries, 1u);
   EXPECT_EQ(crash.final_members, kMachines - 1);
-
-  const Fingerprint& no_pool = measured("OneLevelKwayNoPool");
-  EXPECT_EQ(no_pool.pool_leases, 0u);
-  EXPECT_GT(measured("OneLevelKway").pool_leases, 0u);
-  EXPECT_EQ(no_pool.output_hash, measured("OneLevelKway").output_hash);
 
   for (const char* scheme : {"OneLevelKway", "HistogramKway", "TwoLevelKway"}) {
     const Fingerprint& dup = measured(std::string(scheme) + "Duplicating");
@@ -344,7 +327,7 @@ TEST(SortFingerprint, DeepScopeTreesKeepTheOutput) {
   const Deep deep[] = {
       {{"HistogramKwayP77", kHist, kKway, true,
         {298744, {12635, 3232, 154531, 111654, 84097, 4184},
-         1538464, 360224, 1745, 14752, 40000, 48000, 0x394e3900dada5254ull}},
+         1538464, 360224, 1745, 14754, 40000, 48000, 0x394e3900dada5254ull}},
        77},
       {{"TwoLevelKwayP81", kAms, kKway, true,
         {110095, {12635, 6482, 31552, 32326, 42701, 3820},

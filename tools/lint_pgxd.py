@@ -199,8 +199,8 @@ def check_hot_path(ctx, out):
                              "template parameter or function pointer"))
     for line, _ in code_matches(ctx, r"\bnew\b(?!\s*\()"):
         out.append(Violation(ctx.rel, line, "hot-path-naked-new",
-                             "naked new in a hot-path file; use containers "
-                             "or the buffer pool"))
+                             "naked new in a hot-path file; use "
+                             "containers"))
     for line, _ in code_matches(ctx, r"\bstd::(multi)?set\s*<"):
         out.append(Violation(ctx.rel, line, "hot-path-std-set",
                              "std::set in a hot-path file; use a sorted "
