@@ -1,10 +1,10 @@
 // Ablation: partitioning-scheme crossover — one-level sampling vs histogram
 // refinement vs two-level AMS, p = 64 .. 4096.
 //
-// Every row is a full simulated sort at one of the --procs counts: total
-// time, the refiner's round count, the achieved epsilon, the partition
-// layer's sample/probe/level-1 traffic out of the SortReport, and the
-// control bytes the sorter counted on the wire.
+// Every row is a full simulated sort of --dist keys (uniform by default) at
+// one of the --procs counts: total time, the refiner's round count, the
+// achieved epsilon, the partition layer's sample/probe/level-1 traffic out
+// of the SortReport, and the control bytes the sorter counted on the wire.
 //
 // Expectation: at small p the one-level scheme's O(p^2) splitter broadcast
 // and counts exchange are cheap and the extra machinery of the refined
@@ -23,13 +23,21 @@ int main(int argc, char** argv) {
   Flags flags;
   declare_common_flags(flags);
   flags.declare("epsilon", "histogram refinement balance target", "0.05");
+  flags.declare("dist",
+                "distribution: uniform|normal|right-skewed|exponential|zipf|"
+                "few-distinct",
+                "uniform");
   flags.parse(argc, argv);
   BenchEnv env = env_from_flags(flags);
   const double epsilon = flags.f64("epsilon");
 
+  gen::Distribution dist = gen::Distribution::kUniform;
+  for (auto d : gen::kAllDistributionsExtended)
+    if (flags.str("dist") == gen::name(d)) dist = d;
+
   print_header(
       "Ablation: partitioning-scheme crossover (one-level vs histogram vs "
-      "AMS)",
+      "AMS), " + std::string(gen::name(dist)) + " keys",
       "expectation: AMS ships less control traffic than one-level from "
       "p ~ 512; histogram ships more at every p",
       env);
@@ -50,8 +58,7 @@ int main(int argc, char** argv) {
       cfg.partition_epsilon = epsilon;
       cfg.partition_max_rounds = 30;
       const auto run =
-          run_pgxd(env, p, dist_shards(env, gen::Distribution::kUniform, p),
-                   cfg, "uniform");
+          run_pgxd(env, p, dist_shards(env, dist, p), cfg, gen::name(dist));
       const auto& pt = run.report.partition;
       t.row({std::to_string(p), core::partition_scheme_name(scheme),
              seconds(run.stats.total_time), std::to_string(pt.rounds),

@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
       pgxd_base = pg_s;
       spark_base = sp_s;
     }
-    t.row({std::to_string(p), Table::fmt(pg_s, 4),
-           Table::fmt(pgxd_base / pg_s, 2) + "x", Table::fmt(sp_s, 4),
+    t.row({std::to_string(p), seconds(pg.stats.total_time),
+           Table::fmt(pgxd_base / pg_s, 2) + "x", seconds(sp.total_time),
            Table::fmt(spark_base / sp_s, 2) + "x",
            Table::fmt(sp_s / pg_s, 2) + "x"});
   }

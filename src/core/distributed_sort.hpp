@@ -839,7 +839,9 @@ class DistributedSorter {
   // request goes down the tree on kTagProbe; each node forwards it, does
   // its local part, and once its children have answered sends one reply up
   // on kTagReply: the rank brackets summed over its subtree, or its
-  // subtree's draws.
+  // subtree's draws, merged and thinned to the root's per-interval probe
+  // cap (sort::thin_per_interval). Every member draws at its own phase of
+  // the draw stride, so the subtrees' draws interleave.
   //
   // Resolution round: the refiner certifies a boundary by a key whose
   // duplicate run *brackets* the target rank — landing on that rank exactly
@@ -929,6 +931,7 @@ class DistributedSorter {
       // local candidates strictly inside the intervals.
       std::vector<std::uint64_t> lo, hi;
       std::vector<Key> drawn;
+      std::vector<sort::RefineInterval<Key>> ivs;
       if (kind == kProbeCount) {
         sort::count_ranks<Key, Comp>(local, keys, lo, hi, comp_);
         co_await m.compute(m.cost().histogram_round_time(n, keys.size()));
@@ -938,19 +941,19 @@ class DistributedSorter {
       } else {
         PGXD_CHECK_MSG(kind == kProbeDraw && keys.size() == 2 * extra.size(),
                        "malformed histogram draw request");
-        std::vector<sort::RefineInterval<Key>> ivs(extra.size());
+        ivs.resize(extra.size());
         for (std::size_t i = 0; i < ivs.size(); ++i) {
           ivs[i].lo = keys[2 * i];
           ivs[i].hi = keys[2 * i + 1];
           ivs[i].has_lo = (extra[i] & 1) != 0;
           ivs[i].has_hi = (extra[i] & 2) != 0;
         }
-        drawn = sort::draw_candidates<Key, Comp>(local, ivs,
-                                                 sort::kDrawPerInterval, comp_);
+        drawn = sort::draw_candidates<Key, Comp>(
+            local, ivs, sort::kDrawPerInterval, midx.pos[rank], q, comp_);
         co_await m.charge_binary_search(n, 2 * ivs.size());
       }
-      // The children's subtrees: sum their brackets, or append their draws.
-      std::size_t kid_draws = 0;
+      // The children's subtrees: sum their brackets, or merge their sorted
+      // draws into this rank's.
       for (SourceSet got(kids, kids); !got.done();) {
         auto msg = co_await recv_sort(m, ctx, tag(kTagReply));
         const std::size_t c = tree.child_pos(midx.source(
@@ -960,9 +963,11 @@ class DistributedSorter {
         // A stale round's reply or a child's repeat: drop.
         if (r.empty() || r[0] != seq || !got.first(c)) continue;
         if (kind == kProbeDraw) {
+          const auto mid = static_cast<std::ptrdiff_t>(drawn.size());
           drawn.insert(drawn.end(), msg.payload.keys.begin(),
                        msg.payload.keys.end());
-          kid_draws += msg.payload.keys.size();
+          std::inplace_merge(drawn.begin(), drawn.begin() + mid, drawn.end(),
+                             comp_);
           continue;
         }
         const std::size_t np = keys.size();
@@ -977,10 +982,16 @@ class DistributedSorter {
       }
       if (kids > 0 && kind == kProbeCount)
         co_await m.compute(m.cost().merge_time(kids * 2 * keys.size()));
-      if (kids > 0 && kind == kProbeDraw) co_await m.charge_copy(kid_draws);
+      if (kids > 0 && kind == kProbeDraw)
+        co_await m.compute(m.cost().merge_time(drawn.size()));
 
       if (!tree.root()) {
-        // One reply up: {seq, lo..., hi...}, or {seq} and the draws.
+        // One reply up: {seq, lo..., hi...}, or {seq} and the subtree's
+        // draws thinned to the root's per-interval probe cap.
+        if (kind == kProbeDraw)
+          drawn = sort::thin_per_interval<Key, Comp>(
+              std::move(drawn), ivs,
+              sort::HistogramRefiner<Key, Comp>::kProbeCapPerInterval, comp_);
         std::vector<std::uint64_t> hdr(1, seq);
         hdr.insert(hdr.end(), lo.begin(), lo.end());
         hdr.insert(hdr.end(), hi.begin(), hi.end());
@@ -999,7 +1010,6 @@ class DistributedSorter {
         extra.clear();
       } else if (!resolving) {
         refiner->absorb_counts(lo, hi);
-        std::vector<sort::RefineInterval<Key>> ivs;
         if (!refiner->done() && refiner->rounds() < max_rounds)
           ivs = refiner->draw_intervals();
         kind = kProbeDraw;
@@ -1163,7 +1173,7 @@ class DistributedSorter {
       // ---- Step 2: regular samples to the master ----------------------------
       const std::uint64_t sample_count = sample_budget(q, n, histogram);
       std::vector<Key> samples =
-          sort::regular_samples<Key>(local, sample_count);
+          sort::regular_samples<Key>(local, sample_count, idx, q);
       ms.sample_count += samples.size();
       co_await m.charge_copy(samples.size());
       if (rank != master) {

@@ -47,6 +47,7 @@
 
 #include "common/assert.hpp"
 #include "sort/comparator.hpp"
+#include "sort/samples.hpp"
 
 namespace pgxd::sort {
 
@@ -150,12 +151,17 @@ struct RefineInterval {
 };
 
 // Up to `per_interval` evenly spaced local keys strictly inside each
-// interval — the member-side half of a draw round. Returns candidates for
-// all intervals concatenated (the master dedups against known keys).
+// interval — the member-side half of a draw round, for member `idx` of a
+// `q`-member scope. Draw i of the k taken from the m local keys inside an
+// interval sits at phased_position(i, k, m, idx, q), so the members' draws
+// interleave instead of repeating the same local quantiles. Returns the
+// candidates for all intervals concatenated; sorted when the intervals are
+// sorted and disjoint, as HistogramRefiner::draw_intervals() yields them.
 template <typename Key, typename Comp = Less>
 std::vector<Key> draw_candidates(std::span<const Key> sorted,
                                  std::span<const RefineInterval<Key>> intervals,
-                                 std::size_t per_interval, Comp comp = {}) {
+                                 std::size_t per_interval, std::size_t idx,
+                                 std::size_t q, Comp comp = {}) {
   std::vector<Key> out;
   for (const auto& iv : intervals) {
     auto first = iv.has_lo
@@ -168,7 +174,37 @@ std::vector<Key> draw_candidates(std::span<const Key> sorted,
     if (m == 0) continue;
     const std::size_t take = std::min(per_interval, m);
     for (std::size_t i = 0; i < take; ++i)
-      out.push_back(first[(i + 1) * m / (take + 1)]);
+      out.push_back(first[phased_position(i, take, m, idx, q)]);
+  }
+  return out;
+}
+
+// Thins a sorted key pool (duplicates allowed) to at most `cap` evenly
+// spaced distinct keys strictly inside each of the sorted, disjoint
+// `intervals`; keys outside every interval are dropped, and an interval
+// holding at most `cap` distinct keys keeps them all. Every scope-tree node
+// runs it over the union of its subtree's draws before replying, and the
+// refiner's absorb_draws() caps the root's pool with it, so no draw reply
+// carries more than `cap` keys per interval.
+template <typename Key, typename Comp = Less>
+std::vector<Key> thin_per_interval(std::vector<Key> pool,
+                                   std::span<const RefineInterval<Key>> intervals,
+                                   std::size_t cap, Comp comp = {}) {
+  PGXD_DCHECK(std::is_sorted(pool.begin(), pool.end(), comp));
+  pool.erase(std::unique(pool.begin(), pool.end(),
+                         [&](const Key& a, const Key& b) { return !comp(a, b); }),
+             pool.end());
+  std::vector<Key> out;
+  for (const auto& iv : intervals) {
+    auto first = iv.has_lo
+                     ? std::upper_bound(pool.begin(), pool.end(), iv.lo, comp)
+                     : pool.begin();
+    auto last = iv.has_hi ? std::lower_bound(first, pool.end(), iv.hi, comp)
+                          : pool.end();
+    const auto avail = static_cast<std::size_t>(last - first);
+    const std::size_t take = std::min(cap, avail);
+    for (std::size_t i = 0; i < take; ++i)
+      out.push_back(first[(i + 1) * avail / (take + 1)]);
   }
   return out;
 }
@@ -260,35 +296,22 @@ class HistogramRefiner {
   // would put O(q^2) keys per round on the wire without converging any
   // faster than an evenly spaced subset (draws are rank-uniform inside
   // the bracket either way). The cap bounds the next probe set at
-  // kProbeCapPerInterval * intervals keys.
+  // kProbeCapPerInterval * intervals keys, and every scope-tree node
+  // thins its subtree's draws to the same cap before replying.
   static constexpr std::size_t kProbeCapPerInterval = 8;
 
   // Registers a draw round's yield and marks boundaries whose interval
   // produced nothing as exhausted (no key exists strictly inside the
   // bracket, so the best certified candidate is final). Returns the fresh
-  // probe set for the next counting round, capped per interval.
+  // probe set for the next counting round, capped per interval. No
+  // certified key lies strictly inside an unresolved boundary's bracket
+  // (its own rank bracket would contain the target), so capping before
+  // seed() drops known keys loses no fresh one.
   std::vector<Key> absorb_draws(std::vector<Key> drawn) {
     std::sort(drawn.begin(), drawn.end(), comp_);
-    std::vector<Key> pool;
-    for (const Key& k : drawn) {
-      if (!pool.empty() && !comp_(pool.back(), k)) continue;  // dup in batch
-      if (known(k)) continue;
-      pool.push_back(k);
-    }
-    std::vector<Key> capped;
-    for (const RefineInterval<Key>& iv : draw_intervals()) {
-      auto first = iv.has_lo ? std::upper_bound(pool.begin(), pool.end(),
-                                                iv.lo, comp_)
-                             : pool.begin();
-      auto last = iv.has_hi
-                      ? std::lower_bound(first, pool.end(), iv.hi, comp_)
-                      : pool.end();
-      const auto avail = static_cast<std::size_t>(last - first);
-      const std::size_t take = std::min(kProbeCapPerInterval, avail);
-      for (std::size_t i = 0; i < take; ++i)
-        capped.push_back(first[(i + 1) * avail / (take + 1)]);
-    }
-    std::vector<Key> fresh = seed(std::move(capped));
+    const std::vector<RefineInterval<Key>> ivs = draw_intervals();
+    std::vector<Key> fresh = seed(thin_per_interval<Key, Comp>(
+        std::move(drawn), ivs, kProbeCapPerInterval, comp_));
     for (std::size_t j = 0; j < targets_.size(); ++j) {
       if (resolved_[j]) continue;
       const RefineInterval<Key> iv = bracket(targets_[j]);

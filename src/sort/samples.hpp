@@ -2,14 +2,17 @@
 // paper's pipeline.
 //
 // Each processor draws `count` regular samples from its locally sorted
-// data; the master merges all received samples and selects p-1 final
-// splitters at regular positions.
+// data, offset by its own phase within the sample stride; the master
+// merges all received samples and selects p-1 final splitters at regular
+// positions.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -18,17 +21,34 @@
 
 namespace pgxd::sort {
 
-// Picks `count` regular samples from sorted `data`: sample i sits at
-// position (i+1) * n / (count+1), i.e. the interior quantile boundaries.
+// Position of pick i of `count` evenly spaced picks from `n` sorted slots
+// for member `idx` of a `q`-member scope: (i + phi) * n / count, where the
+// member's phase phi = (idx + 1/2) / q of one stride. Aligned picks would
+// land every member's i-th pick near the same global quantile of iid
+// shards, so the union of q members' picks would be `count` tight clusters;
+// the phases interleave them into q * count spread quantiles. Exact integer
+// arithmetic: floor((2q*i + 2*idx + 1) * n / (2q * count)).
+inline std::size_t phased_position(std::size_t i, std::size_t count,
+                                   std::size_t n, std::size_t idx,
+                                   std::size_t q) {
+  const std::uint64_t q2 = 2 * std::uint64_t{q};
+  PGXD_DCHECK(i < count && idx < q);
+  PGXD_DCHECK(n <= std::numeric_limits<std::uint64_t>::max() / (q2 * count));
+  return static_cast<std::size_t>((q2 * i + 2 * idx + 1) * n / (q2 * count));
+}
+
+// Picks `count` regular samples from sorted `data` for member `idx` of a
+// `q`-member scope: sample i sits at phased_position(i, count, n, idx, q).
 // If count >= n, returns a copy of the data (every element is a sample).
 template <typename T>
-std::vector<T> regular_samples(std::span<const T> data, std::size_t count) {
+std::vector<T> regular_samples(std::span<const T> data, std::size_t count,
+                               std::size_t idx, std::size_t q) {
   const std::size_t n = data.size();
   if (count >= n) return std::vector<T>(data.begin(), data.end());
   std::vector<T> samples;
   samples.reserve(count);
   for (std::size_t i = 0; i < count; ++i)
-    samples.push_back(data[(i + 1) * n / (count + 1)]);
+    samples.push_back(data[phased_position(i, count, n, idx, q)]);
   return samples;
 }
 

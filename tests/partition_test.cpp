@@ -120,8 +120,13 @@ TEST(DrawCandidates, StaysStrictlyInsideIntervals) {
   std::vector<RefineInterval<Key>> ivs(2);
   ivs[0] = {100, 300, true, true};   // keys 110..290 qualify
   ivs[1] = {800, 0, true, false};    // keys 810.. qualify (open above)
-  const auto out = draw_candidates<Key>(data, ivs, 4);
-  ASSERT_FALSE(out.empty());
+  // 19 keys in each interval: draw i at (i + 1/2) * 19 / 4 for the only
+  // member of a one-member scope.
+  EXPECT_EQ(draw_candidates<Key>(data, ivs, 4, 0, 1),
+            (std::vector<Key>{130, 180, 220, 270, 830, 880, 920, 970}));
+  // Member 2 of 3 draws at (i + 5/6) * 19 / 4.
+  const auto out = draw_candidates<Key>(data, ivs, 4, 2, 3);
+  EXPECT_EQ(out, (std::vector<Key>{140, 190, 240, 290, 840, 890, 940, 990}));
   for (Key k : out) {
     const bool in0 = k > 100 && k < 300;
     const bool in1 = k > 800;
@@ -135,8 +140,62 @@ TEST(DrawCandidates, RespectsPerIntervalCapAndEmptyIntervals) {
   std::vector<RefineInterval<Key>> ivs(2);
   ivs[0] = {0, 999, true, true};
   ivs[1] = {500, 501, true, true};  // nothing strictly between 500 and 501
-  const auto out = draw_candidates<Key>(data, ivs, 6);
-  EXPECT_EQ(out.size(), 6u);  // cap from the wide interval, zero from empty
+  // Cap from the wide interval (998 keys, draw i at (i + 1/2) * 998 / 6),
+  // zero from the empty one.
+  EXPECT_EQ(draw_candidates<Key>(data, ivs, 6, 0, 1),
+            (std::vector<Key>{84, 250, 416, 583, 749, 915}));
+}
+
+// q members drawing from one identical run inside one interval together
+// pick q * k distinct keys; aligned draws would repeat the same k.
+TEST(DrawCandidates, MembersOfOneScopeInterleave) {
+  std::vector<Key> data(10000);
+  std::iota(data.begin(), data.end(), Key{0});
+  const std::vector<RefineInterval<Key>> ivs{{100, 9000, true, true}};
+  const std::size_t q = 16;
+  std::vector<Key> all;
+  for (std::size_t idx = 0; idx < q; ++idx) {
+    const auto got = draw_candidates<Key>(data, ivs, kDrawPerInterval, idx, q);
+    ASSERT_EQ(got.size(), kDrawPerInterval);
+    all.insert(all.end(), got.begin(), got.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::unique(all.begin(), all.end()), all.end());
+  EXPECT_EQ(all.size(), q * kDrawPerInterval);
+  EXPECT_GT(all.front(), 100u);
+  EXPECT_LT(all.back(), 9000u);
+}
+
+TEST(ThinPerInterval, CapsSortsAndDedupsInsideEachInterval) {
+  std::vector<Key> pool;
+  for (Key k = 0; k < 200; ++k) pool.insert(pool.end(), {k, k});  // dup pairs
+  const std::vector<RefineInterval<Key>> ivs{
+      {Key{0}, 10, false, true},   // -inf..10: keys 0..9
+      {20, 25, true, true},        // keys 21..24, fewer than the cap
+      {30, 31, true, true},        // nothing strictly inside
+      {100, 0, true, false}};      // 101..+inf: keys 101..199
+  const std::size_t cap = 8;
+  const auto out = thin_per_interval<Key>(pool, ivs, cap);
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  EXPECT_EQ(std::adjacent_find(out.begin(), out.end()), out.end());
+  std::vector<std::size_t> per(ivs.size(), 0);
+  for (Key k : out) {
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < ivs.size(); ++i) {
+      const bool above = !ivs[i].has_lo || k > ivs[i].lo;
+      const bool below = !ivs[i].has_hi || k < ivs[i].hi;
+      if (above && below) {
+        ++per[i];
+        ++hits;
+      }
+    }
+    EXPECT_EQ(hits, 1u) << k << " lies strictly inside no interval";
+  }
+  EXPECT_EQ(per, (std::vector<std::size_t>{cap, 4, 0, cap}));
+  // An interval with at most `cap` distinct keys keeps every one of them.
+  for (Key k = 21; k <= 24; ++k)
+    EXPECT_TRUE(std::binary_search(out.begin(), out.end(), k)) << k;
+  EXPECT_TRUE(thin_per_interval<Key>({}, ivs, cap).empty());
 }
 
 // ---- HistogramRefiner unit behaviour --------------------------------------
@@ -203,9 +262,10 @@ HarnessOutcome refine_over(const std::vector<std::vector<Key>>& ranks,
   const std::size_t per_rank =
       std::max<std::size_t>(2, parts / kHistogramSampleDivisor);
   std::vector<Key> init;
-  for (const auto& r : ranks)
-    for (std::size_t i = 0; i < per_rank && !r.empty(); ++i)
-      init.push_back(r[(i + 1) * r.size() / (per_rank + 1)]);
+  for (std::size_t idx = 0; idx < ranks.size(); ++idx) {
+    const auto s = regular_samples<Key>(ranks[idx], per_rank, idx, ranks.size());
+    init.insert(init.end(), s.begin(), s.end());
+  }
   auto probes = ref.seed(std::move(init));
 
   std::vector<std::uint64_t> lo_sum, hi_sum, lo, hi;
@@ -223,8 +283,9 @@ HarnessOutcome refine_over(const std::vector<std::vector<Key>>& ranks,
     if (ref.done()) break;
     const auto ivs = ref.draw_intervals();
     std::vector<Key> drawn;
-    for (const auto& r : ranks) {
-      const auto got = draw_candidates<Key>(r, ivs, kDrawPerInterval);
+    for (std::size_t idx = 0; idx < ranks.size(); ++idx) {
+      const auto got = draw_candidates<Key>(ranks[idx], ivs, kDrawPerInterval,
+                                            idx, ranks.size());
       drawn.insert(drawn.end(), got.begin(), got.end());
     }
     probes = ref.absorb_draws(std::move(drawn));
@@ -305,7 +366,8 @@ std::vector<ScaleParam> scale_grid() {
 }
 
 std::string scale_name(const ::testing::TestParamInfo<ScaleParam>& info) {
-  std::string n = "P" + std::to_string(info.param.parts);
+  std::string n = "P";
+  n += std::to_string(info.param.parts);
   switch (info.param.dist) {
     case gen::Distribution::kUniform: n += "Uniform"; break;
     case gen::Distribution::kRightSkewed: n += "Skewed"; break;
@@ -555,6 +617,44 @@ TEST(SchemeBalanceLarge, HistogramAtP1024) {
   const std::size_t p = 1024;
   const auto shards = shards_for(gen::Distribution::kUniform, 32768, p);
   run_scheme(PartitionScheme::kHistogramRefine, shards, 1.0);
+}
+
+// Each rank ships s = 32 samples at p = 1024 and n = 262,144 (the paper's
+// X = 256 KiB / p budget), far fewer than p. Samples at the same local
+// quantiles on every rank would stack into s clusters of p near-equal keys
+// and leave whole buckets between them (one-level epsilon 14.0 and AMS
+// 0.43 in the crossover sweep); each rank's phase spreads the master's
+// pool over p * s distinct quantiles.
+TEST(SchemeBalanceLarge, InterleavedSamplesBalanceOneLevelAndAmsAtP1024) {
+  const std::size_t p = 1024;
+  const auto shards = shards_for(gen::Distribution::kUniform, 262144, p);
+  const auto a = run_scheme(PartitionScheme::kOneLevelSample, shards, 0.999);
+  const auto c = run_scheme(PartitionScheme::kTwoLevelAms, shards, 0.1);
+  EXPECT_EQ(a, c);
+}
+
+// Draw rounds thin every subtree's draws to the refiner's per-interval
+// probe cap on the way up the scope tree, so the master's receive port
+// takes in at most kProbeCapPerInterval keys per interval from each child
+// instead of kDrawPerInterval from every member of the child's subtree.
+// The master's receive time also holds step 4's counts relay (255 count
+// vectors of 256 u64s, 0.5 MB) either way; forwarding every draw to the
+// root put it at 173 us, thinning at 125 us.
+TEST(SchemeBalanceLarge, HistogramDrawRepliesStayThinAtTheMaster) {
+  const std::size_t p = 256;
+  const auto shards = shards_for(gen::Distribution::kZipf, p * 256, p);
+  SortConfig cfg;
+  cfg.partition = PartitionScheme::kHistogramRefine;
+  rt::ClusterConfig ccfg;
+  ccfg.machines = p;
+  ccfg.threads_per_machine = 2;
+  rt::Cluster<Sorter::Msg> cluster(ccfg);
+  Sorter sorter(cluster, cfg);
+  sorter.run(shards);
+  EXPECT_TRUE(validate_sorted(sorter.partitions(), shards).ok());
+  EXPECT_LE(sorter.stats().partition.achieved_epsilon,
+            cfg.partition_epsilon + 1e-12);
+  EXPECT_LT(cluster.fabric().rx_busy(0), 150 * sim::kMicrosecond);
 }
 
 // ---- The scope tree the scale-out control plane runs over -------------------

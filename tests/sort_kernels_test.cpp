@@ -313,25 +313,51 @@ TEST(InsertionSort, SmallInputs) {
 TEST(RegularSamples, PositionsAreQuantiles) {
   std::vector<std::uint64_t> data(100);
   std::iota(data.begin(), data.end(), 0);
-  const auto s = regular_samples<std::uint64_t>(data, 4);
-  // positions (i+1)*100/5 = 20, 40, 60, 80
-  EXPECT_EQ(s, (std::vector<std::uint64_t>{20, 40, 60, 80}));
+  // Member idx of q takes sample i at (i + (idx + 1/2) / q) * 100 / 4.
+  // One member: 12.5, 37.5, 62.5, 87.5.
+  EXPECT_EQ(regular_samples<std::uint64_t>(data, 4, 0, 1),
+            (std::vector<std::uint64_t>{12, 37, 62, 87}));
+  // Two members: 6.25, 31.25, ... and 18.75, 43.75, ...
+  EXPECT_EQ(regular_samples<std::uint64_t>(data, 4, 0, 2),
+            (std::vector<std::uint64_t>{6, 31, 56, 81}));
+  EXPECT_EQ(regular_samples<std::uint64_t>(data, 4, 1, 2),
+            (std::vector<std::uint64_t>{18, 43, 68, 93}));
 }
 
 TEST(RegularSamples, CountGeSizeReturnsAll) {
   const std::vector<std::uint64_t> data{3, 5, 9};
-  EXPECT_EQ(regular_samples<std::uint64_t>(data, 10), data);
-  EXPECT_EQ(regular_samples<std::uint64_t>(data, 3), data);
+  EXPECT_EQ(regular_samples<std::uint64_t>(data, 10, 0, 1), data);
+  EXPECT_EQ(regular_samples<std::uint64_t>(data, 3, 2, 4), data);
 }
 
 TEST(RegularSamples, SamplesAreSortedSubset) {
   auto data = random_vec(1000, 21);
   std::sort(data.begin(), data.end());
-  const auto s = regular_samples<std::uint64_t>(data, 37);
-  EXPECT_EQ(s.size(), 37u);
-  EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
-  for (auto x : s)
-    EXPECT_TRUE(std::binary_search(data.begin(), data.end(), x));
+  for (std::size_t idx : {0u, 5u, 12u}) {
+    const auto s = regular_samples<std::uint64_t>(data, 37, idx, 13);
+    EXPECT_EQ(s.size(), 37u);
+    EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
+    for (auto x : s)
+      EXPECT_TRUE(std::binary_search(data.begin(), data.end(), x));
+  }
+}
+
+// q members sampling one identical run interleave: together they pick
+// q * s distinct positions, exactly the one-member regular sample of size
+// q * s. Aligned picks would give every member the same s positions.
+TEST(RegularSamples, MembersOfOneScopeInterleave) {
+  std::vector<std::uint64_t> data(10000);
+  std::iota(data.begin(), data.end(), 0);
+  const std::size_t q = 64, s = 16;
+  std::vector<std::uint64_t> all;
+  for (std::size_t idx = 0; idx < q; ++idx) {
+    const auto got = regular_samples<std::uint64_t>(data, s, idx, q);
+    all.insert(all.end(), got.begin(), got.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::unique(all.begin(), all.end()), all.end());
+  EXPECT_EQ(all.size(), q * s);
+  EXPECT_EQ(all, regular_samples<std::uint64_t>(data, q * s, 0, 1));
 }
 
 TEST(SelectSplitters, CountAndOrder) {
