@@ -41,9 +41,6 @@ class SortedSequence {
 
   std::uint64_t size() const { return prefix_.back(); }
   std::size_t machines() const { return parts_->size(); }
-  std::uint64_t partition_size(std::size_t m) const {
-    return (*parts_)[m].size();
-  }
 
   // Element at a global rank.
   const ItemT& at(std::uint64_t global_index) const {

@@ -167,7 +167,6 @@ struct SortConfig {
 
 struct MachineStats {
   StepTimings steps;
-  std::uint64_t received_elements = 0;
   std::uint64_t sent_elements = 0;        // excluding the self range
   std::uint64_t sample_count = 0;
   std::size_t searches = 0;               // binary searches in step (4)

@@ -17,10 +17,11 @@
 // One routine, partition_phase_impl, runs steps 2-6 for every partition
 // scheme (SortConfig::partition). kOneLevelSample is the paper's single
 // pass. kHistogramRefine seeds its splitter refinement from step 3's sample
-// gather. kTwoLevelAms runs steps 2-4 twice through the same code: level 1
-// over the whole membership with ~sqrt(p) rank groups as the parts, then a
-// bucket exchange to one partner per foreign group and a group-local merge;
-// level 2 within this rank's group, followed by steps 5-6.
+// gather. kTwoLevelAms runs steps 2-6 twice through the same code: level 1
+// over the whole membership with ~sqrt(p) rank groups as the parts, each
+// aimed at its members' share of the keys, ships one bucket to one partner
+// per foreign group and merges what it receives into the next sorted run;
+// level 2 runs within this rank's group.
 //
 // All data movement is real (the output partitions are physically sorted
 // real vectors); elapsed time is simulated through the cost model and the
@@ -108,9 +109,9 @@ struct SortMsg {
   // kTagData / kTagL1Data: sender-side start offset; samples: the sender's
   // shard size.
   std::uint64_t prov_base = 0;
-  // kTagData: offset of this chunk within the (src -> dst) range, so
-  // receivers place chunks correctly even if the fabric reorders them
-  // (e.g. under latency jitter).
+  // kTagData / kTagL1Data: offset of this frame within the (src -> dst)
+  // range, so receivers place chunks correctly even if the fabric reorders
+  // them (e.g. under latency jitter); 0 for a level-1 bucket.
   std::uint64_t rel_offset = 0;
   std::uint64_t len = 0;  // kTagData / kTagL1Data: elements viewed
 
@@ -525,15 +526,18 @@ class DistributedSorter {
       for (const auto& k : keys)
         items.push_back(sort::WeightedSample<Key>{k, w});
     }
-    // Sorts the pool and picks parts-1 splitters; the caller charges the
-    // sort.
-    std::vector<Key> select(std::size_t parts, const Comp& comp) {
+    // Sorts the pool and picks parts-1 splitters at the cumulative
+    // `shares` (equal shares when empty); the caller charges the sort.
+    std::vector<Key> select(std::size_t parts,
+                            std::span<const std::size_t> shares,
+                            const Comp& comp) {
       std::sort(items.begin(), items.end(),
                 [&comp](const sort::WeightedSample<Key>& a,
                         const sort::WeightedSample<Key>& b) {
                   return comp(a.key, b.key);
                 });
-      return sort::select_splitters_weighted<Key, Comp>(items, parts, comp);
+      return sort::select_splitters_weighted<Key, Comp>(items, parts, comp,
+                                                        shares);
     }
   };
 
@@ -783,10 +787,12 @@ class DistributedSorter {
   // path: a bounded poll loop that (a) dies promptly if this rank crashed,
   // (b) drains abort frames, and (c) turns failure-detector suspicion of
   // any member into an attempt abort.
+  // pgxd-protocol: allow(tag-opaque) -- forwards the caller's tag
   sim::Task<Envelope> recv_sort(rt::Machine& m, const AttemptCtx& ctx, int tg) {
     auto& comm = cluster_.comm();
     const std::size_t rank = m.rank();
     if (!recovery_active_) {
+      // pgxd-protocol: allow(tag-opaque) -- forwards the caller's tag
       Envelope v = co_await comm.recv(rank, tg);
       co_return v;
     }
@@ -805,6 +811,7 @@ class DistributedSorter {
                                      " suspected crashed");
         }
       }
+      // pgxd-protocol: allow(tag-opaque) -- forwards the caller's tag
       auto got = co_await comm.recv_until(rank, tg, sim.now() + poll);
       if (got) co_return std::move(*got);
     }
@@ -1115,21 +1122,22 @@ class DistributedSorter {
     return partition_phase_impl(m, std::move(ctx), std::move(local));
   }
 
-  // Steps (2)-(6) for every partition scheme, over ctx.scope.
-  // Steps (2)-(4) — regular samples, the master's gather and selection,
-  // the plan and the per-destination counts — run once for the flat
-  // schemes, and kHistogramRefine seeds refine_splitters from that same
-  // sample gather. kTwoLevelAms runs them twice. Level 1 cuts the whole
-  // membership into ~sqrt(q) contiguous rank groups: the coarse splitters
-  // go down the scope tree, each rank sends one count and one bucket to
-  // its partner in each foreign group (per-rank fan-out ~sqrt(q) instead
-  // of q) and merges the buckets it receives. ctx.scope then narrows to
-  // this rank's group and level 2 repeats steps (2)-(4) there before the
-  // exchange and final merge. Group contiguity plus the ordered coarse
-  // splitters keep the global output sorted in rank order. All per-source
-  // bookkeeping is indexed 0..q-1 over ctx.scope; provenance and endpoints
-  // stay in physical rank space, and aborts and the failure detector keep
-  // watching the full membership through recv_sort.
+  // Steps (2)-(6) for every partition scheme, over ctx.scope: regular
+  // samples, the master's gather and selection, the plan and the
+  // per-destination counts, the exchange and the merge. They run once for
+  // the flat schemes, and kHistogramRefine seeds refine_splitters from
+  // that same sample gather. kTwoLevelAms runs them twice. Level 1 cuts
+  // the whole membership into ~sqrt(q) contiguous rank groups, each aimed
+  // at its share of the members: the coarse splitters go down the scope
+  // tree, each rank ships one count and one bucket to its partner in each
+  // foreign group (per-rank fan-out ~sqrt(q) instead of q) and merges what
+  // it receives into its next sorted run. ctx.scope then narrows to this
+  // rank's group and level 2 is the last pass. Group contiguity plus the
+  // ordered coarse splitters keep the global output sorted in rank order.
+  // All per-source bookkeeping is indexed 0..q-1 over ctx.scope;
+  // provenance and endpoints stay in physical rank space, and aborts and
+  // the failure detector keep watching the full membership through
+  // recv_sort.
   sim::Task<void> partition_phase_impl(rt::Machine& m, AttemptCtx ctx,
                                        std::vector<Key> local) {
     auto& comm = cluster_.comm();
@@ -1159,9 +1167,31 @@ class DistributedSorter {
     std::size_t q = ctx.scope.size();
     std::size_t idx = midx.pos[rank];
     PGXD_CHECK_MSG(idx < q, "sort attempt spawned on a non-member rank");
-    PartitionPlan plan;
-    std::vector<std::uint64_t> recv_counts;
+    auto& out = output_[rank];
     sim::SimTime mark = sim.now();
+
+    // Hot-loop instruments, resolved once: per-chunk telemetry is then a
+    // pointer-guarded integer add.
+    obs::Counter* c_chunks_sent = nullptr;
+    obs::Counter* c_chunks_recv = nullptr;
+    obs::Counter* c_dup_chunks = nullptr;
+    obs::Counter* c_items_sent = nullptr;
+    obs::Counter* c_items_recv = nullptr;
+    obs::Counter* c_wire_sent = nullptr;
+    obs::LogHistogram* h_chunk_elems = nullptr;
+    obs::Counter* c_kway_ranges = nullptr;
+    obs::Counter* c_kway_rounds = nullptr;
+    if (telemetry) {
+      c_chunks_sent = &reg.counter("sort.exchange.chunks_sent");
+      c_chunks_recv = &reg.counter("sort.exchange.chunks_received");
+      c_dup_chunks = &reg.counter("sort.exchange.duplicate_chunks");
+      c_items_sent = &reg.counter("sort.exchange.items_sent");
+      c_items_recv = &reg.counter("sort.exchange.items_received");
+      c_wire_sent = &reg.counter("sort.exchange.wire_bytes_sent");
+      h_chunk_elems = &reg.histogram("sort.exchange.chunk_elems");
+      c_kway_ranges = &reg.counter("sort.merge.kway_ranges");
+      c_kway_rounds = &reg.counter("sort.merge.kway_select_rounds");
+    }
 
     for (bool level1 = xprov;; level1 = false) {
       const std::size_t master = ctx.scope[0];
@@ -1169,6 +1199,11 @@ class DistributedSorter {
       // Level 1 cuts the scope into groups, every other pass into ranks.
       const std::size_t parts = level1 ? layout.groups : q;
       const std::size_t part = level1 ? layout.group_of(idx) : idx;
+      // Boundary j's target: level 1 aims each group at its members'
+      // share, every other pass at equal shares.
+      const std::span<const std::size_t> shares =
+          level1 ? std::span<const std::size_t>(layout.start)
+                 : std::span<const std::size_t>();
 
       // ---- Step 2: regular samples to the master ----------------------------
       const std::uint64_t sample_count = sample_budget(q, n, histogram);
@@ -1213,7 +1248,7 @@ class DistributedSorter {
           pool.add(msg.payload.keys, msg.payload.prov_base);
         }
         rt::TempAlloc pool_mem(mem, pool.items.size() * sizeof(Key) * 2);
-        chosen = pool.select(parts, comp_);
+        chosen = pool.select(parts, shares, comp_);
         co_await m.compute_parallel(m.cost().sort_time(pool.items.size()));
       }
       Msg split;
@@ -1255,6 +1290,7 @@ class DistributedSorter {
       stamp(rank, mark, Step::kSplitterSelect, splitters.size() * sizeof(Key));
 
       // ---- Step 4: partition plan + counts exchange -------------------------
+      PartitionPlan plan;
       if (histogram && !splitters.empty() &&
           dup_takes.size() == splitters.size()) {
         // Exact-rank bounds from the refinement's resolution round: every
@@ -1281,7 +1317,7 @@ class DistributedSorter {
         // The duplicate-splitter investigator balances duplicate runs
         // across part boundaries.
         plan = plan_partition<Key, Comp>(local, splitters,
-                                         cfg_.use_investigator, comp_);
+                                         cfg_.use_investigator, comp_, shares);
       }
       ms.searches += plan.searches;
       ms.duplicate_groups += plan.duplicate_groups;
@@ -1296,7 +1332,8 @@ class DistributedSorter {
       // count matrix through the scope master instead: 2(q-1) q-entry
       // messages, 2q^2 u64 transient. Level 1 sends only ~sqrt(q) per rank.
       const std::vector<std::uint64_t> send_counts = plan_sizes(plan);
-      recv_counts.assign(q, 0);
+      // recv_counts[k] = elements member k sends us.
+      std::vector<std::uint64_t> recv_counts(q, 0);
       if (!level1 && q > kBatchedCountsScope) {
         if (rank == master) {
           std::vector<std::vector<std::uint64_t>> matrix(q);
@@ -1350,7 +1387,6 @@ class DistributedSorter {
                     tag(level1 ? kTagL1Counts : kTagCounts),
                     Msg::of_counts(std::move(one)), bytes);
         }
-        // recv_counts[k] = elements member k sends us.
         const auto sends_here = [&](std::size_t k) {
           return level1 ? layout.group_of(k) != part &&
                               layout.partner(k, part) == idx
@@ -1370,106 +1406,320 @@ class DistributedSorter {
         }
       }
       stamp(rank, mark, Step::kPartitionPlan, parts * sizeof(std::uint64_t));
-      if (!level1) break;
 
-      // ---- AMS level 1: bucket exchange and group-local merge ---------------
-      // One message per (sender, foreign group) pair — O(q * sqrt(q))
-      // messages cluster-wide instead of O(q^2). Each bucket is a view of
-      // this rank's sorted run.
-      auto l1_run = std::make_shared<const SortedRun<Key>>(
-          std::move(local), std::vector<std::uint64_t>{});
-      std::uint64_t l1_wire_sent = 0;
-      for (std::size_t g = 0; g < parts; ++g) {
-        if (g == part) continue;
-        const std::size_t lo = plan.bounds[g];
-        const std::size_t hi = plan.bounds[g + 1];
-        if (lo == hi) continue;
-        const std::uint64_t bytes =
-            (hi - lo) * kDataWireBytesPerKey + kChunkHeaderBytes;
-        note_data_bytes(bytes);
-        ms.sent_elements += hi - lo;
-        l1_wire_sent += bytes;
-        co_await m.charge_copy(hi - lo);
-        comm.post(rank, ctx.scope[layout.partner(idx, g)], tag(kTagL1Data),
-                  Msg::of_view(l1_run, lo, hi - lo, 0), bytes);
-      }
-      // Contributors to this rank's group-local array, in member-index
-      // order, so the merged result is deterministic under any arrival
-      // order.
-      std::vector<std::size_t> contrib;
-      for (std::size_t k = 0; k < q; ++k)
-        if (recv_counts[k] > 0) contrib.push_back(k);
-      std::vector<std::size_t> roff(contrib.size() + 1, 0);
-      for (std::size_t c = 0; c < contrib.size(); ++c)
-        roff[c + 1] = roff[c] + recv_counts[contrib[c]];
-      const std::size_t l1_total = roff.back();
-      std::vector<Key> merged(l1_total);
-      // Origin of each merged element: a level-1 bucket is a contiguous
-      // slice of its sender's locally sorted shard, so origin indices are
-      // reconstructed from the sender rank and the bucket's prov_base —
-      // provenance still costs zero bytes on this hop.
-      std::vector<std::uint64_t> mprov(l1_total);
-      std::size_t expect_msgs = 0;
-      for (std::size_t c = 0; c < contrib.size(); ++c) {
-        if (contrib[c] != idx) {
-          ++expect_msgs;
-          continue;
-        }
-        const std::span<const Key> own(
-            l1_run->keys.data() + plan.bounds[part], recv_counts[idx]);
-        std::copy(own.begin(), own.end(),
-                  merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
-        for (std::size_t i = 0; i < recv_counts[idx]; ++i)
-          mprov[roff[c] + i] = pack_prov(rank, plan.bounds[part] + i);
-      }
-      co_await m.charge_copy(recv_counts[idx]);
-      std::uint64_t l1_recv = 0;
-      for (SourceSet got(q, expect_msgs, idx); !got.done();) {
-        auto msg = co_await recv_sort(m, ctx, tag(kTagL1Data));
-        const std::size_t sj =
-            midx.source(msg.src, "level-1 bucket from a rank outside the "
-                                 "attempt membership");
-        if (!got.first(sj)) continue;
-        const auto it = std::lower_bound(contrib.begin(), contrib.end(), sj);
-        const std::span<const Key> bucket = msg.payload.view();
-        PGXD_CHECK_MSG(it != contrib.end() && *it == sj &&
-                           bucket.size() == recv_counts[sj],
-                       "level-1 bucket does not match its announced size");
-        const auto c = static_cast<std::size_t>(it - contrib.begin());
-        std::copy(bucket.begin(), bucket.end(),
-                  merged.begin() + static_cast<std::ptrdiff_t>(roff[c]));
-        for (std::size_t i = 0; i < bucket.size(); ++i)
-          mprov[roff[c] + i] = pack_prov(msg.src, msg.payload.prov_base + i);
-        l1_recv += bucket.size();
-        co_await m.charge_copy(bucket.size());
-      }
-      ms.received_elements += l1_recv;
-      part_level1_items_ += l1_recv;
-      l1_run.reset();  // frames partners have not read yet keep it alive
-      local = std::move(merged);
-      // Re-establish the sorted-local invariant over the received runs,
-      // carrying each element's origin through the same permutation.
+      // ---- Step 5: simultaneous send/receive -------------------------------
+      // Part j goes to member j, or at level 1 to this rank's partner in
+      // group j. The last pass streams it in read-buffer-sized kTagData
+      // chunks; level 1 ships it whole as one kTagL1Data frame, AMS's one
+      // message per (sender, group) pair: O(q sqrt(q)) messages
+      // cluster-wide instead of O(q^2). "each processor knows how much data
+      // it will receive ... by applying offsets for each received data
+      // entry" — offsets per source member:
+      std::vector<std::size_t> offsets(q + 1, 0);
+      for (std::size_t s = 0; s < q; ++s)
+        offsets[s + 1] = offsets[s] + recv_counts[s];
+      const std::size_t total_recv = offsets[q];
+      // Result keys + provenance live to the end of the sort: persistent.
+      if (!level1) mem.alloc_persistent(total_recv * kStoredBytesPerItem);
+      const std::uint64_t chunk_elems =
+          level1 ? std::numeric_limits<std::uint64_t>::max()
+                 : std::max<std::uint64_t>(
+                       1, cfg_.read_buffer_bytes / kDataWireBytesPerKey);
+
+      // Per-source write cursors; arrival order across sources is
+      // irrelevant.
+      std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+
+      // Structure-of-arrays exchange+merge: the receiver stores bare keys
+      // at their final offsets plus one range-start per source, merges keys
+      // with a compact u32 permutation, and writes provenance once at the
+      // very end.
+      PGXD_CHECK_MSG(total_recv <= std::numeric_limits<std::uint32_t>::max(),
+                     "merge: a receive array beyond u32 indexing is "
+                     "unsupported");
+      // The sorted run (and its two-hop origin plane) moves into one
+      // shared, read-only block; every data frame sent below is a view of
+      // it.
+      auto run = std::make_shared<const SortedRun<Key>>(std::move(local),
+                                                        std::move(lprov));
+      // The pass after level 1 ships its run's origin plane along.
+      const bool carried = xprov && !level1;
+      // src_lo[s]: start of the (member s -> rank) range in s's sorted run,
+      // learned from any of s's frames (prov_base - rel_offset). The
+      // provenance of the element at receive position pos is then
+      // src_lo[s] + (pos - offsets[s]) for the s whose range contains it.
+      std::vector<std::uint64_t> src_lo(q, 0);
+      std::vector<Key> recv_keys(total_recv);
+      const rt::TempAlloc recv_keys_mem(mem, total_recv * sizeof(Key));
+      std::vector<std::uint64_t> recv_prov(carried ? total_recv : 0);
+      const rt::TempAlloc recv_prov_mem(
+          mem, recv_prov.size() * sizeof(std::uint64_t));
+
+      // Self range: a local memory move, not fabric traffic.
       {
-        PGXD_CHECK_MSG(l1_total <= std::numeric_limits<std::uint32_t>::max(),
-                       "AMS level-1 merge: a group-local array beyond u32 "
-                       "indexing is unsupported");
-        std::vector<std::size_t> bounds(roff.begin(), roff.end());
-        std::vector<std::uint32_t> perm(l1_total);
-        std::iota(perm.begin(), perm.end(), 0u);
-        std::vector<Key> kscr;
-        std::vector<std::uint32_t> pscr;
-        rt::TempAlloc scratch_mem(
-            mem, l1_total * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
-        const auto res = sort::balanced_merge_soa(
-            local, perm, std::move(bounds), kscr, pscr, comp_);
-        if (res.in_scratch) local = std::move(kscr);
-        const std::uint32_t* mp = (res.in_scratch ? pscr : perm).data();
-        lprov.resize(l1_total);
-        for (std::size_t i = 0; i < l1_total; ++i) lprov[i] = mprov[mp[i]];
-        co_await m.charge_balanced_merge(
-            l1_total, std::max<std::size_t>(1, contrib.size()));
+        const std::size_t lo = plan.bounds[part];
+        const std::size_t hi = plan.bounds[part + 1];
+        src_lo[idx] = lo;
+        std::copy(
+            run->keys.begin() + static_cast<std::ptrdiff_t>(lo),
+            run->keys.begin() + static_cast<std::ptrdiff_t>(hi),
+            recv_keys.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
+        if (carried)
+          std::copy(
+              run->origins.begin() + static_cast<std::ptrdiff_t>(lo),
+              run->origins.begin() + static_cast<std::ptrdiff_t>(hi),
+              recv_prov.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
+        cursor[idx] += hi - lo;
+        co_await m.charge_copy(hi - lo);
       }
-      stamp(rank, mark, Step::kExchange, l1_wire_sent);
+
+      // Chunk dedup bitmap: a source's chunks sit at rel_offset = c *
+      // chunk_elems, so chunk c of member s maps to bit c of that member's
+      // word range. O(q + chunks/64) memory, zero allocations per chunk.
+      std::vector<std::size_t> seen_base(q + 1, 0);
+      for (std::size_t s = 0; s < q; ++s) {
+        // ceil(count / chunk_elems) without overflow at level 1's frame size.
+        const std::uint64_t nchunks =
+            s == idx ? 0
+                     : recv_counts[s] / chunk_elems +
+                           (recv_counts[s] % chunk_elems != 0);
+        seen_base[s + 1] =
+            seen_base[s] + static_cast<std::size_t>((nchunks + 63) / 64);
+      }
+      std::vector<std::uint64_t> seen_words(seen_base[q], 0);
+
+      const std::size_t remote_expected = total_recv - recv_counts[idx];
+      std::size_t remote_placed = 0;
+      // Hold edges for deadlock *naming* (never detection): each peer that
+      // still owes this rank data "holds" the rank's data mailbox until
+      // its range is fully placed. Mailbox holds are O(q) per rank, so they
+      // are capped at kWaitGraphHoldScope members; past that a deadlock is
+      // still detected and reported, just without per-peer attribution.
+      auto& wg = cluster_.wait_graph();
+      const bool track_holds = q <= kWaitGraphHoldScope;
+      const auto mbox = sim::WaitResource::mailbox(
+          rank, tag(level1 ? kTagL1Data : kTagData));
+      if (track_holds) {
+        wg.clear_holds(mbox);  // stale holds from an aborted prior attempt
+        for (std::size_t s = 0; s < q; ++s)
+          if (s != idx && recv_counts[s] > 0) wg.add_hold(mbox, ctx.scope[s]);
+      }
+      // Wire bytes this rank put on the fabric during the exchange (span
+      // metadata for the send/receive step).
+      std::uint64_t exchange_wire_sent = 0;
+
+      // Places one arriving frame — dedup, copy to its final offset,
+      // provenance/range-start bookkeeping — and returns the elements
+      // placed (0 for a duplicate). The caller charges the simulated copy
+      // cost.
+      auto place_chunk = [&](const auto& msg) -> std::size_t {
+        PGXD_CHECK(msg.src != rank);
+        const std::size_t sj = midx.source(
+            msg.src, "data chunk from a rank outside the attempt membership");
+        const std::span<const Key> keys = msg.payload.view();
+        const std::uint64_t cidx = msg.payload.rel_offset / chunk_elems;
+        const std::size_t word =
+            seen_base[sj] + static_cast<std::size_t>(cidx / 64);
+        PGXD_CHECK_MSG(word < seen_base[sj + 1],
+                       "chunk offset beyond its source's announced range");
+        const std::uint64_t bit = std::uint64_t{1} << (cidx % 64);
+        if (c_chunks_recv) c_chunks_recv->inc();
+        if (seen_words[word] & bit) {
+          ++ms.duplicate_chunks;
+          if (c_dup_chunks) c_dup_chunks->inc();
+          return 0;
+        }
+        seen_words[word] |= bit;
+        const std::size_t at = offsets[sj] + msg.payload.rel_offset;
+        PGXD_CHECK_MSG(at + keys.size() <= offsets[sj + 1],
+                       "chunk overruns its source's receive range");
+        src_lo[sj] = msg.payload.prov_base - msg.payload.rel_offset;
+        std::copy(keys.begin(), keys.end(),
+                  recv_keys.begin() + static_cast<std::ptrdiff_t>(at));
+        if (carried) {
+          const std::span<const std::uint64_t> origins =
+              msg.payload.origins();
+          PGXD_CHECK_MSG(origins.size() == keys.size(),
+                         "two-hop data chunk arrived without its origin "
+                         "plane");
+          std::copy(origins.begin(), origins.end(),
+                    recv_prov.begin() + static_cast<std::ptrdiff_t>(at));
+        }
+        const std::size_t placed = keys.size();
+        cursor[sj] += placed;
+        remote_placed += placed;
+        if (track_holds && cursor[sj] == offsets[sj + 1])
+          wg.remove_hold(mbox, ctx.scope[sj]);
+        if (c_items_recv) c_items_recv->inc(placed);
+        return placed;
+      };
+
+      // Sends: post each frame as a view of the sorted run —
+      // asynchronously (async mode) or blocking + barrier (bulk-synchronous
+      // ablation). No payload is copied, so no sender ever waits for a
+      // buffer. The simulated pack charge stays: PGX.D still fills a
+      // request buffer per chunk. In async mode the loop also drains frames
+      // that have already arrived — the paper's "simultaneous asynchronous
+      // send/receive".
+      for (std::size_t step = 1; step < parts; ++step) {
+        // Ring order starting after own part spreads incast across
+        // receivers.
+        const std::size_t j = (part + step) % parts;
+        const std::size_t dst =
+            ctx.scope[level1 ? layout.partner(idx, j) : j];
+        const std::size_t lo = plan.bounds[j];
+        const std::size_t hi = plan.bounds[j + 1];
+        for (std::size_t at = lo; at < hi;) {
+          const std::size_t take =
+              std::min<std::uint64_t>(hi - at, chunk_elems);
+          const std::uint64_t bytes =
+              take * kDataWireBytesPerKey + kChunkHeaderBytes;
+          note_data_bytes(bytes);
+          ms.sent_elements += take;
+          exchange_wire_sent += bytes;
+          if (c_chunks_sent) {
+            c_chunks_sent->inc();
+            c_items_sent->inc(take);
+            c_wire_sent->inc(bytes);
+            h_chunk_elems->add(take);
+          }
+          co_await m.charge_copy(take);  // pack the request buffer
+          if (cfg_.async_exchange) {
+            comm.post(rank, dst, tag(level1 ? kTagL1Data : kTagData),
+                      Msg::of_view(run, at, take, at - lo), bytes);
+            while (remote_placed < remote_expected &&
+                   comm.pending(rank, tag(level1 ? kTagL1Data : kTagData)) >
+                       0) {
+              auto msg = co_await recv_sort(
+                  m, ctx, tag(level1 ? kTagL1Data : kTagData));
+              const std::size_t placed = place_chunk(msg);
+              if (placed > 0) co_await m.charge_copy(placed);
+            }
+          } else {
+            co_await comm.send(rank, dst, tag(level1 ? kTagL1Data : kTagData),
+                               Msg::of_view(run, at, take, at - lo), bytes);
+          }
+          at += take;
+        }
+      }
+      if (!cfg_.async_exchange) co_await comm.barrier(rank);
+
+      // Receives: place each incoming frame at its source's base offset
+      // plus the frame's own relative offset — correct under any arrival
+      // order — discarding frames whose (src, chunk index) bit was already
+      // set, so the loop stays correct when a duplicating fabric
+      // redelivers a frame. It counts placed *elements*, not messages.
+      while (remote_placed < remote_expected) {
+        auto msg =
+            co_await recv_sort(m, ctx, tag(level1 ? kTagL1Data : kTagData));
+        const std::size_t placed = place_chunk(msg);
+        if (placed > 0) co_await m.charge_copy(placed);
+      }
+      for (std::size_t s = 0; s < q; ++s)
+        PGXD_CHECK_MSG(cursor[s] == offsets[s + 1],
+                       "exchange delivered wrong element counts");
+      if (level1) part_level1_items_ += remote_placed;
+      run.reset();  // frames peers have not read yet keep it alive
+      stamp(rank, mark, Step::kExchange, exchange_wire_sent);
+
+      // ---- Step 6: merge ----------------------------------------------------
+      // Bare keys + u32 permutation merge as SoA planes over the non-empty
+      // runs only: at level 1 about sqrt(q) of the q members send to a
+      // rank. Level 1 merges with the Fig. 2 pairwise tree into its next
+      // sorted run; the last pass merges with cfg_.final_merge straight
+      // into the output partition. Provenance is reconstructed from each
+      // element's pre-merge position: the carried origin plane, or the
+      // position's source (a u32 plane, host-side bookkeeping outside the
+      // modelled memory) plus its offset into that source's range.
+      {
+        const MergeAlgo merge_algo =
+            level1 ? MergeAlgo::kPairwiseTree : cfg_.final_merge;
+        std::vector<std::size_t> bounds(1, 0);
+        for (std::size_t s = 0; s < q; ++s)
+          if (recv_counts[s] > 0) bounds.push_back(offsets[s + 1]);
+        const std::size_t runs = std::max<std::size_t>(1, bounds.size() - 1);
+        std::vector<std::uint32_t> perm(total_recv);
+        std::iota(perm.begin(), perm.end(), 0u);
+        std::vector<Key> key_scratch;
+        std::vector<std::uint32_t> perm_scratch;
+        const rt::TempAlloc scratch_mem(
+            mem, total_recv * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
+        bool in_scratch = true;
+        if (merge_algo == MergeAlgo::kPairwiseTree) {
+          // Fig. 2 pairwise tree: each level moves sizeof(Key) + 4 bytes
+          // per element, ping-ponging between the planes and the scratch.
+          in_scratch = sort::balanced_merge_soa(recv_keys, perm,
+                                                std::move(bounds), key_scratch,
+                                                perm_scratch, comp_)
+                           .in_scratch;
+          co_await m.charge_balanced_merge(total_recv, runs);
+        } else {
+          // Loser-tree k-way merge, one move per element into the scratch
+          // planes. kParallelKway cuts the output into per-thread ranges by
+          // splitter search; the DES sorter has no real pool, so the ranges
+          // run for real (sequentially here) with the simulated machine's
+          // thread count while the cost model charges them as parallel.
+          // kSequentialKway is the no-parallelism ablation: one loser tree
+          // over the whole partition.
+          const bool parallel = merge_algo == MergeAlgo::kParallelKway;
+          const auto kres = sort::parallel_kway_merge_soa(
+              recv_keys, perm, bounds, key_scratch, perm_scratch, comp_,
+              /*pool=*/nullptr, /*ranges=*/parallel ? m.threads() : 1);
+          if (parallel) {
+            if (c_kway_ranges) {
+              c_kway_ranges->inc(kres.ranges);
+              c_kway_rounds->inc(kres.select_rounds);
+            }
+            co_await m.charge_parallel_kway_merge(total_recv, runs);
+          } else {
+            co_await m.charge_naive_kway_merge(total_recv, runs);
+          }
+        }
+        std::vector<Key>& mk = in_scratch ? key_scratch : recv_keys;
+        const std::uint32_t* mp = (in_scratch ? perm_scratch : perm).data();
+        std::vector<std::uint32_t> source;
+        if (!carried) {
+          source.resize(total_recv);
+          for (std::size_t s = 0; s < q; ++s)
+            std::fill(source.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
+                      source.begin() +
+                          static_cast<std::ptrdiff_t>(offsets[s + 1]),
+                      static_cast<std::uint32_t>(s));
+        }
+        const auto origin = [&](std::size_t pos) {
+          if (carried) return unpack_prov(recv_prov[pos]);
+          const std::size_t s = source[pos];
+          return Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
+                            src_lo[s] + (pos - offsets[s])};
+        };
+        if (level1) {
+          lprov.resize(total_recv);
+          for (std::size_t i = 0; i < total_recv; ++i) {
+            const Provenance o = origin(mp[i]);
+            lprov[i] = pack_prov(o.prev_machine, o.prev_index);
+          }
+          local = std::move(mk);
+        } else {
+          out.resize(total_recv);
+          for (std::size_t i = 0; i < total_recv; ++i)
+            out[i] = ItemT{mk[i], origin(mp[i])};
+        }
+      }
+      stamp(rank, mark, Step::kFinalMerge, total_recv * kStoredBytesPerItem);
+
+      if (!level1) {
+        // ---- Exactly-once audit ---------------------------------------------
+        // See core/exchange_audit.hpp. Two-hop provenance names origins
+        // anywhere in the attempt membership and the level-1 merge destroys
+        // per-source slices, so that path checks origin distinctness only.
+        if (xprov) {
+          audit_two_hop_exchange(out, audit_slots_);
+        } else {
+          audit_single_hop_exchange(out, midx.pos, src_lo, recv_counts,
+                                    audit_slots_);
+        }
+        break;
+      }
       // Level 2 runs over this rank's group.
       ctx.scope.assign(
           ctx.members.begin() + static_cast<std::ptrdiff_t>(layout.start[part]),
@@ -1479,322 +1729,9 @@ class DistributedSorter {
       q = ctx.scope.size();
       idx = midx.pos[rank];
     }
-
-    // ---- Step 5: simultaneous send/receive ---------------------------------
-    // "each processor knows how much data it will receive ... by applying
-    // offsets for each received data entry" — offsets per source member:
-    std::vector<std::size_t> offsets(q + 1, 0);
-    for (std::size_t s = 0; s < q; ++s)
-      offsets[s + 1] = offsets[s] + recv_counts[s];
-    const std::size_t total_recv = offsets[q];
-
-    auto& out = output_[rank];
-    out.resize(total_recv);
-    // Result keys + provenance live to the end of the sort: persistent.
-    mem.alloc_persistent(total_recv * kStoredBytesPerItem);
-
-    const std::uint64_t chunk_elems = std::max<std::uint64_t>(
-        1, cfg_.read_buffer_bytes / kDataWireBytesPerKey);
-
-    // Per-source write cursors; arrival order across sources is irrelevant.
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-
-    // Structure-of-arrays exchange+merge: the receiver stores bare keys at
-    // their final offsets plus one range-start per source, merges keys with
-    // a compact u32 permutation, and materializes Item records (key +
-    // reconstructed provenance) once at the very end.
-    PGXD_CHECK_MSG(total_recv <= std::numeric_limits<std::uint32_t>::max(),
-                   "final merge: a partition beyond u32 indexing is "
-                   "unsupported");
-    // The sorted run (and its two-hop origin plane) moves into one shared,
-    // read-only block; every data chunk sent below is a view of it.
-    auto run = std::make_shared<const SortedRun<Key>>(std::move(local),
-                                                      std::move(lprov));
-    // src_lo[s]: start of the (member s -> rank) range in s's locally
-    // sorted sequence, learned from any of s's chunks (prov_base -
-    // rel_offset). The provenance of the element at receive position pos is
-    // then src_lo[s] + (pos - offsets[s]) for the s whose range contains it.
-    std::vector<std::uint64_t> src_lo(q, 0);
-    std::vector<Key> recv_keys(total_recv);
-    std::optional<rt::TempAlloc> recv_keys_mem(std::in_place, mem,
-                                               total_recv * sizeof(Key));
-    // Explicit origin plane for the two-hop exchange.
-    std::vector<std::uint64_t> recv_prov;
-    std::optional<rt::TempAlloc> recv_prov_mem;
-    if (xprov) {
-      recv_prov.resize(total_recv);
-      recv_prov_mem.emplace(mem, total_recv * sizeof(std::uint64_t));
-    }
-
-    // Self range: a local memory move, not fabric traffic.
-    {
-      const std::size_t lo = plan.bounds[idx];
-      const std::size_t hi = plan.bounds[idx + 1];
-      src_lo[idx] = lo;
-      std::copy(run->keys.begin() + static_cast<std::ptrdiff_t>(lo),
-                run->keys.begin() + static_cast<std::ptrdiff_t>(hi),
-                recv_keys.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
-      if (xprov)
-        std::copy(
-            run->origins.begin() + static_cast<std::ptrdiff_t>(lo),
-            run->origins.begin() + static_cast<std::ptrdiff_t>(hi),
-            recv_prov.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
-      cursor[idx] += hi - lo;
-      co_await m.charge_copy(hi - lo);
-    }
-
-    // Chunk dedup bitmap (replaces a per-source std::set of offsets): a
-    // source's chunks sit at rel_offset = c * chunk_elems, so chunk c of
-    // member s maps to bit c of that member's word range. O(q + chunks/64)
-    // memory, zero allocations per chunk.
-    std::vector<std::size_t> seen_base(q + 1, 0);
-    for (std::size_t s = 0; s < q; ++s) {
-      const std::uint64_t nchunks =
-          s == idx ? 0 : (recv_counts[s] + chunk_elems - 1) / chunk_elems;
-      seen_base[s + 1] =
-          seen_base[s] + static_cast<std::size_t>((nchunks + 63) / 64);
-    }
-    std::vector<std::uint64_t> seen_words(seen_base[q], 0);
-
-    const std::size_t remote_expected = total_recv - recv_counts[idx];
-    std::size_t remote_placed = 0;
-    // Hold edges for deadlock *naming* (never detection): each peer that
-    // still owes this rank chunks "holds" the rank's data mailbox until
-    // its range is fully placed. Mailbox holds are O(q) per rank, so they
-    // are capped at kWaitGraphHoldScope members; past that a deadlock is
-    // still detected and reported, just without per-peer attribution.
-    auto& wg = cluster_.wait_graph();
-    const bool track_holds = q <= kWaitGraphHoldScope;
-    const auto mbox = sim::WaitResource::mailbox(rank, tag(kTagData));
-    if (track_holds) {
-      wg.clear_holds(mbox);  // stale holds from an aborted prior attempt
-      for (std::size_t s = 0; s < q; ++s)
-        if (s != idx && recv_counts[s] > 0) wg.add_hold(mbox, ctx.scope[s]);
-    }
-    // Wire bytes this rank put on the fabric during the exchange (span
-    // metadata for the send/receive step).
-    std::uint64_t exchange_wire_sent = 0;
-
-    // Hot-loop instruments, resolved once: per-chunk telemetry is then a
-    // pointer-guarded integer add.
-    obs::Counter* c_chunks_sent = nullptr;
-    obs::Counter* c_chunks_recv = nullptr;
-    obs::Counter* c_dup_chunks = nullptr;
-    obs::Counter* c_items_sent = nullptr;
-    obs::Counter* c_items_recv = nullptr;
-    obs::Counter* c_wire_sent = nullptr;
-    obs::LogHistogram* h_chunk_elems = nullptr;
-    if (telemetry) {
-      c_chunks_sent = &reg.counter("sort.exchange.chunks_sent");
-      c_chunks_recv = &reg.counter("sort.exchange.chunks_received");
-      c_dup_chunks = &reg.counter("sort.exchange.duplicate_chunks");
-      c_items_sent = &reg.counter("sort.exchange.items_sent");
-      c_items_recv = &reg.counter("sort.exchange.items_received");
-      c_wire_sent = &reg.counter("sort.exchange.wire_bytes_sent");
-      h_chunk_elems = &reg.histogram("sort.exchange.chunk_elems");
-    }
-
-    // Places one arriving chunk — dedup, copy to its final offset,
-    // provenance/range-start bookkeeping — and returns the elements placed
-    // (0 for a duplicate). The caller charges the simulated copy cost.
-    auto place_chunk = [&](const auto& msg) -> std::size_t {
-      PGXD_CHECK(msg.src != rank);
-      const std::size_t sj = midx.source(
-          msg.src, "data chunk from a rank outside the attempt membership");
-      const std::span<const Key> keys = msg.payload.view();
-      const std::uint64_t cidx = msg.payload.rel_offset / chunk_elems;
-      const std::size_t word =
-          seen_base[sj] + static_cast<std::size_t>(cidx / 64);
-      PGXD_CHECK_MSG(word < seen_base[sj + 1],
-                     "chunk offset beyond its source's announced range");
-      const std::uint64_t bit = std::uint64_t{1} << (cidx % 64);
-      if (c_chunks_recv) c_chunks_recv->inc();
-      if (seen_words[word] & bit) {
-        ++ms.duplicate_chunks;
-        if (c_dup_chunks) c_dup_chunks->inc();
-        return 0;
-      }
-      seen_words[word] |= bit;
-      const std::size_t at = offsets[sj] + msg.payload.rel_offset;
-      PGXD_CHECK_MSG(at + keys.size() <= offsets[sj + 1],
-                     "chunk overruns its source's receive range");
-      src_lo[sj] = msg.payload.prov_base - msg.payload.rel_offset;
-      std::copy(keys.begin(), keys.end(),
-                recv_keys.begin() + static_cast<std::ptrdiff_t>(at));
-      if (xprov) {
-        const std::span<const std::uint64_t> origins = msg.payload.origins();
-        PGXD_CHECK_MSG(origins.size() == keys.size(),
-                       "two-hop data chunk arrived without its origin plane");
-        std::copy(origins.begin(), origins.end(),
-                  recv_prov.begin() + static_cast<std::ptrdiff_t>(at));
-      }
-      const std::size_t placed = keys.size();
-      cursor[sj] += placed;
-      remote_placed += placed;
-      if (track_holds && cursor[sj] == offsets[sj + 1])
-        wg.remove_hold(mbox, ctx.scope[sj]);
-      if (c_items_recv) c_items_recv->inc(placed);
-      return placed;
-    };
-
-    // Sends: post each chunk as a view of the sorted run — asynchronously
-    // (async mode) or blocking + barrier (bulk-synchronous ablation). No
-    // payload is copied, so no sender ever waits for a buffer. The
-    // simulated pack charge stays: PGX.D still fills a request buffer per
-    // chunk. In async mode the loop also drains chunks that have already
-    // arrived — the paper's "simultaneous asynchronous send/receive".
-    for (std::size_t step = 1; step < q; ++step) {
-      // Ring order starting after own member index spreads incast across
-      // receivers.
-      const std::size_t dstj = (idx + step) % q;
-      const std::size_t dst = ctx.scope[dstj];
-      const std::size_t lo = plan.bounds[dstj];
-      const std::size_t hi = plan.bounds[dstj + 1];
-      for (std::size_t at = lo; at < hi;) {
-        const std::size_t take =
-            std::min<std::uint64_t>(hi - at, chunk_elems);
-        const std::uint64_t bytes =
-            take * kDataWireBytesPerKey + kChunkHeaderBytes;
-        note_data_bytes(bytes);
-        ms.sent_elements += take;
-        exchange_wire_sent += bytes;
-        if (c_chunks_sent) {
-          c_chunks_sent->inc();
-          c_items_sent->inc(take);
-          c_wire_sent->inc(bytes);
-          h_chunk_elems->add(take);
-        }
-        co_await m.charge_copy(take);  // pack the request buffer
-        if (cfg_.async_exchange) {
-          comm.post(rank, dst, tag(kTagData),
-                    Msg::of_view(run, at, take, at - lo), bytes);
-          while (remote_placed < remote_expected &&
-                 comm.pending(rank, tag(kTagData)) > 0) {
-            auto msg = co_await recv_sort(m, ctx, tag(kTagData));
-            const std::size_t placed = place_chunk(msg);
-            if (placed > 0) co_await m.charge_copy(placed);
-          }
-        } else {
-          co_await comm.send(rank, dst, tag(kTagData),
-                             Msg::of_view(run, at, take, at - lo), bytes);
-        }
-        at += take;
-      }
-    }
-    if (!cfg_.async_exchange) co_await comm.barrier(rank);
-
-    // Receives: place each incoming chunk at its source's base offset plus
-    // the chunk's own relative offset — correct under any arrival order —
-    // discarding chunks whose (src, chunk index) bit was already set, so
-    // the loop stays correct when a duplicating fabric redelivers a chunk.
-    // It counts placed *elements*, not messages.
-    while (remote_placed < remote_expected) {
-      auto msg = co_await recv_sort(m, ctx, tag(kTagData));
-      const std::size_t placed = place_chunk(msg);
-      if (placed > 0) co_await m.charge_copy(placed);
-    }
-    for (std::size_t s = 0; s < q; ++s)
-      PGXD_CHECK_MSG(cursor[s] == offsets[s + 1],
-                     "exchange delivered wrong element counts");
-    ms.received_elements += total_recv;
-    run.reset();  // frames peers have not read yet keep it alive
-    stamp(rank, mark, Step::kExchange, exchange_wire_sent);
-
-    // ---- Step 6: final merge ------------------------------------------------
-    // Bare keys + u32 permutation merge as SoA planes; the output partition
-    // is then written directly from the result planes — no staging
-    // copy-back — with provenance reconstructed from each element's
-    // pre-merge position: the two-hop origin plane, or for a single hop the
-    // position's source (a u32 plane, host-side bookkeeping outside the
-    // modelled memory) plus its offset into that source's range.
-    {
-      const MergeAlgo merge_algo = cfg_.final_merge;
-      std::vector<std::size_t> bounds(offsets.begin(), offsets.end());
-      std::size_t nonempty_runs = 0;
-      for (std::size_t s = 0; s < q; ++s)
-        nonempty_runs += (recv_counts[s] > 0);
-      const std::size_t runs = std::max<std::size_t>(1, nonempty_runs);
-      std::vector<std::uint32_t> perm(total_recv);
-      std::iota(perm.begin(), perm.end(), 0u);
-      std::vector<Key> key_scratch;
-      std::vector<std::uint32_t> perm_scratch;
-      rt::TempAlloc scratch_mem(
-          mem, total_recv * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
-      const Key* mk = nullptr;
-      const std::uint32_t* mp = nullptr;
-      if (merge_algo == MergeAlgo::kPairwiseTree) {
-        // Fig. 2 pairwise tree: each level moves sizeof(Key) + 4 bytes per
-        // element, ping-ponging between the planes and the scratch.
-        const auto res = sort::balanced_merge_soa(
-            recv_keys, perm, std::move(bounds), key_scratch, perm_scratch,
-            comp_);
-        mk = (res.in_scratch ? key_scratch : recv_keys).data();
-        mp = (res.in_scratch ? perm_scratch : perm).data();
-        co_await m.charge_balanced_merge(total_recv, runs);
-      } else {
-        // Loser-tree k-way merge, one move per element into the scratch
-        // planes. kParallelKway cuts the output into per-thread ranges by
-        // splitter search; the DES sorter has no real pool, so the ranges
-        // run for real (sequentially here) with the simulated machine's
-        // thread count while the cost model charges them as parallel.
-        // kSequentialKway is the no-parallelism ablation: one loser tree
-        // over the whole partition.
-        const bool parallel = merge_algo == MergeAlgo::kParallelKway;
-        const auto kres = sort::parallel_kway_merge_soa(
-            recv_keys, perm, bounds, key_scratch, perm_scratch, comp_,
-            /*pool=*/nullptr, /*ranges=*/parallel ? m.threads() : 1);
-        mk = key_scratch.data();
-        mp = perm_scratch.data();
-        if (parallel) {
-          if (telemetry) {
-            reg.counter("sort.merge.kway_ranges").inc(kres.ranges);
-            reg.counter("sort.merge.kway_select_rounds")
-                .inc(kres.select_rounds);
-          }
-          co_await m.charge_parallel_kway_merge(total_recv, runs);
-        } else {
-          co_await m.charge_naive_kway_merge(total_recv, runs);
-        }
-      }
-      if (xprov) {
-        for (std::size_t i = 0; i < total_recv; ++i)
-          out[i] = ItemT{mk[i], unpack_prov(recv_prov[mp[i]])};
-      } else {
-        std::vector<std::uint32_t> source(total_recv);
-        for (std::size_t s = 0; s < q; ++s)
-          std::fill(source.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-                    source.begin() +
-                        static_cast<std::ptrdiff_t>(offsets[s + 1]),
-                    static_cast<std::uint32_t>(s));
-        for (std::size_t i = 0; i < total_recv; ++i) {
-          const std::size_t pos = mp[i];
-          const std::size_t s = source[pos];
-          out[i] = ItemT{mk[i],
-                         Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
-                                    src_lo[s] + (pos - offsets[s])}};
-        }
-      }
-    }
-    recv_keys = std::vector<Key>();
-    recv_keys_mem.reset();
-    recv_prov = std::vector<std::uint64_t>();
-    recv_prov_mem.reset();
-    stamp(rank, mark, Step::kFinalMerge, total_recv * kStoredBytesPerItem);
-
-    // ---- Exactly-once audit -------------------------------------------------
-    // See core/exchange_audit.hpp. Two-hop provenance names origins anywhere
-    // in the attempt membership and the level-1 merge destroys per-source
-    // slices, so that path checks origin distinctness only.
-    if (xprov) {
-      audit_two_hop_exchange(out, audit_slots_);
-    } else {
-      audit_single_hop_exchange(out, midx.pos, src_lo, recv_counts,
-                                audit_slots_);
-    }
-
     ms.peak_persistent_bytes = mem.peak_persistent();
     ms.peak_temp_bytes = mem.peak_temp();
-    if (telemetry) reg.counter("sort.load.items").inc(total_recv);
+    if (telemetry) reg.counter("sort.load.items").inc(out.size());
   }
 
   Cluster& cluster_;

@@ -36,14 +36,19 @@ struct PartitionPlan {
 };
 
 // Computes the send ranges for `parts` destinations over locally sorted
-// `keys` given `parts - 1` sorted splitters.
+// `keys` given `parts - 1` sorted splitters. `shares`, when given, is a
+// parts+1 prefix of the destinations' relative sizes (e.g. AMS group
+// member counts); the investigator then aims boundary j at shares[j] /
+// shares[parts] of the local keys instead of j / parts.
 template <typename Key, typename Comp = sort::Less>
 PartitionPlan plan_partition(std::span<const Key> keys,
                              std::span<const Key> splitters,
-                             bool use_investigator, Comp comp = {}) {
+                             bool use_investigator, Comp comp = {},
+                             std::span<const std::size_t> shares = {}) {
   PGXD_DCHECK(std::is_sorted(keys.begin(), keys.end(), comp));
   PGXD_DCHECK(std::is_sorted(splitters.begin(), splitters.end(), comp));
   const std::size_t parts = splitters.size() + 1;
+  PGXD_CHECK(shares.empty() || shares.size() == parts + 1);
   PartitionPlan plan;
   plan.bounds.assign(parts + 1, 0);
   plan.bounds[parts] = keys.size();
@@ -62,11 +67,12 @@ PartitionPlan plan_partition(std::span<const Key> keys,
   // producing the feasible interval [lo, hi) of keys equal to it. Every
   // boundary whose splitter falls in that group is then placed at its
   // balanced target position — boundary j wants j/parts of the local data
-  // below it — clamped into the feasible interval. Keys strictly below or
-  // above the splitter value cannot move, but keys *equal* to it may land
-  // on either side, which is exactly the freedom duplicated splitters
-  // expose; the clamp divides a dominant duplicate run so that every
-  // destination's total load (not just its slice of the run) is equal.
+  // (or its share) below it — clamped into the feasible interval. Keys
+  // strictly below or above the splitter value cannot move, but keys
+  // *equal* to it may land on either side, which is exactly the freedom
+  // duplicated splitters expose; the clamp divides a dominant duplicate
+  // run so that every destination's total load (not just its slice of the
+  // run) is equal.
   // This reproduces Table II's near-exact 9.998% shares.
   const std::size_t n = keys.size();
   std::size_t j = 0;
@@ -86,8 +92,10 @@ PartitionPlan plan_partition(std::span<const Key> keys,
     if (d > 1) ++plan.duplicate_groups;
 
     for (std::size_t i = 0; i < d; ++i) {
-      const std::size_t target = (j + 1 + i) * n / parts;
-      plan.bounds[j + 1 + i] = std::clamp(target, lo, hi);
+      const std::size_t b = j + 1 + i;
+      const std::size_t target =
+          shares.empty() ? b * n / parts : shares[b] * n / shares[parts];
+      plan.bounds[b] = std::clamp(target, lo, hi);
     }
     j = g;
   }

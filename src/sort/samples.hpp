@@ -79,6 +79,10 @@ std::vector<T> select_splitters(std::span<const T> sorted_samples,
 // elements. Splitters sit at equal cumulative-weight positions, so shards
 // of different sizes (e.g. graph partitions balanced by edges, not
 // vertices) still yield balanced destinations.
+//
+// `shares`, when given, is a parts+1 prefix of the parts' relative sizes
+// (e.g. AMS group member counts): splitter j then sits at
+// shares[j] / shares[parts] of the weight instead of j / parts.
 template <typename T>
 struct WeightedSample {
   T key;
@@ -88,8 +92,10 @@ struct WeightedSample {
 template <typename T, typename Comp = Less>
 std::vector<T> select_splitters_weighted(
     std::span<const WeightedSample<T>> sorted_samples, std::size_t parts,
-    [[maybe_unused]] Comp comp = {}) {
+    [[maybe_unused]] Comp comp = {},
+    std::span<const std::size_t> shares = {}) {
   PGXD_CHECK(parts >= 1);
+  PGXD_CHECK(shares.empty() || shares.size() == parts + 1);
   std::vector<T> splitters;
   if (parts == 1) return splitters;
   if (sorted_samples.empty()) return std::vector<T>(parts - 1, T{});
@@ -104,8 +110,9 @@ std::vector<T> select_splitters_weighted(
   double cum = 0;
   std::size_t i = 0;
   for (std::size_t j = 1; j < parts; ++j) {
-    const double target = total * static_cast<double>(j) /
-                          static_cast<double>(parts);
+    const double target =
+        total * static_cast<double>(shares.empty() ? j : shares[j]) /
+        static_cast<double>(shares.empty() ? parts : shares[parts]);
     while (i + 1 < sorted_samples.size() &&
            cum + sorted_samples[i].weight < target) {
       cum += sorted_samples[i].weight;

@@ -761,11 +761,12 @@ TEST_P(SchemeCrash, KilledRankRecoversUnderTheScheme) {
 }
 
 // Where the kills land in a clean run of this stack (victim rank 3). AMS
-// (82.4 us): 0.15 in the local sort, 0.35 at the end of the level-1
-// sample send, 0.5 in the level-1 bucket exchange, 0.7 in the phase-2
-// partition plan. Histogram (101.8 us; the master's refinement rounds run
-// 20.6-48.9 us): 0.15 in the local sort, 0.35 in a probe round, 0.5 while
-// the victim still waits for the closing down-sweep, 0.7 in the exchange.
+// (87.1 us; groups of 3 and 2): 0.15 in the local sort, 0.35 while the
+// victim waits for the level-1 group splitters, 0.5 in the level-1
+// exchange (35.9-47.0 us), 0.7 in the level-2 partition plan. Histogram
+// (84.4 us; the master's refinement rounds run 20.6-48.9 us): 0.15 in the
+// local sort, 0.35 and 0.5 while the victim is inside the refinement
+// rounds, 0.7 in the partition plan.
 INSTANTIATE_TEST_SUITE_P(
     BothSchemes, SchemeCrash,
     ::testing::Combine(::testing::Values(PartitionScheme::kHistogramRefine,

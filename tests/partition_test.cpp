@@ -603,6 +603,16 @@ TEST(SchemeSplitters, EverySchemeReportsEveryBoundary) {
              shards_for(gen::Distribution::kUniform, 9000, 9), -1.0);
 }
 
+// sort::ams_layout cuts p=8 into groups of 3, 3 and 2 members and p=10
+// into 4, 3 and 3. Level 1 aims each group at its members' share of the
+// keys; with equal group shares a rank of a smaller group would carry
+// q / (g * size) of a fair share: 1.333 at p=8, 1.111 at p=10.
+TEST(SchemeBalanceAms, UnequalGroupsGetTheirMembersShare) {
+  for (const std::size_t p : {std::size_t{8}, std::size_t{10}})
+    run_scheme(PartitionScheme::kTwoLevelAms,
+               shards_for(gen::Distribution::kUniform, 4096 * p, p), 0.01);
+}
+
 TEST(SchemeBalanceLarge, HistogramAndAmsAtP256) {
   const std::size_t p = 256;
   const auto shards = shards_for(gen::Distribution::kRightSkewed, 32768, p);

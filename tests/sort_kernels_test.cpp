@@ -402,6 +402,24 @@ TEST(SelectSplittersWeighted, HeavyShardDominatesSplitters) {
   EXPECT_LT(sp[0], 10u);
 }
 
+TEST(SelectSplittersWeighted, SharesSetTheTargets) {
+  // 100 unit-weight samples 0..99 cut into parts of 3, 3 and 2 members
+  // (AMS groups): splitter j is the sample whose cumulative weight reaches
+  // shares[j] / shares[parts] of the total, 37.5 and 75 (keys 37 and 74),
+  // not 1/3 and 2/3 of it (keys 33 and 66).
+  std::vector<WeightedSample<std::uint64_t>> pool;
+  for (std::uint64_t k = 0; k < 100; ++k) pool.push_back({k, 1.0});
+  const std::vector<std::size_t> shares{0, 3, 6, 8};
+  const auto sp = select_splitters_weighted<std::uint64_t>(pool, 3, {}, shares);
+  EXPECT_EQ(sp, (std::vector<std::uint64_t>{37, 74}));
+  EXPECT_EQ(select_splitters_weighted<std::uint64_t>(pool, 3),
+            (std::vector<std::uint64_t>{33, 66}));
+  // Equal shares reproduce the default targets.
+  const std::vector<std::size_t> equal{0, 1, 2, 3};
+  EXPECT_EQ(select_splitters_weighted<std::uint64_t>(pool, 3, {}, equal),
+            select_splitters_weighted<std::uint64_t>(pool, 3));
+}
+
 TEST(SelectSplittersWeighted, EmptyPoolYieldsDefaults) {
   const auto sp = select_splitters_weighted<std::uint64_t>({}, 4);
   EXPECT_EQ(sp, (std::vector<std::uint64_t>{0, 0, 0}));

@@ -57,6 +57,20 @@ TEST(PlanPartition, Figure3cInvestigatorDividesEqually) {
   EXPECT_EQ(sizes, (std::vector<std::uint64_t>{250, 250, 250, 250}));
 }
 
+TEST(PlanPartition, InvestigatorAimsAtShares) {
+  // A duplicate run the investigator may split anywhere: with parts of 3,
+  // 3 and 2 members, boundary j lands at shares[j] / shares[parts] of the
+  // local keys.
+  const std::vector<int> keys(800, 7);
+  const std::vector<int> splitters{7, 7};
+  const std::vector<std::size_t> shares{0, 3, 6, 8};
+  const auto plan = plan_partition<int>(keys, splitters, true, {}, shares);
+  EXPECT_EQ(plan.bounds, (std::vector<std::size_t>{0, 300, 600, 800}));
+  // Without shares the run splits into equal thirds.
+  EXPECT_EQ(plan_partition<int>(keys, splitters, true).bounds,
+            (std::vector<std::size_t>{0, 266, 533, 800}));
+}
+
 TEST(PlanPartition, MixedDistinctAndDuplicateGroups) {
   // keys: 200 zeros, 600 fives, 200 nines.
   std::vector<int> keys;

@@ -12,6 +12,12 @@ can only verify dynamically:
                            versa — a one-sided tag is a send nobody
                            receives (leaks into quiescence checks) or a
                            recv nobody satisfies (deadlock)
+  tag-opaque               in a file that declares kTag* constants, every
+                           endpoint call names one in its arguments (a
+                           ternary between two is fine) — a tag held in a
+                           variable drops out of tag-unpaired silently;
+                           a forwarder that passes its caller's tag on
+                           carries an allow(tag-opaque) marker
   collective-in-rank-branch
                            no collective or barrier call inside an `if`
                            whose condition compares `rank`: collectives
@@ -63,6 +69,7 @@ SKIP_DIR_NAMES = {"protocol_selftest", "__pycache__"}
 
 ALL_RULES = (
     "tag-unpaired",
+    "tag-opaque",
     "collective-in-rank-branch",
     "recovery-unbounded-wait",
     "lock-order-unannotated",
@@ -86,6 +93,7 @@ COLLECTIVE_CALL_RE = re.compile(
     r"(?<![\w])(" + "|".join(COLLECTIVES + BOUNDED_COLLECTIVES) +
     r")\s*\(")
 TAG_TOKEN_RE = re.compile(r"\bkTag\w*\b")
+TAG_DECL_RE = re.compile(r"\bkTag\w*\s*=")
 
 BARRIER_CALL_RE = re.compile(r"[.>]\s*barrier\s*\(")
 # Unbounded blocking waits: a bare member recv (try_recv/recv_until have a
@@ -287,23 +295,10 @@ def brace_span(code, start):
     return None
 
 
-def check_tag_pairing(ctx, out):
-    """Per-file send/recv endpoint graph over kTag* constants. Per-file is
-    the right scope: every protocol in this repo keeps both endpoints of a
-    tag in one header (the sorter, spark, radix, queries, analytics), so a
-    tag leaving that file's view one-sided is a protocol hole, not a
-    modularity choice."""
-    sends = {}  # tag name -> first line seen
-    recvs = {}
-
-    def record(table, args_text, base_line, offset_code):
-        for t in TAG_TOKEN_RE.finditer(args_text):
-            name = t.group(0)
-            ln = base_line + args_text.count("\n", 0, t.start())
-            table.setdefault(name, ln)
-        _ = offset_code
-
-    code = ctx.code
+def endpoint_calls(code):
+    """Yields (side, line, name, args) for every endpoint call in `code`:
+    side is "send", "recv" or "both" (collectives), name the called
+    function and args its parenthesized argument text."""
     for regexp, side in ((SEND_CALL_RE, "send"), (RECV_CALL_RE, "recv"),
                          (COLLECTIVE_CALL_RE, "both")):
         for m in regexp.finditer(code):
@@ -313,12 +308,30 @@ def check_tag_pairing(ctx, out):
             end = paren_span(code, op)
             if end is None:
                 continue
-            args = code[op:end]
-            ln = line_of(code, m.start())
-            if side in ("send", "both"):
-                record(sends, args, ln, op)
-            if side in ("recv", "both"):
-                record(recvs, args, ln, op)
+            name = code[m.start():op].lstrip(".>").strip()
+            yield side, line_of(code, m.start()), name, code[op:end]
+
+
+def check_tag_pairing(ctx, out):
+    """Per-file send/recv endpoint graph over kTag* constants. Per-file is
+    the right scope: every protocol in this repo keeps both endpoints of a
+    tag in one header (the sorter, spark, radix, queries, analytics), so a
+    tag leaving that file's view one-sided is a protocol hole, not a
+    modularity choice."""
+    sends = {}  # tag name -> first line seen
+    recvs = {}
+
+    def record(table, args_text, base_line):
+        for t in TAG_TOKEN_RE.finditer(args_text):
+            name = t.group(0)
+            ln = base_line + args_text.count("\n", 0, t.start())
+            table.setdefault(name, ln)
+
+    for side, ln, _, args in endpoint_calls(ctx.code):
+        if side in ("send", "both"):
+            record(sends, args, ln)
+        if side in ("recv", "both"):
+            record(recvs, args, ln)
 
     for name, ln in sorted(sends.items()):
         if name not in recvs:
@@ -333,6 +346,22 @@ def check_tag_pairing(ctx, out):
                 ctx.rel, ln, "tag-unpaired",
                 f"{name} is received here but never sent in this file — "
                 f"a recv with no matching send deadlocks"))
+
+
+def check_tag_opaque(ctx, out):
+    """tag-unpaired only sees the kTag* tokens written inside an endpoint
+    call, so a tag passed through a variable drops out of the pairing
+    check without a word. In a file that declares kTag* constants every
+    endpoint must therefore name one."""
+    if not TAG_DECL_RE.search(ctx.code):
+        return
+    for _, ln, name, args in endpoint_calls(ctx.code):
+        if not TAG_TOKEN_RE.search(args):
+            out.append(Violation(
+                ctx.rel, ln, "tag-opaque",
+                f"'{name}' names no kTag* constant, so the pairing check "
+                f"cannot see its tag — name the tags inline (a ternary "
+                f"between two is fine)"))
 
 
 def check_collective_in_rank_branch(ctx, out):
@@ -494,6 +523,7 @@ def analyze_files(files):
     for ctx in ctxs:
         found = []
         check_tag_pairing(ctx, found)
+        check_tag_opaque(ctx, found)
         check_collective_in_rank_branch(ctx, found)
         check_recovery_unbounded_wait(ctx, found)
         check_lock_annotations(ctx, found)
