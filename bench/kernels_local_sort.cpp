@@ -1,19 +1,18 @@
 // Microbenchmarks (google-benchmark) of the real local sorting kernels:
-// quicksort, TimSort, the balanced merge handler, and Merge-Path parallel
-// merge. These are the kernels the simulator's cost model is calibrated
-// against (runtime/cost_model.cpp).
+// quicksort, radix sort, TimSort, the Fig. 2 balanced merge handler and the
+// k-way merges. Every kernel runs on the calling thread; the simulator's
+// cost model (runtime/cost_model.cpp) charges the paper's per-machine
+// threads on the simulated clock.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "sort/balanced_merge.hpp"
 #include "sort/local_sort.hpp"
 #include "sort/merge.hpp"
 #include "sort/parallel_kway_merge.hpp"
-#include "sort/parallel_sort.hpp"
 #include "sort/quicksort.hpp"
 #include "sort/soa_merge.hpp"
 #include "sort/timsort.hpp"
@@ -74,24 +73,6 @@ void BM_QuicksortSkewed(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_QuicksortSkewed)->Arg(1 << 20);
-
-// Ablation: scalar Hoare partition instead of the branchless block
-// partition. The gap between this and BM_Quicksort is the win attributable
-// to the block scheme on branch-miss-heavy uniform data.
-void BM_QuicksortClassicPartition(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto base = random_keys(n, 0);
-  pgxd::sort::QuicksortConfig cfg;
-  cfg.block_partition = false;
-  for (auto _ : state) {
-    auto v = base;
-    pgxd::sort::quicksort(std::span<std::uint64_t>(v), {}, cfg);
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_QuicksortClassicPartition)->Arg(1 << 20);
 
 // Ablation: block partition with the SIMD classify disabled. The gap to
 // BM_Quicksort is the win attributable to the AVX2/SSE compress-store
@@ -309,10 +290,9 @@ void BM_BalancedMergeSoaTree(benchmark::State& state) {
 BENCHMARK(BM_BalancedMergeSoaTree)->Arg(4)->Arg(8)->Arg(32);
 
 // Single-pass parallel k-way SoA merge over the same input shape as
-// BM_BalancedMergeSoaTree: splitter search + one loser tree per range on a
-// 3-worker pool (4 merging threads incl. the caller). The tentpole claim —
-// one move per element instead of one per level — is this bench against
-// that one.
+// BM_BalancedMergeSoaTree: splitter search + one loser tree per range, 4
+// ranges run one after another. One move per element instead of one per
+// level is this bench against that one.
 void BM_ParallelKwayMergeSoa(benchmark::State& state) {
   const auto runs = static_cast<std::size_t>(state.range(0));
   const std::size_t per_run = (1u << 21) / runs;
@@ -329,10 +309,9 @@ void BM_ParallelKwayMergeSoa(benchmark::State& state) {
   std::vector<std::uint32_t> perm_base(base.size());
   std::vector<std::uint64_t> key_out;
   std::vector<std::uint32_t> perm_out;
-  pgxd::ThreadPool pool(3);
   for (auto _ : state) {
     pgxd::sort::parallel_kway_merge_soa(base, perm_base, bounds, key_out,
-                                        perm_out, {}, &pool);
+                                        perm_out, {}, 4);
     benchmark::DoNotOptimize(key_out.data());
     benchmark::DoNotOptimize(perm_out.data());
   }
@@ -341,8 +320,9 @@ void BM_ParallelKwayMergeSoa(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelKwayMergeSoa)->Arg(4)->Arg(8)->Arg(32);
 
-// Sequential single-range variant: isolates the loser tree's one-move-
-// per-element gain from the added merge parallelism.
+// Single-range variant: one loser tree over the whole output and no
+// splitter search, so its gap to BM_ParallelKwayMergeSoa/32 is what the
+// search costs.
 void BM_ParallelKwayMergeSoaSeq(benchmark::State& state) {
   const auto runs = static_cast<std::size_t>(state.range(0));
   const std::size_t per_run = (1u << 21) / runs;
@@ -361,7 +341,7 @@ void BM_ParallelKwayMergeSoaSeq(benchmark::State& state) {
   std::vector<std::uint32_t> perm_out;
   for (auto _ : state) {
     pgxd::sort::parallel_kway_merge_soa(base, perm_base, bounds, key_out,
-                                        perm_out, {}, nullptr, 1);
+                                        perm_out, {}, 1);
     benchmark::DoNotOptimize(key_out.data());
     benchmark::DoNotOptimize(perm_out.data());
   }
@@ -369,24 +349,6 @@ void BM_ParallelKwayMergeSoaSeq(benchmark::State& state) {
                           static_cast<std::int64_t>(base.size()));
 }
 BENCHMARK(BM_ParallelKwayMergeSoaSeq)->Arg(32);
-
-void BM_ParallelMergePieces(benchmark::State& state) {
-  const auto pieces = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = 1u << 21;
-  auto a = random_keys(n / 2, 0, 1);
-  auto b = random_keys(n / 2, 0, 2);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  std::vector<std::uint64_t> out(n);
-  pgxd::ThreadPool pool(3);
-  for (auto _ : state) {
-    pgxd::sort::parallel_merge<std::uint64_t>(a, b, out, {}, &pool, pieces);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelMergePieces)->Arg(1)->Arg(4)->Arg(8);
 
 }  // namespace
 

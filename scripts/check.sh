@@ -3,7 +3,9 @@
 #
 #   scripts/check.sh                 # ASan + UBSan test suite (the default)
 #   scripts/check.sh tsan            # ThreadSanitizer test suite (alias:
-#                                    # thread); the TSan fleet is kept clean
+#                                    # thread); src/ starts no host thread,
+#                                    # and the fleet stays to catch the one
+#                                    # that comes back
 #   scripts/check.sh undefined       # UBSan alone
 #   scripts/check.sh release         # -O3 -DNDEBUG build + full test suite
 #   scripts/check.sh record          # rewrites results/BENCH_sort.json
@@ -368,8 +370,8 @@ configure_build "$BUILD_DIR" -DPGXD_SANITIZE="$SAN" \
 
 # abort_on_error/halt_on_error make sanitizer findings fail the test process
 # the same way PGXD_CHECK does; detect_leaks stays on wherever ASan supports
-# it. TSan keeps its history buffer large enough for the merge-tree tests'
-# long synchronization chains.
+# it. TSan keeps a large history buffer so a report names both stacks of a
+# race even across long synchronization chains.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1:history_size=7}"

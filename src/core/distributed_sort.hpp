@@ -1655,16 +1655,15 @@ class DistributedSorter {
           co_await m.charge_balanced_merge(total_recv, runs);
         } else {
           // Loser-tree k-way merge, one move per element into the scratch
-          // planes. kParallelKway cuts the output into per-thread ranges by
-          // splitter search; the DES sorter has no real pool, so the ranges
-          // run for real (sequentially here) with the simulated machine's
-          // thread count while the cost model charges them as parallel.
-          // kSequentialKway is the no-parallelism ablation: one loser tree
-          // over the whole partition.
+          // planes. kParallelKway cuts the output into one range per
+          // simulated thread by splitter search; the ranges run for real,
+          // one after another, while the cost model charges them as
+          // parallel. kSequentialKway is the no-parallelism ablation: one
+          // loser tree over the whole partition.
           const bool parallel = merge_algo == MergeAlgo::kParallelKway;
           const auto kres = sort::parallel_kway_merge_soa(
               recv_keys, perm, bounds, key_scratch, perm_scratch, comp_,
-              /*pool=*/nullptr, /*ranges=*/parallel ? m.threads() : 1);
+              /*ranges=*/parallel ? m.threads() : 1);
           if (parallel) {
             if (c_kway_ranges) {
               c_kway_ranges->inc(kres.ranges);

@@ -74,44 +74,12 @@ void LogHistogram::merge(const LogHistogram& o) {
   sum_ += o.sum_;
 }
 
-// ---- FixedHistogram --------------------------------------------------------
-
-FixedHistogram::FixedHistogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  PGXD_CHECK(hi > lo);
-  PGXD_CHECK(buckets > 0);
-}
-
-void FixedHistogram::add(double x, std::uint64_t count) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto b = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  b = std::clamp<std::ptrdiff_t>(b, 0,
-                                 static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(b)] += count;
-  n_ += count;
-}
-
-void FixedHistogram::merge(const FixedHistogram& o) {
-  PGXD_CHECK_MSG(lo_ == o.lo_ && hi_ == o.hi_ &&
-                     counts_.size() == o.counts_.size(),
-                 "fixed histogram merge requires identical bucket layouts");
-  for (std::size_t b = 0; b < counts_.size(); ++b) counts_[b] += o.counts_[b];
-  n_ += o.n_;
-}
-
 // ---- MetricsRegistry -------------------------------------------------------
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, c] : other.counters_) counters_[name].merge(c);
   for (const auto& [name, g] : other.gauges_) gauges_[name].merge(g);
   for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
-  for (const auto& [name, h] : other.fixed_) {
-    auto it = fixed_.find(name);
-    if (it == fixed_.end())
-      fixed_.emplace(name, h);
-    else
-      it->second.merge(h);
-  }
 }
 
 void MetricsRegistry::write_json(JsonWriter& w) const {
@@ -136,21 +104,6 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
     w.kv("p50", h.quantile(0.50));
     w.kv("p90", h.quantile(0.90));
     w.kv("p99", h.quantile(0.99));
-    w.end_object();
-  }
-  w.end_object();
-  w.key("fixed_histograms");
-  w.begin_object();
-  for (const auto& [name, h] : fixed_) {
-    w.key(name);
-    w.begin_object();
-    w.kv("lo", h.lo());
-    w.kv("hi", h.hi());
-    w.kv("count", h.count());
-    w.key("buckets");
-    w.begin_array();
-    for (std::size_t b = 0; b < h.buckets(); ++b) w.value(h.bucket_count(b));
-    w.end_array();
     w.end_object();
   }
   w.end_object();

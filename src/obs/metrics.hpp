@@ -1,6 +1,6 @@
-// Per-rank metrics registry: counters, gauges, and two histogram flavors
-// (fixed-bucket and HDR-style log-linear), mergeable across ranks the same
-// way RunningStats::merge folds partial streams.
+// Per-rank metrics registry: counters, gauges, and HDR-style log-linear
+// histograms, mergeable across ranks the same way RunningStats::merge folds
+// partial streams.
 //
 // Cost model: machines in this codebase are cooperatively scheduled
 // coroutines on one OS thread, so metric updates are plain integer writes —
@@ -92,32 +92,6 @@ class LogHistogram {
   std::uint64_t sum_ = 0;
 };
 
-// Fixed-width bucket histogram over [lo, hi); out-of-range values clamp into
-// the edge buckets. For quantities with a known, narrow range (ratios,
-// shares) where uniform resolution beats log-linear.
-class FixedHistogram {
- public:
-  FixedHistogram() : FixedHistogram(0.0, 1.0, 10) {}
-  FixedHistogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x, std::uint64_t count = 1);
-
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::size_t buckets() const { return counts_.size(); }
-  std::uint64_t bucket_count(std::size_t b) const { return counts_[b]; }
-  std::uint64_t count() const { return n_; }
-
-  // Merging requires identical bucket layouts.
-  void merge(const FixedHistogram& o);
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t n_ = 0;
-};
-
 // One rank's metrics. Instruments are created on first use and live for the
 // registry's lifetime, so references returned here stay valid — resolve
 // once, bump many times.
@@ -128,22 +102,12 @@ class MetricsRegistry {
   LogHistogram& histogram(std::string_view name) {
     return histograms_[key(name)];
   }
-  FixedHistogram& fixed_histogram(std::string_view name, double lo, double hi,
-                                  std::size_t buckets) {
-    auto it = fixed_.find(key(name));
-    if (it == fixed_.end())
-      it = fixed_.emplace(key(name), FixedHistogram(lo, hi, buckets)).first;
-    return it->second;
-  }
 
   // Read-only views for exporters/tests; zero-valued instruments included.
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, LogHistogram>& histograms() const {
     return histograms_;
-  }
-  const std::map<std::string, FixedHistogram>& fixed_histograms() const {
-    return fixed_;
   }
 
   std::uint64_t counter_value(std::string_view name) const {
@@ -161,7 +125,7 @@ class MetricsRegistry {
   void merge(const MetricsRegistry& other);
 
   // {"counters": {...}, "gauges": {...}, "histograms": {name: {count, min,
-  // max, mean, p50, p90, p99}}, "fixed_histograms": {...}} as one object.
+  // max, mean, p50, p90, p99}}} as one object.
   void write_json(JsonWriter& w) const;
 
  private:
@@ -170,7 +134,6 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, LogHistogram> histograms_;
-  std::map<std::string, FixedHistogram> fixed_;
 };
 
 // Merges a set of per-rank registries into one cluster-wide view.

@@ -4,13 +4,12 @@
 // [bounds[r], bounds[r+1])). Runs are merged pairwise per level — run 1 into
 // run 0, run 3 into run 2, ... — so when the runs start equal-sized (one per
 // worker thread), every merge at every level joins partners of (almost)
-// equal size; and each level's merges execute in parallel, with every merge
-// itself split across threads via Merge-Path co-ranking. Levels ping-pong
-// between the data buffer and one scratch buffer of equal size.
+// equal size. Levels ping-pong between the data buffer and one scratch
+// buffer of equal size.
 //
-// Each level's work is a flat vector of MergeSegment descriptors (reused
-// across levels) dispatched through ThreadPool::run_all's index-based
-// overload, so a merge of any size performs O(1) heap allocations.
+// The merges run one after another on the calling thread; the cost model
+// (runtime/cost_model.hpp) charges the tree as the paper's threads would
+// run it, each level's merges in parallel.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 #include "sort/comparator.hpp"
 #include "sort/merge.hpp"
 
@@ -63,12 +61,11 @@ struct BalancedMergeStats {
 // Merges the runs described by `bounds` (size R+1, bounds[0] == 0,
 // bounds[R] == data.size(), non-decreasing) into fully sorted order in
 // `data`, using `scratch` (resized to data.size()) as the ping-pong buffer.
-// `pool` may be null for sequential execution. Returns per-run statistics.
+// Returns per-run statistics.
 template <typename T, typename Comp = Less>
 BalancedMergeStats balanced_merge(std::vector<T>& data,
                                   std::vector<std::size_t> bounds,
-                                  std::vector<T>& scratch, Comp comp = {},
-                                  ThreadPool* pool = nullptr) {
+                                  std::vector<T>& scratch, Comp comp = {}) {
   PGXD_CHECK(!bounds.empty());
   PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == data.size());
@@ -78,9 +75,7 @@ BalancedMergeStats balanced_merge(std::vector<T>& data,
   scratch.resize(data.size());
   T* src = data.data();
   T* dst = scratch.data();
-  const std::size_t total_workers = pool ? pool->workers() + 1 : 1;
 
-  std::vector<MergeSegment<T>> segs;  // reused across levels
   std::vector<std::size_t> next_bounds;
   while (bounds.size() > 2) {
     const std::size_t run_count = bounds.size() - 1;
@@ -88,38 +83,25 @@ BalancedMergeStats balanced_merge(std::vector<T>& data,
     next_bounds.reserve(run_count / 2 + 2);
     next_bounds.push_back(0);
 
-    segs.clear();
-    const std::size_t merges = run_count / 2;
-    const std::size_t pieces_per_merge =
-        merges > 0 ? std::max<std::size_t>(1, total_workers / merges) : 1;
-
     for (std::size_t r = 0; r + 1 < run_count; r += 2) {
       const std::size_t lo = bounds[r];
       const std::size_t mid = bounds[r + 1];
       const std::size_t hi = bounds[r + 2];
-      append_merge_segments<T, Comp>(
-          std::span<const T>(src + lo, mid - lo),
-          std::span<const T>(src + mid, hi - mid),
-          std::span<T>(dst + lo, hi - lo), comp, pieces_per_merge, segs);
+      merge_into<T, Comp>(std::span<const T>(src + lo, mid - lo),
+                          std::span<const T>(src + mid, hi - mid),
+                          std::span<T>(dst + lo, hi - lo), comp);
       next_bounds.push_back(hi);
       ++stats.merges;
       stats.elements_moved += hi - lo;
     }
     if (run_count % 2 == 1) {
-      // Odd tail: copy through so the ping-pong buffers stay consistent
-      // (a merge segment with an empty b side is a straight copy).
+      // Odd tail: copy through so the ping-pong buffers stay consistent.
       const std::size_t lo = bounds[run_count - 1];
       const std::size_t hi = bounds[run_count];
-      segs.push_back(MergeSegment<T>{src + lo, src + hi, dst + lo, hi - lo, 0});
+      std::copy(src + lo, src + hi, dst + lo);
       next_bounds.push_back(hi);
       stats.elements_moved += hi - lo;
     }
-
-    if (pool)
-      pool->run_all(segs.size(),
-                    [&](std::size_t i) { run_merge_segment(segs[i], comp); });
-    else
-      for (const auto& seg : segs) run_merge_segment(seg, comp);
 
     std::swap(src, dst);
     bounds.swap(next_bounds);

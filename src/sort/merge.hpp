@@ -1,10 +1,5 @@
-// Merge kernels: stable two-way merge, Merge-Path co-ranking, and a
-// parallel merge that splits the output range across a thread pool.
-//
-// Parallel work is described by plain MergeSegment records (pointer + length
-// pairs) instead of heap-allocated closures: one level of the Fig. 2 merge
-// tree appends its segments into a caller-owned vector that is reused across
-// levels, so scheduling a merge costs zero allocations in the steady state.
+// Stable two-way merge, the kernel under the Fig. 2 merge tree
+// (sort/balanced_merge.hpp) and the bitonic baseline's compare-split.
 //
 // Stability convention everywhere: on ties, elements of the first ("a")
 // input precede elements of the second ("b") input.
@@ -14,10 +9,8 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 #include "sort/comparator.hpp"
 
 namespace pgxd::sort {
@@ -33,100 +26,6 @@ void merge_into(std::span<const T> a, std::span<const T> b, std::span<T> out,
     out[k++] = comp(b[j], a[i]) ? b[j++] : a[i++];
   while (i < a.size()) out[k++] = a[i++];
   while (j < b.size()) out[k++] = b[j++];
-}
-
-// Merge-Path co-rank: returns i (and implicitly j = k - i) such that the
-// stable merge of a and b has exactly a[0..i) and b[0..j) in its first k
-// output slots. O(log(min(|a|, |b|, k))).
-template <typename T, typename Comp = Less>
-std::size_t co_rank(std::size_t k, std::span<const T> a, std::span<const T> b,
-                    Comp comp = {}) {
-  PGXD_CHECK(k <= a.size() + b.size());
-  std::size_t lo = k > b.size() ? k - b.size() : 0;
-  std::size_t hi = k < a.size() ? k : a.size();
-  for (;;) {
-    const std::size_t i = lo + (hi - lo) / 2;
-    const std::size_t j = k - i;
-    if (i < a.size() && j > 0 && !comp(b[j - 1], a[i])) {
-      // b[j-1] >= a[i]: a[i] belongs in the prefix, take more from a.
-      lo = i + 1;
-    } else if (i > 0 && j < b.size() && comp(b[j], a[i - 1])) {
-      // b[j] < a[i-1]: we took too much from a.
-      hi = i - 1;
-    } else {
-      return i;
-    }
-  }
-}
-
-// Minimum output elements per parallel piece; below this, splitting costs
-// more than it saves.
-inline constexpr std::size_t kMinMergePiece = 4096;
-
-// One independent piece of a stable two-way merge: a POD descriptor, cheap
-// to store in a reusable vector and to hand to a pool worker by index.
-template <typename T>
-struct MergeSegment {
-  const T* a = nullptr;
-  const T* b = nullptr;
-  T* out = nullptr;
-  std::size_t a_n = 0;
-  std::size_t b_n = 0;
-};
-
-template <typename T, typename Comp = Less>
-void run_merge_segment(const MergeSegment<T>& seg, Comp comp = {}) {
-  merge_into(std::span<const T>(seg.a, seg.a_n),
-             std::span<const T>(seg.b, seg.b_n),
-             std::span<T>(seg.out, seg.a_n + seg.b_n), comp);
-}
-
-// Cuts the stable merge of a and b into `pieces` independent segments (via
-// co_rank) and appends them to `segs` without running them. Used by the
-// balanced merge handler to build one flat segment list per merge level, so
-// nothing ever blocks inside a pool worker.
-template <typename T, typename Comp = Less>
-void append_merge_segments(std::span<const T> a, std::span<const T> b,
-                           std::span<T> out, Comp comp, std::size_t pieces,
-                           std::vector<MergeSegment<T>>& segs) {
-  PGXD_CHECK(out.size() == a.size() + b.size());
-  const std::size_t n = out.size();
-  if (n == 0) return;
-  pieces = std::max<std::size_t>(1, pieces);
-  if (n / pieces < kMinMergePiece) pieces = std::max<std::size_t>(1, n / kMinMergePiece);
-  std::size_t prev_k = 0;
-  std::size_t prev_i = 0;
-  for (std::size_t p = 1; p <= pieces; ++p) {
-    const std::size_t k = n * p / pieces;
-    const std::size_t i = (p == pieces) ? a.size() : co_rank(k, a, b, comp);
-    const std::size_t j0 = prev_k - prev_i;
-    const std::size_t j1 = k - i;
-    segs.push_back(MergeSegment<T>{a.data() + prev_i, b.data() + j0,
-                                   out.data() + prev_k, i - prev_i, j1 - j0});
-    prev_k = k;
-    prev_i = i;
-  }
-}
-
-// Stable parallel merge: the output is cut into `pieces` equal segments; the
-// (i, j) split for each cut point comes from co_rank, so segments merge
-// independently. Falls back to the sequential kernel for small inputs or a
-// null pool. Must be called from outside the pool's workers.
-template <typename T, typename Comp = Less>
-void parallel_merge(std::span<const T> a, std::span<const T> b, std::span<T> out,
-                    Comp comp = {}, ThreadPool* pool = nullptr,
-                    std::size_t pieces = 0) {
-  if (pieces == 0) pieces = pool ? pool->workers() + 1 : 1;
-  if (pieces <= 1 || pool == nullptr || out.size() < 2 * kMinMergePiece) {
-    PGXD_CHECK(out.size() == a.size() + b.size());
-    merge_into(a, b, out, comp);
-    return;
-  }
-  std::vector<MergeSegment<T>> segs;
-  segs.reserve(pieces);
-  append_merge_segments(a, b, out, comp, pieces, segs);
-  pool->run_all(segs.size(),
-                [&](std::size_t i) { run_merge_segment(segs[i], comp); });
 }
 
 }  // namespace pgxd::sort

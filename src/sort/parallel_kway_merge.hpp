@@ -17,6 +17,10 @@
 //      comparisons but only ONE move per element, writing straight into its
 //      disjoint slice of the destination.
 //
+// The ranges run one after another on the calling thread. The distributed
+// sorter asks for one range per simulated worker thread, and the cost model
+// (runtime/cost_model.hpp) charges them as running in parallel.
+//
 // Boundary cursors deal equal keys to the lower run first — the same tie
 // rule as the loser tree and merge_into — so the concatenated ranges are
 // *bit-identical* to the stable sequential merge (and to the Fig. 2 tree),
@@ -29,15 +33,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/thread_pool.hpp"
 #include "sort/comparator.hpp"
 #include "sort/kway_merge.hpp"
-#include "sort/merge.hpp"
 
 namespace pgxd::sort {
 
@@ -139,6 +140,10 @@ std::vector<std::size_t> kway_select(const K* keys,
   }
 }
 
+// Minimum output elements per range; below this, splitting costs more than
+// it saves.
+inline constexpr std::size_t kMinMergePiece = 4096;
+
 namespace detail {
 
 // Output ranges for one parallel k-way merge: `want` ranges clamped so no
@@ -168,17 +173,16 @@ std::vector<std::size_t> kway_range_cursors(
 }  // namespace detail
 
 // Single-pass parallel k-way merge of full records: merges the sorted runs
-// of `src` described by `bounds` into `dst` (resized to src.size()). With a
-// pool, output ranges merge concurrently (caller participates via
-// run_all); `ranges` overrides the split count — e.g. a DES caller with no
-// real pool can still exercise the splitter search by asking for the
-// simulated machine's thread count.
+// of `src` described by `bounds` into `dst` (resized to src.size()), cut
+// into `ranges` output ranges by splitter search. The ranges run one after
+// another on the calling thread; a DES caller asks for the simulated
+// machine's thread count, so the splitter search runs for real while the
+// cost model charges the ranges as parallel.
 template <typename T, typename Comp = Less>
 ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
                                            const std::vector<std::size_t>& bounds,
                                            std::vector<T>& dst, Comp comp = {},
-                                           ThreadPool* pool = nullptr,
-                                           std::size_t ranges = 0) {
+                                           std::size_t ranges = 1) {
   PGXD_CHECK(!bounds.empty());
   PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == src.size());
@@ -194,28 +198,21 @@ ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
   }
 
   const std::span<const std::size_t> bspan(bounds);
-  if (ranges == 0) ranges = pool ? pool->workers() + 1 : 1;
   ranges = detail::clamp_kway_ranges(ranges, n);
   stats.ranges = ranges;
   auto cursors =
       detail::kway_range_cursors(src.data(), bspan, ranges, comp,
                                  stats.select_rounds);
 
-  std::vector<std::uint64_t> comps(ranges, 0);
-  auto run_range = [&](std::size_t i) {
+  for (std::size_t i = 0; i < ranges; ++i) {
     std::span<std::size_t> cur(cursors.data() + i * runs, runs);
     const std::size_t k0 = n * i / ranges;
     const std::size_t k1 = n * (i + 1) / ranges;
     std::size_t out = k0;
-    comps[i] = kway_merge_range(src.data(), bspan, cur, k1 - k0, comp,
-                                [&](std::size_t pos) { dst[out++] = src[pos]; });
-  };
-  if (pool != nullptr && ranges > 1)
-    pool->run_all(ranges, run_range);
-  else
-    for (std::size_t i = 0; i < ranges; ++i) run_range(i);
-  stats.comparisons = std::accumulate(comps.begin(), comps.end(),
-                                      std::uint64_t{0});
+    stats.comparisons +=
+        kway_merge_range(src.data(), bspan, cur, k1 - k0, comp,
+                         [&](std::size_t pos) { dst[out++] = src[pos]; });
+  }
   return stats;
 }
 
@@ -230,7 +227,7 @@ ParallelKwayMergeStats parallel_kway_merge_soa(
     const std::vector<K>& keys, const std::vector<std::uint32_t>& perm,
     const std::vector<std::size_t>& bounds, std::vector<K>& key_out,
     std::vector<std::uint32_t>& perm_out, Comp comp = {},
-    ThreadPool* pool = nullptr, std::size_t ranges = 0) {
+    std::size_t ranges = 1) {
   PGXD_CHECK(!bounds.empty());
   PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == keys.size());
@@ -249,33 +246,40 @@ ParallelKwayMergeStats parallel_kway_merge_soa(
   }
 
   const std::span<const std::size_t> bspan(bounds);
-  if (ranges == 0) ranges = pool ? pool->workers() + 1 : 1;
   ranges = detail::clamp_kway_ranges(ranges, n);
   stats.ranges = ranges;
   auto cursors =
       detail::kway_range_cursors(keys.data(), bspan, ranges, comp,
                                  stats.select_rounds);
 
-  std::vector<std::uint64_t> comps(ranges, 0);
-  auto run_range = [&](std::size_t i) {
+  for (std::size_t i = 0; i < ranges; ++i) {
     std::span<std::size_t> cur(cursors.data() + i * runs, runs);
     const std::size_t k0 = n * i / ranges;
     const std::size_t k1 = n * (i + 1) / ranges;
     std::size_t out = k0;
-    comps[i] = kway_merge_range(keys.data(), bspan, cur, k1 - k0, comp,
-                                [&](std::size_t pos) {
-                                  key_out[out] = keys[pos];
-                                  perm_out[out] = perm[pos];
-                                  ++out;
-                                });
-  };
-  if (pool != nullptr && ranges > 1)
-    pool->run_all(ranges, run_range);
-  else
-    for (std::size_t i = 0; i < ranges; ++i) run_range(i);
-  stats.comparisons = std::accumulate(comps.begin(), comps.end(),
-                                      std::uint64_t{0});
+    stats.comparisons +=
+        kway_merge_range(keys.data(), bspan, cur, k1 - k0, comp,
+                         [&](std::size_t pos) {
+                           key_out[out] = keys[pos];
+                           perm_out[out] = perm[pos];
+                           ++out;
+                         });
+  }
   return stats;
+}
+
+// The signature from when the merge took a thread pool in this slot.
+// benchmark/pgxd_bench.cpp still passes nullptr there, and the benchmark's
+// sources change only together with the benchmark. Retire this overload
+// with them.
+template <typename K, typename Comp>
+ParallelKwayMergeStats parallel_kway_merge_soa(
+    const std::vector<K>& keys, const std::vector<std::uint32_t>& perm,
+    const std::vector<std::size_t>& bounds, std::vector<K>& key_out,
+    std::vector<std::uint32_t>& perm_out, Comp comp, std::nullptr_t,
+    std::size_t ranges) {
+  return parallel_kway_merge_soa(keys, perm, bounds, key_out, perm_out, comp,
+                                 ranges);
 }
 
 }  // namespace pgxd::sort

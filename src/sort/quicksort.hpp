@@ -1,7 +1,7 @@
 // Quicksort with the standard production hardening — median-of-three pivots,
 // insertion sort below a cutoff, recursion on the smaller side only, and a
 // heapsort fallback past 2*log2(n) depth so adversarial inputs stay
-// O(n log n) — plus two hot-path refinements:
+// O(n log n) — plus three hot-path refinements:
 //
 //   * a branchless *block partition* (BlockQuicksort-style): comparison
 //     results are buffered as offset indices in two small fixed-size blocks
@@ -22,9 +22,10 @@
 //     runtime-dispatched (AVX2 / SSE4.2 / scalar) so portable and
 //     sanitizer builds are unaffected.
 //
-// The refinements are individually switchable via QuicksortConfig so the
-// bench suite can attribute their wins. This is the per-thread local sort of
-// the paper's step (1).
+// Only the vectorized step can be switched off (QuicksortConfig): its scalar
+// classify loop is the only path for every other key type, and the switch
+// lets tests and benches run it on uint64_t keys. This is the per-thread
+// local sort of the paper's step (1).
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
@@ -48,14 +49,10 @@ inline constexpr std::size_t kInsertionCutoff = 24;
 inline constexpr std::size_t kPartitionBlock = 64;
 
 struct QuicksortConfig {
-  // Branchless buffered cmp/swap partition; false = scalar Hoare-style loop.
-  bool block_partition = true;
-  // Peel pivot-equal runs in one pass (duplicate-heavy inputs).
-  bool equal_fast_path = true;
   // Vectorize the block classify loops (sort/simd_partition.hpp) when the
   // host supports it and the keys are raw uint64_t under the default
   // ordering; false forces the scalar loops (attribution benches, exotic
-  // hosts). Only meaningful with block_partition.
+  // hosts).
   bool simd_partition = true;
 };
 
@@ -86,51 +83,18 @@ void median_of_three(T& a, T& b, T& c, Comp comp) {
 }
 
 // Pivot selection shared by both partition kernels: sorts data[mid], data[0],
-// data[n-1] so the median lands at data[0] (the pivot slot), with
-// data[mid] <= pivot <= data[n-1] serving as scan sentinels.
+// data[n-1] so the median lands at data[0] (the pivot slot).
 template <typename T, typename Comp>
 void pivot_to_front(std::span<T> data, Comp comp) {
   const std::size_t n = data.size();
   median_of_three(data[n / 2], data[0], data[n - 1], comp);
 }
 
-// Scalar partition around the pivot at data[0]: on return the pivot sits at
-// the returned index, everything left of it is < pivot and everything right
-// of it is >= pivot. The pivot is excluded from both sides, so recursion
-// always makes progress.
-template <typename T, typename Comp>
-std::size_t partition_right(std::span<T> data, Comp comp) {
-  const std::size_t n = data.size();
-  T pivot = std::move(data[0]);
-  std::size_t first = 0;
-  std::size_t last = n;
-  // data[n-1] >= pivot (pivot_to_front), so this scan cannot run off the end.
-  while (comp(data[++first], pivot)) {
-  }
-  // If no element < pivot was skipped, the right scan has no sentinel on its
-  // left and must be bounds-checked.
-  if (first - 1 == 0) {
-    while (first < last && !comp(data[--last], pivot)) {
-    }
-  } else {
-    while (!comp(data[--last], pivot)) {
-    }
-  }
-  while (first < last) {
-    std::swap(data[first], data[last]);
-    while (comp(data[++first], pivot)) {
-    }
-    while (!comp(data[--last], pivot)) {
-    }
-  }
-  const std::size_t pivot_pos = first - 1;
-  if (pivot_pos != 0) data[0] = std::move(data[pivot_pos]);
-  data[pivot_pos] = std::move(pivot);
-  return pivot_pos;
-}
-
 // Branchless block partition around the pivot at data[0] (BlockQuicksort /
-// pdqsort technique). Same contract as partition_right. Each block pass
+// pdqsort technique): on return the pivot sits at the returned index,
+// everything left of it is < pivot and everything right of it is >= pivot.
+// The pivot is excluded from both sides, so recursion always makes
+// progress. Each block pass
 // writes candidate offsets unconditionally and advances the count by the
 // comparison result, so the comparison never feeds a branch; the swap pass
 // then pairs misplaced elements from both ends.
@@ -304,8 +268,7 @@ std::size_t partition_left(std::span<T> data, Comp comp) {
 // is the range minimum — the trigger for the equal-elements fast path.
 template <typename T, typename Comp>
 void introsort_loop(std::span<T> data, Comp comp, int depth_budget,
-                    const T* pred, const QuicksortConfig& cfg,
-                    simd::PartitionIsa isa) {
+                    const T* pred, simd::PartitionIsa isa) {
   while (data.size() > kInsertionCutoff) {
     if (depth_budget-- == 0) {
       std::make_heap(data.begin(), data.end(), comp);
@@ -313,26 +276,24 @@ void introsort_loop(std::span<T> data, Comp comp, int depth_budget,
       return;
     }
     pivot_to_front(data, comp);
-    if (cfg.equal_fast_path && pred != nullptr && !comp(*pred, data[0])) {
+    if (pred != nullptr && !comp(*pred, data[0])) {
       // Pivot == predecessor == range minimum: peel the duplicate run.
       const std::size_t q = partition_left(data, comp);
       pred = &data[q];
       data = data.subspan(q + 1);
       continue;
     }
-    const std::size_t cut = cfg.block_partition
-                                ? partition_right_block(data, comp, isa)
-                                : partition_right(data, comp);
+    const std::size_t cut = partition_right_block(data, comp, isa);
     // The pivot at `cut` is final: recurse on the smaller side, iterate on
     // the larger, threading the correct predecessor into each.
     std::span<T> left = data.first(cut);
     std::span<T> right = data.subspan(cut + 1);
     if (left.size() < right.size()) {
-      introsort_loop(left, comp, depth_budget, pred, cfg, isa);
+      introsort_loop(left, comp, depth_budget, pred, isa);
       pred = &data[cut];
       data = right;
     } else {
-      introsort_loop(right, comp, depth_budget, &data[cut], cfg, isa);
+      introsort_loop(right, comp, depth_budget, &data[cut], isa);
       data = left;
     }
   }
@@ -349,11 +310,11 @@ void quicksort(std::span<T> data, Comp comp = {},
   // SIMD kernels apply to (T, Comp) and the config wants them, else scalar.
   simd::PartitionIsa isa = simd::PartitionIsa::kScalar;
   if constexpr (simd::kSimdPartitionKeys<T, Comp>) {
-    if (cfg.block_partition && cfg.simd_partition) isa = simd::partition_isa();
+    if (cfg.simd_partition) isa = simd::partition_isa();
   }
   const int depth_budget = 2 * static_cast<int>(std::bit_width(data.size()));
   detail::introsort_loop(data, comp, depth_budget,
-                         static_cast<const T*>(nullptr), cfg, isa);
+                         static_cast<const T*>(nullptr), isa);
 }
 
 }  // namespace pgxd::sort

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/distributed_sort.hpp"
 #include "datagen/distributions.hpp"
 #include "net/fabric.hpp"
@@ -25,11 +24,11 @@
 #include "sim/trace.hpp"
 #include "sort/balanced_merge.hpp"
 #include "sort/quicksort.hpp"
+#include "sort/soa_merge.hpp"
 
 // Counting allocator: global operator new/delete instrumented for the whole
 // test binary; individual tests read the counter delta around the call
-// under test (everything here is single-threaded unless noted). It also
-// counts the allocations of one watched size.
+// under test. It also counts the allocations of one watched size.
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::size_t> g_watched_size{0};
@@ -86,9 +85,10 @@ TEST(AllocationDiscipline, QuicksortAllocatesNothing) {
 }
 
 TEST(AllocationDiscipline, BalancedMergeAllocationsIndependentOfRunCount) {
-  // With pre-sized scratch, a merge level's work is one reused segment
-  // vector — allocations scale with levels (log runs), not with runs or
-  // tasks. 64 runs merged sequentially must stay under a small fixed count.
+  // With pre-sized scratch, both Fig. 2 kernels allocate only their run
+  // bounds, so allocations do not grow with the run count: 64 runs must
+  // stay under a small fixed count. The key + permutation kernel is the
+  // one AMS level 1 and kPairwiseTree run.
   Rng rng(13);
   const std::size_t runs = 64, per_run = 2000;
   std::vector<Key> data(runs * per_run);
@@ -100,25 +100,24 @@ TEST(AllocationDiscipline, BalancedMergeAllocationsIndependentOfRunCount) {
     std::sort(data.begin() + r * per_run, data.begin() + (r + 1) * per_run);
   }
   bounds[runs] = data.size();
+  std::vector<Key> keys = data;
   std::vector<Key> scratch(data.size());
-  const std::uint64_t before = g_allocs.load();
+  std::uint64_t before = g_allocs.load();
   sort::balanced_merge(data, bounds, scratch);
-  const std::uint64_t delta = g_allocs.load() - before;
+  std::uint64_t delta = g_allocs.load() - before;
   EXPECT_LE(delta, 40u) << "merge allocations must not scale with run count";
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
-}
 
-TEST(AllocationDiscipline, IndexedRunAllAllocationsIndependentOfTaskCount) {
-  ThreadPool pool(2);
-  pool.run_all(1, [](std::size_t) {});  // warm the pool's queue storage
-  std::atomic<std::uint64_t> sum{0};
-  const std::uint64_t before = g_allocs.load();
-  pool.run_all(50000, [&](std::size_t i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  const std::uint64_t delta = g_allocs.load() - before;
-  EXPECT_LE(delta, 64u) << "run_all must allocate O(workers), not O(tasks)";
-  EXPECT_EQ(sum.load(), 50000ull * 49999ull / 2);
+  std::vector<std::uint32_t> perm(keys.size());
+  std::vector<std::uint32_t> perm_scratch(keys.size());
+  before = g_allocs.load();
+  const bool in_scratch =
+      sort::balanced_merge_soa(keys, perm, bounds, scratch, perm_scratch)
+          .in_scratch;
+  delta = g_allocs.load() - before;
+  EXPECT_LE(delta, 40u) << "SoA merge allocations must not scale with runs";
+  const auto& merged = in_scratch ? scratch : keys;
+  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
 }
 
 // --- Exchange frames are views ----------------------------------------------

@@ -1,5 +1,5 @@
-// Tests for the Fig. 2 balanced merge handler and the full local parallel
-// sort (paper step 1).
+// Tests for the Fig. 2 balanced merge handler: the record-layout kernel and
+// the key + permutation kernel the distributed sorter runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "sort/balanced_merge.hpp"
-#include "sort/parallel_sort.hpp"
 #include "sort/soa_merge.hpp"
 
 namespace pgxd::sort {
@@ -100,27 +98,26 @@ TEST(BalancedMerge, UnevenRunSizes) {
   EXPECT_EQ(data, expect);
 }
 
-TEST(BalancedMerge, WithThreadPoolMatchesSequential) {
-  ThreadPool pool(4);
-  std::vector<std::size_t> bounds;
-  auto data = make_runs(8, 50000, 9, bounds);
-  auto seq = data;
-  auto seq_bounds = bounds;
-  std::vector<std::uint64_t> scratch1, scratch2;
-  balanced_merge(seq, seq_bounds, scratch1);
-  balanced_merge(data, bounds, scratch2, std::less<std::uint64_t>{}, &pool);
-  EXPECT_EQ(data, seq);
-}
-
 TEST(BalancedMerge, ElementsMovedCountsLevelTraffic) {
-  // 4 equal runs of 100: every level moves all 400 elements.
+  // 4 equal runs of 100: every level moves all 400 elements, in both
+  // layouts.
   std::vector<std::size_t> bounds;
   auto data = make_runs(4, 100, 13, bounds);
+  std::vector<std::uint32_t> perm(data.size());
+  std::iota(perm.begin(), perm.end(), 0u);
+  auto keys = data;
   std::vector<std::uint64_t> scratch;
   const auto stats = balanced_merge(data, bounds, scratch);
   EXPECT_EQ(stats.levels, 2u);
   EXPECT_EQ(stats.merges, 3u);
   EXPECT_EQ(stats.elements_moved, 800u);
+
+  std::vector<std::uint32_t> perm_scratch;
+  const auto soa =
+      balanced_merge_soa(keys, perm, bounds, scratch, perm_scratch).stats;
+  EXPECT_EQ(soa.levels, 2u);
+  EXPECT_EQ(soa.merges, 3u);
+  EXPECT_EQ(soa.elements_moved, 800u);
 }
 
 TEST(BalancedMerge, EmptyAndSingleRun) {
@@ -141,10 +138,11 @@ TEST(BalancedMerge, EmptyAndSingleRun) {
 // std::sort's result, the permutation is a true permutation that maps each
 // output slot back to its input key, and equal keys keep ascending
 // permutation values (the stability invariant provenance reconstruction in
-// the distributed sort relies on).
+// the distributed sort relies on). `stats`, when given, receives the
+// merge's statistics.
 void check_soa_merge(std::vector<std::uint64_t> keys,
                      std::vector<std::size_t> bounds,
-                     pgxd::ThreadPool* pool = nullptr) {
+                     BalancedMergeStats* stats = nullptr) {
   const std::vector<std::uint64_t> original = keys;
   auto expect = keys;
   std::sort(expect.begin(), expect.end());
@@ -154,7 +152,8 @@ void check_soa_merge(std::vector<std::uint64_t> keys,
   std::vector<std::uint32_t> perm_scratch;
   const auto res =
       balanced_merge_soa(keys, perm, bounds, key_scratch, perm_scratch,
-                         std::less<std::uint64_t>{}, pool);
+                         std::less<std::uint64_t>{});
+  if (stats != nullptr) *stats = res.stats;
   const auto& mk = res.in_scratch ? key_scratch : keys;
   const auto& mp = res.in_scratch ? perm_scratch : perm;
   ASSERT_EQ(mk.size(), original.size());
@@ -179,7 +178,11 @@ TEST_P(SoaMergeSweep, MergesAnyRunCountWithValidPermutation) {
   const std::size_t runs = GetParam();
   std::vector<std::size_t> bounds;
   auto keys = make_runs(runs, 700, runs + 19, bounds);
-  check_soa_merge(std::move(keys), std::move(bounds));
+  BalancedMergeStats stats;
+  check_soa_merge(std::move(keys), std::move(bounds), &stats);
+  // The Fig. 2 tree: e.g. 8 equal runs merge in 3 levels and 7 merges.
+  EXPECT_EQ(stats.levels, merge_schedule(runs).size());
+  EXPECT_EQ(stats.merges, runs - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(RunCounts, SoaMergeSweep,
@@ -220,13 +223,6 @@ TEST(SoaMerge, UnevenAndEmptyRuns) {
   check_soa_merge(std::move(keys), std::move(bounds));
 }
 
-TEST(SoaMerge, WithThreadPoolMatchesSequential) {
-  ThreadPool pool(4);
-  std::vector<std::size_t> bounds;
-  auto keys = make_runs(8, 40000, 3, bounds);
-  check_soa_merge(std::move(keys), std::move(bounds), &pool);
-}
-
 TEST(SoaMerge, SingleRunIsNoOpInPlace) {
   std::vector<std::uint64_t> keys{1, 2, 3};
   std::vector<std::uint32_t> perm{0, 1, 2};
@@ -236,64 +232,6 @@ TEST(SoaMerge, SingleRunIsNoOpInPlace) {
   EXPECT_FALSE(res.in_scratch);
   EXPECT_EQ(res.stats.levels, 0u);
   EXPECT_EQ(keys, (std::vector<std::uint64_t>{1, 2, 3}));
-}
-
-// --- parallel_sort -----------------------------------------------------------
-
-class ParallelSortSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(ParallelSortSweep, MatchesStdSortAcrossChunkCounts) {
-  const auto [n, chunks] = GetParam();
-  Rng rng(n + chunks);
-  std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = rng.bounded(10000);
-  auto expect = v;
-  std::sort(expect.begin(), expect.end());
-  ThreadPool pool(3);
-  std::vector<std::uint64_t> scratch;
-  const auto stats =
-      parallel_sort(v, scratch, std::less<std::uint64_t>{}, &pool, chunks);
-  EXPECT_EQ(v, expect);
-  EXPECT_GE(stats.chunks, 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndChunks, ParallelSortSweep,
-    ::testing::Combine(::testing::Values(0, 1, 100, 1000, 100000),
-                       ::testing::Values(1, 2, 7, 8, 32)));
-
-TEST(ParallelSort, ChunkCountClampedForTinyInputs) {
-  std::vector<std::uint64_t> v{3, 1, 2};
-  std::vector<std::uint64_t> scratch;
-  const auto stats = parallel_sort(v, scratch, std::less<std::uint64_t>{},
-                                   nullptr, 32);
-  EXPECT_EQ(v, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(stats.chunks, 1u);
-}
-
-TEST(ParallelSort, EqualChunksProduceBalancedTree) {
-  // 8 equal chunks: the Fig. 2 tree has 3 levels and 7 merges.
-  std::vector<std::uint64_t> v(80000);
-  Rng rng(31);
-  for (auto& x : v) x = rng.next();
-  std::vector<std::uint64_t> scratch;
-  const auto stats =
-      parallel_sort(v, scratch, std::less<std::uint64_t>{}, nullptr, 8);
-  EXPECT_EQ(stats.chunks, 8u);
-  EXPECT_EQ(stats.merge.levels, 3u);
-  EXPECT_EQ(stats.merge.merges, 7u);
-  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
-}
-
-TEST(ParallelSort, DuplicateHeavyInput) {
-  std::vector<std::uint64_t> v(50000);
-  Rng rng(37);
-  for (auto& x : v) x = rng.bounded(3);
-  ThreadPool pool(2);
-  std::vector<std::uint64_t> scratch;
-  parallel_sort(v, scratch, std::less<std::uint64_t>{}, &pool, 8);
-  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
 }
 
 }  // namespace

@@ -60,8 +60,7 @@ void aos_merge(std::vector<ItemT>& data, const std::vector<std::size_t>& bounds,
   std::vector<ItemT> scratch;
   switch (algo) {
     case MergeAlgo::kParallelKway:
-      sort::parallel_kway_merge(data, bounds, scratch, item_less,
-                                /*pool=*/nullptr, ranges);
+      sort::parallel_kway_merge(data, bounds, scratch, item_less, ranges);
       data.swap(scratch);
       break;
     case MergeAlgo::kPairwiseTree:

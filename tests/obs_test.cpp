@@ -153,29 +153,6 @@ TEST(LogHistogram, WeightedAdd) {
   EXPECT_EQ(h.quantile(0.5), 10u);
 }
 
-// ------------------------------------------------------------ FixedHistogram
-
-TEST(FixedHistogram, ClampsOutOfRangeIntoEdgeBuckets) {
-  obs::FixedHistogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(25.0);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.bucket_count(0), 2u);  // -5 clamps down
-  EXPECT_EQ(h.bucket_count(9), 2u);  // 25 clamps up
-}
-
-TEST(FixedHistogram, MergeRequiresIdenticalLayout) {
-  obs::FixedHistogram a(0.0, 1.0, 4), b(0.0, 1.0, 4);
-  a.add(0.1);
-  b.add(0.9);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  obs::FixedHistogram c(0.0, 2.0, 4);
-  EXPECT_DEATH(a.merge(c), "");
-}
-
 // ------------------------------------------------------------------ Registry
 
 TEST(MetricsRegistry, InstrumentsCreatedOnFirstUseWithStableRefs) {
@@ -250,7 +227,6 @@ TEST(MetricsRegistry, WriteJsonEmitsEverySection) {
   reg.counter("a.b.c").inc(9);
   reg.gauge("d.e.f").set(2.5);
   reg.histogram("g.h.i").add(100);
-  reg.fixed_histogram("j.k.l", 0.0, 1.0, 4).add(0.3);
   obs::JsonWriter w;
   reg.write_json(w);
   const std::string& s = w.str();
@@ -259,7 +235,6 @@ TEST(MetricsRegistry, WriteJsonEmitsEverySection) {
   EXPECT_NE(s.find("\"gauges\""), std::string::npos);
   EXPECT_NE(s.find("\"histograms\""), std::string::npos);
   EXPECT_NE(s.find("\"p99\""), std::string::npos);
-  EXPECT_NE(s.find("\"fixed_histograms\""), std::string::npos);
 }
 
 // -------------------------------------------------------------- Chrome trace

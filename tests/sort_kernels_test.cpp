@@ -1,14 +1,12 @@
-// Tests for merge kernels, co-ranking, quicksort, and the thread pool.
+// Tests for the two-way merge, quicksort and splitter selection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "sort/merge.hpp"
 #include "sort/quicksort.hpp"
 #include "sort/samples.hpp"
@@ -24,49 +22,7 @@ std::vector<std::uint64_t> random_vec(std::size_t n, std::uint64_t seed,
   return v;
 }
 
-// --- ThreadPool ------------------------------------------------------------
-
-TEST(ThreadPool, InlineWhenZeroWorkers) {
-  ThreadPool pool(0);
-  int ran = 0;
-  pool.submit([&] { ++ran; });
-  EXPECT_EQ(ran, 1);  // executed synchronously
-}
-
-TEST(ThreadPool, RunAllExecutesEverything) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) tasks.push_back([&] { ++count; });
-  pool.run_all(std::move(tasks));
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, 1000, 7, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, 3, [&](std::size_t, std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, WaitIdleAfterManySubmits) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 500; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 500);
-}
-
-// --- merge_into / co_rank ----------------------------------------------------
+// --- merge_into --------------------------------------------------------------
 
 TEST(MergeInto, BasicMerge) {
   const std::vector<int> a{1, 3, 5}, b{2, 4, 6};
@@ -106,68 +62,6 @@ TEST(MergeInto, StableOnTies) {
   EXPECT_EQ(out[5].source, 1);  // 3 from b
 }
 
-TEST(CoRank, SplitsMatchSequentialMergePrefix) {
-  // Property: for every k, the multiset a[0..i) ∪ b[0..j) equals the first k
-  // elements of the merged output.
-  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    auto a = random_vec(97, seed, 50);        // heavy duplication
-    auto b = random_vec(55, seed + 10, 50);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    std::vector<std::uint64_t> merged(a.size() + b.size());
-    merge_into<std::uint64_t>(a, b, merged);
-    for (std::size_t k = 0; k <= merged.size(); ++k) {
-      const std::size_t i = co_rank<std::uint64_t>(k, a, b);
-      const std::size_t j = k - i;
-      ASSERT_LE(i, a.size());
-      ASSERT_LE(j, b.size());
-      std::vector<std::uint64_t> prefix(a.begin(), a.begin() + i);
-      prefix.insert(prefix.end(), b.begin(), b.begin() + j);
-      std::sort(prefix.begin(), prefix.end());
-      std::vector<std::uint64_t> expect(merged.begin(), merged.begin() + k);
-      std::sort(expect.begin(), expect.end());
-      ASSERT_EQ(prefix, expect) << "k=" << k << " seed=" << seed;
-    }
-  }
-}
-
-TEST(CoRank, AllEqualElements) {
-  const std::vector<int> a(10, 7), b(6, 7);
-  for (std::size_t k = 0; k <= 16; ++k) {
-    const std::size_t i = co_rank<int>(k, a, b);
-    // Stability: take everything possible from a first.
-    EXPECT_EQ(i, std::min<std::size_t>(k, 10));
-  }
-}
-
-TEST(CoRank, DisjointRanges) {
-  const std::vector<int> a{1, 2, 3}, b{10, 11};
-  EXPECT_EQ(co_rank<int>(2, a, b), 2u);
-  EXPECT_EQ(co_rank<int>(3, a, b), 3u);
-  EXPECT_EQ(co_rank<int>(4, a, b), 3u);
-  // And reversed: all of b sorts before a.
-  const std::vector<int> c{10, 11}, d{1, 2};
-  EXPECT_EQ(co_rank<int>(2, c, d), 0u);
-}
-
-class ParallelMergeSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelMergeSweep, MatchesSequentialMerge) {
-  const std::size_t n = GetParam();
-  ThreadPool pool(3);
-  auto a = random_vec(n, 42 + n, 1000);
-  auto b = random_vec(n * 2 / 3 + 1, 77 + n, 1000);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  std::vector<std::uint64_t> expect(a.size() + b.size()), got(a.size() + b.size());
-  merge_into<std::uint64_t>(a, b, expect);
-  parallel_merge<std::uint64_t>(a, b, got, {}, &pool, 5);
-  EXPECT_EQ(got, expect);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ParallelMergeSweep,
-                         ::testing::Values(0, 1, 2, 10, 100, 4096, 10000, 50000));
-
 // --- quicksort ------------------------------------------------------------
 
 class QuicksortSweep : public ::testing::TestWithParam<std::size_t> {};
@@ -206,10 +100,10 @@ TEST(Quicksort, AdversarialPatterns) {
   }
 }
 
-// Oracle sweep: every partition-kernel configuration (block/scalar ×
-// equal-fast-path on/off) against std::sort over adversarial patterns, with
-// sizes crossing the 2*kPartitionBlock boundary where the block kernel's
-// final short blocks kick in.
+// Oracle sweep: the block partition's SIMD and scalar classify loops
+// against std::sort over adversarial patterns, with sizes crossing the
+// 2*kPartitionBlock boundary where the block kernel's final short blocks
+// kick in. The scalar loop is the only one other key types ever run.
 std::vector<std::uint64_t> make_pattern(const std::string& pattern,
                                         std::size_t n, std::uint64_t seed) {
   std::vector<std::uint64_t> v(n);
@@ -237,11 +131,11 @@ std::vector<std::uint64_t> make_pattern(const std::string& pattern,
 }
 
 class QuicksortConfigSweep
-    : public ::testing::TestWithParam<std::tuple<bool, bool, std::string>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, std::string>> {};
 
 TEST_P(QuicksortConfigSweep, OracleAcrossPatternsAndSizes) {
-  const auto [block, equal_fast, pattern] = GetParam();
-  const QuicksortConfig cfg{block, equal_fast};
+  const auto [simd, pattern] = GetParam();
+  const QuicksortConfig cfg{simd};
   // Sizes straddling the insertion cutoff and the 2*kPartitionBlock = 128
   // block-partition boundary, plus sizes deep into the blocked main loop.
   for (std::size_t n : {0u, 1u, 2u, 24u, 25u, 63u, 64u, 127u, 128u, 129u,
@@ -251,46 +145,23 @@ TEST_P(QuicksortConfigSweep, OracleAcrossPatternsAndSizes) {
     std::sort(expect.begin(), expect.end());
     quicksort(std::span<std::uint64_t>(v), std::less<std::uint64_t>{}, cfg);
     ASSERT_EQ(v, expect) << "pattern=" << pattern << " n=" << n
-                         << " block=" << block << " eq=" << equal_fast;
+                         << " simd=" << simd;
   }
 }
 
 std::string quicksort_config_name(
-    const ::testing::TestParamInfo<std::tuple<bool, bool, std::string>>& info) {
-  const bool block = std::get<0>(info.param);
-  const bool equal_fast = std::get<1>(info.param);
-  return std::get<2>(info.param) + (block ? "_block" : "_scalar") +
-         (equal_fast ? "_eqfast" : "_noeq");
+    const ::testing::TestParamInfo<std::tuple<bool, std::string>>& info) {
+  return std::get<1>(info.param) +
+         (std::get<0>(info.param) ? "_simd" : "_scalar");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, QuicksortConfigSweep,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+    ::testing::Combine(::testing::Bool(),
                        ::testing::Values("all_equal", "two_value",
                                          "organ_pipe", "presorted", "reverse",
                                          "random", "few_distinct")),
     quicksort_config_name);
-
-TEST(ThreadPool, IndexedRunAllCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(10000);
-  pool.run_all(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, IndexedRunAllInlineWithZeroWorkers) {
-  ThreadPool pool(0);
-  std::vector<int> hits(100, 0);
-  pool.run_all(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (int h : hits) ASSERT_EQ(h, 1);
-}
-
-TEST(ThreadPool, IndexedRunAllEmpty) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.run_all(0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
 
 TEST(Quicksort, CustomComparatorDescending) {
   auto v = random_vec(1000, 5);

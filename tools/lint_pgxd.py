@@ -323,8 +323,7 @@ def check_include_hygiene(ctx, out):
                                  "src/ root (e.g. \"common/rng.hpp\")"))
 
 
-LOOKUP_RE = re.compile(r"\.\s*(counter|gauge|histogram|fixed_histogram)"
-                       r"\s*\(\s*\"")
+LOOKUP_RE = re.compile(r"\.\s*(counter|gauge|histogram)\s*\(\s*\"")
 
 
 def check_telemetry_lookup_in_loop(ctx, out):

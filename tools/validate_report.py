@@ -322,7 +322,7 @@ def make_valid_fixture():
                           "end_lane": 0, "phases": [], "top_edges": []},
         "timeseries": {"interval_ns": 0, "series": {}},
         "metrics": {"counters": {name: 1 for name in REQUIRED_COUNTERS},
-                    "gauges": {}, "histograms": {}, "fixed_histograms": {}},
+                    "gauges": {}, "histograms": {}},
     }
 
 
