@@ -12,7 +12,9 @@
 //   5. Simultaneous asynchronous send/receive of data ranges, streamed in
 //      read-buffer-sized chunks through the data-manager request buffers.
 //   6. Balanced parallel merge of the per-source sorted runs, keeping each
-//      element's previous processor and index (provenance).
+//      element's previous processor and index (provenance). The default
+//      k-way merge reads each source's range in the sender's run and writes
+//      each output item once.
 //
 // One routine, partition_phase_impl, runs steps 2-6 for every partition
 // scheme (SortConfig::partition). kOneLevelSample is the paper's single
@@ -75,9 +77,11 @@ namespace pgxd::core {
 // A rank's locally sorted run, shared read-only by every bulk data frame
 // (kTagData, kTagL1Data) cut from it: a frame is a view, not a copy, so a
 // fabric duplicate or a retransmit copies a pointer. `origins` is the run's
-// origin plane on the two-hop (AMS) path and empty otherwise. The run is
-// freed once its sender and the last frame viewing it have let go, so a
-// frame left in a mailbox (a trailing duplicate, an aborted attempt's
+// origin plane on the two-hop (AMS) path and empty otherwise. A receiver
+// that merges with a k-way strategy keeps one reference per source and
+// merges straight from the run, so the run lives until its sender, the
+// last receiver merging from it and the last frame viewing it have let go.
+// A frame left in a mailbox (a trailing duplicate, an aborted attempt's
 // stray) stays valid for as long as it exists.
 template <typename Key>
 struct SortedRun {
@@ -1430,10 +1434,6 @@ class DistributedSorter {
       // irrelevant.
       std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
 
-      // Structure-of-arrays exchange+merge: the receiver stores bare keys
-      // at their final offsets plus one range-start per source, merges keys
-      // with a compact u32 permutation, and writes provenance once at the
-      // very end.
       PGXD_CHECK_MSG(total_recv <= std::numeric_limits<std::uint32_t>::max(),
                      "merge: a receive array beyond u32 indexing is "
                      "unsupported");
@@ -1444,31 +1444,50 @@ class DistributedSorter {
                                                         std::move(lprov));
       // The pass after level 1 ships its run's origin plane along.
       const bool carried = xprov && !level1;
+      // Level 1 merges into its next sorted run with the Fig. 2 pairwise
+      // tree; the last pass merges into the output with cfg_.final_merge.
+      const MergeAlgo merge_algo =
+          level1 ? MergeAlgo::kPairwiseTree : cfg_.final_merge;
+      // The k-way merges read every source's range where it already lies,
+      // in the sender's run: the receiver keeps one reference per source
+      // and copies nothing. The pairwise tree needs contiguous planes, so
+      // it copies each frame on arrival into bare keys at their final
+      // offsets (plus the origin plane on the two-hop pass), which also
+      // lets level-1 senders free their runs early. The modelled receive
+      // buffers are charged either way: PGX.D receives into them.
+      const bool views = merge_algo != MergeAlgo::kPairwiseTree;
       // src_lo[s]: start of the (member s -> rank) range in s's sorted run,
       // learned from any of s's frames (prov_base - rel_offset). The
       // provenance of the element at receive position pos is then
       // src_lo[s] + (pos - offsets[s]) for the s whose range contains it.
       std::vector<std::uint64_t> src_lo(q, 0);
-      std::vector<Key> recv_keys(total_recv);
+      std::vector<std::shared_ptr<const SortedRun<Key>>> src_run(views ? q
+                                                                       : 0);
+      std::vector<Key> recv_keys(views ? 0 : total_recv);
       const rt::TempAlloc recv_keys_mem(mem, total_recv * sizeof(Key));
-      std::vector<std::uint64_t> recv_prov(carried ? total_recv : 0);
+      std::vector<std::uint64_t> recv_prov(carried && !views ? total_recv
+                                                             : 0);
       const rt::TempAlloc recv_prov_mem(
-          mem, recv_prov.size() * sizeof(std::uint64_t));
+          mem, (carried ? total_recv : 0) * sizeof(std::uint64_t));
 
       // Self range: a local memory move, not fabric traffic.
       {
         const std::size_t lo = plan.bounds[part];
         const std::size_t hi = plan.bounds[part + 1];
         src_lo[idx] = lo;
-        std::copy(
-            run->keys.begin() + static_cast<std::ptrdiff_t>(lo),
-            run->keys.begin() + static_cast<std::ptrdiff_t>(hi),
-            recv_keys.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
-        if (carried)
+        if (views) {
+          src_run[idx] = run;
+        } else {
           std::copy(
-              run->origins.begin() + static_cast<std::ptrdiff_t>(lo),
-              run->origins.begin() + static_cast<std::ptrdiff_t>(hi),
-              recv_prov.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
+              run->keys.begin() + static_cast<std::ptrdiff_t>(lo),
+              run->keys.begin() + static_cast<std::ptrdiff_t>(hi),
+              recv_keys.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
+          if (carried)
+            std::copy(run->origins.begin() + static_cast<std::ptrdiff_t>(lo),
+                      run->origins.begin() + static_cast<std::ptrdiff_t>(hi),
+                      recv_prov.begin() +
+                          static_cast<std::ptrdiff_t>(offsets[idx]));
+        }
         cursor[idx] += hi - lo;
         co_await m.charge_copy(hi - lo);
       }
@@ -1508,10 +1527,10 @@ class DistributedSorter {
       // metadata for the send/receive step).
       std::uint64_t exchange_wire_sent = 0;
 
-      // Places one arriving frame — dedup, copy to its final offset,
-      // provenance/range-start bookkeeping — and returns the elements
-      // placed (0 for a duplicate). The caller charges the simulated copy
-      // cost.
+      // Places one arriving frame — dedup, range-start bookkeeping, and a
+      // reference to its run (k-way) or a copy to its final offset
+      // (pairwise tree) — and returns the elements placed (0 for a
+      // duplicate). The caller charges the simulated copy cost.
       auto place_chunk = [&](const auto& msg) -> std::size_t {
         PGXD_CHECK(msg.src != rank);
         const std::size_t sj = midx.source(
@@ -1533,17 +1552,26 @@ class DistributedSorter {
         const std::size_t at = offsets[sj] + msg.payload.rel_offset;
         PGXD_CHECK_MSG(at + keys.size() <= offsets[sj + 1],
                        "chunk overruns its source's receive range");
-        src_lo[sj] = msg.payload.prov_base - msg.payload.rel_offset;
-        std::copy(keys.begin(), keys.end(),
-                  recv_keys.begin() + static_cast<std::ptrdiff_t>(at));
-        if (carried) {
-          const std::span<const std::uint64_t> origins =
-              msg.payload.origins();
-          PGXD_CHECK_MSG(origins.size() == keys.size(),
-                         "two-hop data chunk arrived without its origin "
-                         "plane");
-          std::copy(origins.begin(), origins.end(),
-                    recv_prov.begin() + static_cast<std::ptrdiff_t>(at));
+        const std::uint64_t lo =
+            msg.payload.prov_base - msg.payload.rel_offset;
+        const std::span<const std::uint64_t> origins = msg.payload.origins();
+        PGXD_CHECK_MSG(!carried || origins.size() == keys.size(),
+                       "two-hop data chunk arrived without its origin plane");
+        if (views) {
+          // Every frame of one source views one range of one run.
+          if (!src_run[sj]) {
+            src_run[sj] = msg.payload.run;
+            src_lo[sj] = lo;
+          }
+          PGXD_CHECK_MSG(src_run[sj] == msg.payload.run && src_lo[sj] == lo,
+                         "frames of one source view different runs");
+        } else {
+          src_lo[sj] = lo;
+          std::copy(keys.begin(), keys.end(),
+                    recv_keys.begin() + static_cast<std::ptrdiff_t>(at));
+          if (carried)
+            std::copy(origins.begin(), origins.end(),
+                      recv_prov.begin() + static_cast<std::ptrdiff_t>(at));
         }
         const std::size_t placed = keys.size();
         cursor[sj] += placed;
@@ -1623,47 +1651,68 @@ class DistributedSorter {
       stamp(rank, mark, Step::kExchange, exchange_wire_sent);
 
       // ---- Step 6: merge ----------------------------------------------------
-      // Bare keys + u32 permutation merge as SoA planes over the non-empty
-      // runs only: at level 1 about sqrt(q) of the q members send to a
-      // rank. Level 1 merges with the Fig. 2 pairwise tree into its next
-      // sorted run; the last pass merges with cfg_.final_merge straight
-      // into the output partition. Provenance is reconstructed from each
-      // element's pre-merge position: the carried origin plane, or the
-      // position's source (a u32 plane, host-side bookkeeping outside the
-      // modelled memory) plus its offset into that source's range.
+      // Merges the non-empty per-source runs only: at level 1 about sqrt(q)
+      // of the q members send to a rank. Ties go to the lower member. The
+      // k-way merges read the source ranges in place and write each item,
+      // key and provenance, once: the element at index i of source s's
+      // range came from the carried origin plane, or from s at src_lo[s] +
+      // i. The pairwise tree merges bare keys + a u32 permutation as SoA
+      // planes, then reconstructs provenance from each element's
+      // pre-merge position: the carried origin plane, or the position's
+      // source (a u32 plane, host-side bookkeeping outside the modelled
+      // memory) plus its offset into that source's range.
       {
-        const MergeAlgo merge_algo =
-            level1 ? MergeAlgo::kPairwiseTree : cfg_.final_merge;
-        std::vector<std::size_t> bounds(1, 0);
-        for (std::size_t s = 0; s < q; ++s)
-          if (recv_counts[s] > 0) bounds.push_back(offsets[s + 1]);
-        const std::size_t runs = std::max<std::size_t>(1, bounds.size() - 1);
-        std::vector<std::uint32_t> perm(total_recv);
-        std::iota(perm.begin(), perm.end(), 0u);
-        std::vector<Key> key_scratch;
-        std::vector<std::uint32_t> perm_scratch;
+        std::size_t runs = 0;
+        for (std::size_t s = 0; s < q; ++s) runs += recv_counts[s] > 0;
+        runs = std::max<std::size_t>(1, runs);
+        // The modelled merge planes: SoA keys + permutation, and scratch.
         const rt::TempAlloc scratch_mem(
             mem, total_recv * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
-        bool in_scratch = true;
-        if (merge_algo == MergeAlgo::kPairwiseTree) {
-          // Fig. 2 pairwise tree: each level moves sizeof(Key) + 4 bytes
-          // per element, ping-ponging between the planes and the scratch.
-          in_scratch = sort::balanced_merge_soa(recv_keys, perm,
-                                                std::move(bounds), key_scratch,
-                                                perm_scratch, comp_)
-                           .in_scratch;
-          co_await m.charge_balanced_merge(total_recv, runs);
-        } else {
-          // Loser-tree k-way merge, one move per element into the scratch
-          // planes. kParallelKway cuts the output into one range per
-          // simulated thread by splitter search; the ranges run for real,
-          // one after another, while the cost model charges them as
-          // parallel. kSequentialKway is the no-parallelism ablation: one
-          // loser tree over the whole partition.
+        if (views) {
+          // Loser-tree k-way merge, one move per element, straight from
+          // the views into the output partition. kParallelKway cuts the
+          // output into one range per simulated thread by splitter search;
+          // the ranges run for real, one after another, while the cost
+          // model charges them as parallel. kSequentialKway is the
+          // no-parallelism ablation: one loser tree over the whole
+          // partition.
+          std::vector<std::span<const Key>> kruns;
+          std::vector<std::span<const std::uint64_t>> korigins;
+          std::vector<Provenance> kbase;
+          for (std::size_t s = 0; s < q; ++s) {
+            if (recv_counts[s] == 0) continue;
+            const SortedRun<Key>& sr = *src_run[s];
+            const std::size_t lo = src_lo[s];
+            PGXD_CHECK_MSG(lo + recv_counts[s] <= sr.keys.size(),
+                           "a source's range overruns its sorted run");
+            kruns.emplace_back(sr.keys.data() + lo, recv_counts[s]);
+            if (carried)
+              korigins.emplace_back(sr.origins.data() + lo, recv_counts[s]);
+            else
+              kbase.push_back(
+                  Provenance{static_cast<std::uint32_t>(ctx.scope[s]), lo});
+          }
           const bool parallel = merge_algo == MergeAlgo::kParallelKway;
-          const auto kres = sort::parallel_kway_merge_soa(
-              recv_keys, perm, bounds, key_scratch, perm_scratch, comp_,
-              /*ranges=*/parallel ? m.threads() : 1);
+          const std::size_t ranges = parallel ? m.threads() : 1;
+          out.clear();
+          out.reserve(total_recv);
+          const auto kres =
+              carried
+                  ? sort::kway_merge_runs<Key>(
+                        kruns, comp_, ranges,
+                        [&](std::size_t r, std::size_t i) {
+                          out.push_back(
+                              ItemT{kruns[r][i], unpack_prov(korigins[r][i])});
+                        })
+                  : sort::kway_merge_runs<Key>(
+                        kruns, comp_, ranges,
+                        [&](std::size_t r, std::size_t i) {
+                          out.push_back(ItemT{
+                              kruns[r][i],
+                              Provenance{kbase[r].prev_machine,
+                                         kbase[r].prev_index + i}});
+                        });
+          src_run.clear();  // frames still in flight keep their runs alive
           if (parallel) {
             if (c_kway_ranges) {
               c_kway_ranges->inc(kres.ranges);
@@ -1673,35 +1722,50 @@ class DistributedSorter {
           } else {
             co_await m.charge_naive_kway_merge(total_recv, runs);
           }
-        }
-        std::vector<Key>& mk = in_scratch ? key_scratch : recv_keys;
-        const std::uint32_t* mp = (in_scratch ? perm_scratch : perm).data();
-        std::vector<std::uint32_t> source;
-        if (!carried) {
-          source.resize(total_recv);
-          for (std::size_t s = 0; s < q; ++s)
-            std::fill(source.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-                      source.begin() +
-                          static_cast<std::ptrdiff_t>(offsets[s + 1]),
-                      static_cast<std::uint32_t>(s));
-        }
-        const auto origin = [&](std::size_t pos) {
-          if (carried) return unpack_prov(recv_prov[pos]);
-          const std::size_t s = source[pos];
-          return Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
-                            src_lo[s] + (pos - offsets[s])};
-        };
-        if (level1) {
-          lprov.resize(total_recv);
-          for (std::size_t i = 0; i < total_recv; ++i) {
-            const Provenance o = origin(mp[i]);
-            lprov[i] = pack_prov(o.prev_machine, o.prev_index);
-          }
-          local = std::move(mk);
         } else {
-          out.resize(total_recv);
-          for (std::size_t i = 0; i < total_recv; ++i)
-            out[i] = ItemT{mk[i], origin(mp[i])};
+          // Fig. 2 pairwise tree: each level moves sizeof(Key) + 4 bytes
+          // per element, ping-ponging between the planes and the scratch.
+          std::vector<std::size_t> bounds(1, 0);
+          for (std::size_t s = 0; s < q; ++s)
+            if (recv_counts[s] > 0) bounds.push_back(offsets[s + 1]);
+          std::vector<std::uint32_t> perm(total_recv);
+          std::iota(perm.begin(), perm.end(), 0u);
+          std::vector<Key> key_scratch;
+          std::vector<std::uint32_t> perm_scratch;
+          const bool in_scratch =
+              sort::balanced_merge_soa(recv_keys, perm, std::move(bounds),
+                                       key_scratch, perm_scratch, comp_)
+                  .in_scratch;
+          co_await m.charge_balanced_merge(total_recv, runs);
+          std::vector<Key>& mk = in_scratch ? key_scratch : recv_keys;
+          const std::uint32_t* mp = (in_scratch ? perm_scratch : perm).data();
+          std::vector<std::uint32_t> source;
+          if (!carried) {
+            source.resize(total_recv);
+            for (std::size_t s = 0; s < q; ++s)
+              std::fill(
+                  source.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
+                  source.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]),
+                  static_cast<std::uint32_t>(s));
+          }
+          const auto origin = [&](std::size_t pos) {
+            if (carried) return unpack_prov(recv_prov[pos]);
+            const std::size_t s = source[pos];
+            return Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
+                              src_lo[s] + (pos - offsets[s])};
+          };
+          if (level1) {
+            lprov.resize(total_recv);
+            for (std::size_t i = 0; i < total_recv; ++i) {
+              const Provenance o = origin(mp[i]);
+              lprov[i] = pack_prov(o.prev_machine, o.prev_index);
+            }
+            local = std::move(mk);
+          } else {
+            out.resize(total_recv);
+            for (std::size_t i = 0; i < total_recv; ++i)
+              out[i] = ItemT{mk[i], origin(mp[i])};
+          }
         }
       }
       stamp(rank, mark, Step::kFinalMerge, total_recv * kStoredBytesPerItem);

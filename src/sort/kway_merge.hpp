@@ -3,12 +3,14 @@
 // and every element is moved exactly once.
 //
 // The tournament engine is exposed as a *range* primitive
-// (`kway_merge_range`): it starts from arbitrary per-run cursors and emits
-// exactly `count` elements in merged order. `kway_merge` runs one engine
-// over the whole buffer (the sequential merge-strategy ablation);
-// sort/parallel_kway_merge.hpp cuts the output into per-thread ranges via
+// (`kway_merge_range`) over runs given as spans: it starts from arbitrary
+// per-run cursors and emits the (run, index) of exactly `count` elements in
+// merged order, so the caller decides where each element goes. `kway_merge`
+// runs one engine over a whole buffer (the sequential merge-strategy
+// ablation); sort/parallel_kway_merge.hpp cuts the output into ranges via
 // multisequence selection and runs one engine per range — the single-pass
-// parallel final merge.
+// parallel final merge. The runs need not be contiguous: the distributed
+// sorter merges straight from its exchange views.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
@@ -16,7 +18,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -29,63 +33,91 @@ struct KwayMergeStats {
   std::uint64_t comparisons = 0;
 };
 
+// The sorted runs of `base` described by `bounds` (size R+1; run r is
+// [bounds[r], bounds[r+1])), as spans.
+template <typename K>
+std::vector<std::span<const K>> runs_of(const K* base,
+                                        std::span<const std::size_t> bounds) {
+  std::vector<std::span<const K>> runs;
+  runs.reserve(bounds.size() - 1);
+  for (std::size_t r = 0; r + 1 < bounds.size(); ++r)
+    runs.emplace_back(base + bounds[r], bounds[r + 1] - bounds[r]);
+  return runs;
+}
+
 // Tournament engine: merges the next `count` elements of the k-way merge of
-// the sorted runs over `keys` described by `bounds` (size R+1; run r is
-// [bounds[r], bounds[r+1])), starting from `cursor` (size R, with
-// bounds[r] <= cursor[r] <= bounds[r+1]; advanced in place). Emits each
-// element's *source position* in ascending merged order: emit(pos) with
-// keys[pos] the next element. Returns the comparison count.
+// the sorted `runs`, starting from `cursor` (size R, cursor[r] <=
+// runs[r].size(); advanced in place). Emits emit(r, i) for each element in
+// ascending merged order, with runs[r][i] the next element. Returns the
+// comparison count.
+//
+// Each contestant's head key is cached in its tree node, so replaying a
+// path compares keys the nodes already hold; only the winner's run is read,
+// once per emitted element.
 //
 // Stability: ties resolve to the lower run index — the same convention as
 // merge_into / the Fig. 2 tree, and the one kway_select's boundary cursors
 // assume, so disjoint ranges of one merge concatenate into exactly the
 // stable merge of the whole input.
 template <typename K, typename Comp, typename Emit>
-std::uint64_t kway_merge_range(const K* keys,
-                               std::span<const std::size_t> bounds,
+std::uint64_t kway_merge_range(std::span<const std::span<const K>> runs,
                                std::span<std::size_t> cursor,
                                std::size_t count, Comp comp, Emit&& emit) {
-  const std::size_t runs = bounds.size() - 1;
-  PGXD_DCHECK(cursor.size() == runs);
+  const std::size_t nruns = runs.size();
+  PGXD_DCHECK(cursor.size() == nruns);
   std::uint64_t comparisons = 0;
   if (count == 0) return comparisons;
-  if (runs == 1) {
-    for (std::size_t i = 0; i < count; ++i) emit(cursor[0]++);
-    PGXD_DCHECK(cursor[0] <= bounds[1]);
+  if (nruns == 1) {
+    for (std::size_t i = 0; i < count; ++i) emit(std::size_t{0}, cursor[0]++);
+    PGXD_DCHECK(cursor[0] <= runs[0].size());
     return comparisons;
   }
+  PGXD_CHECK(nruns <= std::numeric_limits<std::uint32_t>::max());
+
+  // A contestant: its run, and that run's head key unless the run is
+  // exhausted (or a padding leaf), in which case it loses to every other.
+  struct Node {
+    K key{};
+    std::uint32_t run = 0;
+    bool done = true;
+  };
+  const auto head = [&](std::size_t r) {
+    Node h;
+    h.run = static_cast<std::uint32_t>(r);
+    if (r < nruns && cursor[r] < runs[r].size()) {
+      h.key = runs[r][cursor[r]];
+      h.done = false;
+    }
+    return h;
+  };
+  // a beats b if a's head < b's head, or equal heads with a < b. An
+  // exhausted contestant always loses.
+  const auto beats = [&](const Node& a, const Node& b) {
+    if (b.done) return true;
+    if (a.done) return false;
+    ++comparisons;
+    if (comp(a.key, b.key)) return true;
+    if (comp(b.key, a.key)) return false;
+    return a.run < b.run;
+  };
 
   // Tournament tree over k leaves (padded to a power of two with exhausted
-  // sentinels). losers[i] holds the losing run index at internal node i;
-  // the overall winner is tracked separately.
-  const std::size_t k = std::bit_ceil(runs);
-  auto exhausted = [&](std::size_t r) {
-    return r >= runs || cursor[r] >= bounds[r + 1];
-  };
-  // Comparison with stability: run a beats run b if a's head < b's head, or
-  // equal heads with a < b. An exhausted run always loses.
-  auto beats = [&](std::size_t a, std::size_t b) {
-    if (exhausted(b)) return true;
-    if (exhausted(a)) return false;
-    ++comparisons;
-    if (comp(keys[cursor[a]], keys[cursor[b]])) return true;
-    if (comp(keys[cursor[b]], keys[cursor[a]])) return false;
-    return a < b;
-  };
-
-  // Build: play the tournament bottom-up.
-  std::vector<std::size_t> losers(k, k);  // internal nodes, index 1..k-1 used
-  std::size_t winner;
+  // leaves). losers[i] holds the losing contestant at internal node i; the
+  // overall winner is held separately. Build: play the tournament
+  // bottom-up.
+  const std::size_t k = std::bit_ceil(nruns);
+  std::vector<Node> losers(k);  // internal nodes, index 1..k-1 used
+  Node winner;
   {
-    std::vector<std::size_t> level(k);
-    for (std::size_t i = 0; i < k; ++i) level[i] = i;
+    std::vector<Node> level(k);
+    for (std::size_t i = 0; i < k; ++i) level[i] = head(i);
     std::size_t width = k;
     std::size_t node_base = k;
     while (width > 1) {
       width /= 2;
       node_base /= 2;
       for (std::size_t i = 0; i < width; ++i) {
-        const std::size_t a = level[2 * i], b = level[2 * i + 1];
+        const Node a = level[2 * i], b = level[2 * i + 1];
         const bool a_wins = beats(a, b);
         losers[node_base + i] = a_wins ? b : a;
         level[i] = a_wins ? a : b;
@@ -95,15 +127,17 @@ std::uint64_t kway_merge_range(const K* keys,
   }
 
   for (std::size_t out = 0; out < count; ++out) {
-    PGXD_DCHECK(!exhausted(winner));
-    emit(cursor[winner]);
-    ++cursor[winner];
+    PGXD_DCHECK(!winner.done);
+    const std::size_t r = winner.run;
+    std::size_t& at = cursor[r];
+    emit(r, at);
+    if (++at < runs[r].size())
+      winner.key = runs[r][at];
+    else
+      winner.done = true;
     // Replay the winner's path to the root.
-    std::size_t node = (k + winner) / 2;
-    while (node >= 1) {
+    for (std::size_t node = (k + r) / 2; node >= 1; node /= 2)
       if (beats(losers[node], winner)) std::swap(losers[node], winner);
-      node /= 2;
-    }
   }
   return comparisons;
 }
@@ -120,17 +154,17 @@ KwayMergeStats kway_merge(std::vector<T>& data,
   PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == data.size());
   KwayMergeStats stats;
-  const std::size_t runs = bounds.size() - 1;
-  stats.runs = runs;
-  if (runs <= 1) return stats;
+  const std::size_t nruns = bounds.size() - 1;
+  stats.runs = nruns;
+  if (nruns <= 1) return stats;
 
   scratch.resize(data.size());
-  std::vector<std::size_t> cursor(bounds.begin(), bounds.end() - 1);
-  std::size_t out = 0;
-  stats.comparisons = kway_merge_range(
-      data.data(), std::span<const std::size_t>(bounds),
-      std::span<std::size_t>(cursor), data.size(), comp,
-      [&](std::size_t pos) { scratch[out++] = data[pos]; });
+  const auto runs = runs_of<T>(data.data(), bounds);
+  std::vector<std::size_t> cursor(nruns, 0);
+  T* out = scratch.data();
+  stats.comparisons = kway_merge_range<T>(
+      runs, cursor, data.size(), comp,
+      [&](std::size_t r, std::size_t i) { *out++ = runs[r][i]; });
   data.swap(scratch);
   return stats;
 }

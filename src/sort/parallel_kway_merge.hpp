@@ -14,12 +14,16 @@
 //      (Varman et al.; also __gnu_parallel::multiseq_partition).
 //   2. *Per-range loser trees*: each range merges independently with the
 //      tournament engine from sort/kway_merge.hpp, paying log2(R)
-//      comparisons but only ONE move per element, writing straight into its
-//      disjoint slice of the destination.
+//      comparisons but only ONE move per element.
 //
-// The ranges run one after another on the calling thread. The distributed
-// sorter asks for one range per simulated worker thread, and the cost model
-// (runtime/cost_model.hpp) charges them as running in parallel.
+// The engine (kway_merge_runs) reads its runs as spans and emits each
+// element's (run, index) in merged order, so the caller writes every
+// element once, wherever it belongs: the distributed sorter's final merge
+// reads the exchange views and writes finished output items. The wrappers
+// below merge contiguous buffers with it. The ranges run one after another
+// on the calling thread. The distributed sorter asks for one range per
+// simulated worker thread, and the cost model (runtime/cost_model.hpp)
+// charges them as running in parallel.
 //
 // Boundary cursors deal equal keys to the lower run first — the same tie
 // rule as the loser tree and merge_into — so the concatenated ranges are
@@ -50,45 +54,49 @@ struct ParallelKwayMergeStats {
 };
 
 // Multisequence selection: finds per-run cursors that split the stable
-// k-way merge of the sorted runs over `keys` (run r at
-// [bounds[r], bounds[r+1])) at global rank `k` — cursor[r] elements of run r
-// belong to the merged prefix of length k, sum(cursor[r] - bounds[r]) == k.
+// k-way merge of the sorted `runs` at global rank `k` — cursor[r] elements
+// of run r belong to the merged prefix of length k, sum(cursor[r]) == k.
 // Equal keys on the boundary are dealt to the lower run first, matching the
 // loser tree's tie rule, so the prefix is exactly the first k elements of
 // the stable merge.
 //
-// Value-pivot binary search: keep a candidate window per run, draw the
-// pivot from the largest window, rank it exactly across all runs with
-// lower/upper_bound, and discard the side of every window the rank rules
-// out. Every copy of the true boundary value stays inside the windows, and
-// the pivot's window strictly shrinks each round, so the terminating branch
-// (count_lt <= k <= count_le) is always reached. O(R log n) per round,
-// O(log n) rounds in practice.
+// Value-pivot binary search: keep a candidate window [lo[r], hi[r]) per
+// run, draw the pivot from the largest window, rank it exactly across all
+// runs, and discard the side of every window the rank rules out. Every copy
+// of the true boundary value stays inside the windows, and the pivot's
+// window strictly shrinks each round, so the terminating branch (count_lt
+// <= k <= count_le) is always reached. O(R log n) per round, O(log n)
+// rounds in practice.
+//
+// Each round's lower/upper_bound runs inside the run's window only, and
+// that is exact: everything before lo[r] is <= the largest pivot ruled
+// below the boundary so far, everything from hi[r] on is >= the smallest
+// pivot ruled above it, and the new pivot lies strictly between the two.
+// An emptied window sits where every earlier element is smaller than the
+// pivot and every later one larger. So the counts, cursors and rounds are
+// those of a search over whole runs.
 template <typename K, typename Comp = Less>
-std::vector<std::size_t> kway_select(const K* keys,
-                                     std::span<const std::size_t> bounds,
+std::vector<std::size_t> kway_select(std::span<const std::span<const K>> runs,
                                      std::size_t k, Comp comp = {},
                                      std::uint64_t* rounds = nullptr) {
-  const std::size_t runs = bounds.size() - 1;
-  std::vector<std::size_t> cur(runs);
-  for (std::size_t r = 0; r < runs; ++r) cur[r] = bounds[r];
-  PGXD_CHECK(k <= bounds[runs] - bounds[0]);
+  const std::size_t nruns = runs.size();
+  std::vector<std::size_t> cur(nruns, 0);
+  std::size_t n = 0;
+  for (const auto& run : runs) n += run.size();
+  PGXD_CHECK(k <= n);
   if (k == 0) return cur;
-  if (k == bounds[runs] - bounds[0]) {
-    for (std::size_t r = 0; r < runs; ++r) cur[r] = bounds[r + 1];
+  if (k == n) {
+    for (std::size_t r = 0; r < nruns; ++r) cur[r] = runs[r].size();
     return cur;
   }
 
-  std::vector<std::size_t> lo(runs), hi(runs), lb(runs), ub(runs);
-  for (std::size_t r = 0; r < runs; ++r) {
-    lo[r] = bounds[r];
-    hi[r] = bounds[r + 1];
-  }
+  std::vector<std::size_t> lo(nruns, 0), hi(nruns), lb(nruns), ub(nruns);
+  for (std::size_t r = 0; r < nruns; ++r) hi[r] = runs[r].size();
   for (;;) {
     // Pivot from the largest window (deterministic: ties -> lowest run).
-    std::size_t p = runs;
+    std::size_t p = nruns;
     std::size_t best = 0;
-    for (std::size_t r = 0; r < runs; ++r) {
+    for (std::size_t r = 0; r < nruns; ++r) {
       const std::size_t width = hi[r] - lo[r];
       if (width > best) {
         best = width;
@@ -97,39 +105,34 @@ std::vector<std::size_t> kway_select(const K* keys,
     }
     // The boundary value always survives inside some window (see above), so
     // the windows cannot all drain before the terminating branch fires.
-    PGXD_CHECK_MSG(p < runs, "kway_select: candidate windows drained");
+    PGXD_CHECK_MSG(p < nruns, "kway_select: candidate windows drained");
     if (rounds != nullptr) ++*rounds;
-    const K& pivot = keys[lo[p] + (hi[p] - lo[p]) / 2];
+    const K pivot = runs[p][lo[p] + (hi[p] - lo[p]) / 2];
 
     // Exact global rank of the pivot value: count_lt strictly-smaller
     // elements, count_le smaller-or-equal.
     std::size_t count_lt = 0, count_le = 0;
-    for (std::size_t r = 0; r < runs; ++r) {
+    for (std::size_t r = 0; r < nruns; ++r) {
+      const K* base = runs[r].data();
       lb[r] = static_cast<std::size_t>(
-          std::lower_bound(keys + bounds[r], keys + bounds[r + 1], pivot,
-                           comp) -
-          keys);
+          std::lower_bound(base + lo[r], base + hi[r], pivot, comp) - base);
       ub[r] = static_cast<std::size_t>(
-          std::upper_bound(keys + bounds[r], keys + bounds[r + 1], pivot,
-                           comp) -
-          keys);
-      count_lt += lb[r] - bounds[r];
-      count_le += ub[r] - bounds[r];
+          std::upper_bound(base + lb[r], base + hi[r], pivot, comp) - base);
+      count_lt += lb[r];
+      count_le += ub[r];
     }
     if (k < count_lt) {
       // Boundary < pivot: nothing >= pivot can sit on the boundary.
-      for (std::size_t r = 0; r < runs; ++r)
-        hi[r] = std::max(lo[r], std::min(hi[r], lb[r]));
+      for (std::size_t r = 0; r < nruns; ++r) hi[r] = lb[r];
     } else if (k > count_le) {
       // Boundary > pivot: nothing <= pivot can sit on the boundary.
-      for (std::size_t r = 0; r < runs; ++r)
-        lo[r] = std::min(hi[r], std::max(lo[r], ub[r]));
+      for (std::size_t r = 0; r < nruns; ++r) lo[r] = ub[r];
     } else {
       // The pivot value spans the boundary: take every strictly-smaller
       // element, then deal the k - count_lt equal keys to the lowest runs
       // first (the loser tree's tie order).
       std::size_t rem = k - count_lt;
-      for (std::size_t r = 0; r < runs; ++r) {
+      for (std::size_t r = 0; r < nruns; ++r) {
         const std::size_t take = std::min(ub[r] - lb[r], rem);
         cur[r] = lb[r] + take;
         rem -= take;
@@ -153,31 +156,52 @@ inline std::size_t clamp_kway_ranges(std::size_t want, std::size_t n) {
   return std::min(want, std::max<std::size_t>(1, n / kMinMergePiece));
 }
 
-// Per-range starting cursors (row-major `ranges` x R) for output boundaries
-// at n*i/ranges, plus select-round accounting.
-template <typename K, typename Comp>
-std::vector<std::size_t> kway_range_cursors(
-    const K* keys, std::span<const std::size_t> bounds, std::size_t ranges,
-    Comp comp, std::uint64_t& rounds) {
-  const std::size_t runs = bounds.size() - 1;
-  const std::size_t n = bounds[runs] - bounds[0];
-  std::vector<std::size_t> cursors(ranges * runs);
-  for (std::size_t r = 0; r < runs; ++r) cursors[r] = bounds[r];
-  for (std::size_t i = 1; i < ranges; ++i) {
-    const auto cut = kway_select(keys, bounds, n * i / ranges, comp, &rounds);
-    std::copy(cut.begin(), cut.end(), cursors.begin() + i * runs);
-  }
-  return cursors;
-}
-
 }  // namespace detail
+
+// The span engine: merges the sorted `runs`, cut into `ranges` output
+// ranges by splitter search, and calls emit(r, i) for every element in
+// ascending merged order, with runs[r][i] the element. The ranges run one
+// after another on the calling thread; a DES caller asks for the simulated
+// machine's thread count, so the splitter search runs for real while the
+// cost model charges the ranges as parallel.
+template <typename K, typename Comp, typename Emit>
+ParallelKwayMergeStats kway_merge_runs(std::span<const std::span<const K>> runs,
+                                       Comp comp, std::size_t ranges,
+                                       Emit&& emit) {
+  ParallelKwayMergeStats stats;
+  const std::size_t nruns = runs.size();
+  stats.runs = nruns;
+  std::size_t n = 0;
+  for (const auto& run : runs) n += run.size();
+  if (n == 0) return stats;
+  if (nruns == 1) {
+    for (std::size_t i = 0; i < n; ++i) emit(std::size_t{0}, i);
+    return stats;
+  }
+
+  ranges = detail::clamp_kway_ranges(ranges, n);
+  stats.ranges = ranges;
+  // Per-range starting cursors (row-major ranges x R) for output
+  // boundaries at n*i/ranges.
+  std::vector<std::size_t> cursors(ranges * nruns, 0);
+  for (std::size_t i = 1; i < ranges; ++i) {
+    const auto cut =
+        kway_select<K>(runs, n * i / ranges, comp, &stats.select_rounds);
+    std::copy(cut.begin(), cut.end(), cursors.begin() + i * nruns);
+  }
+  for (std::size_t i = 0; i < ranges; ++i) {
+    const std::size_t k0 = n * i / ranges;
+    const std::size_t k1 = n * (i + 1) / ranges;
+    stats.comparisons += kway_merge_range<K>(
+        runs, std::span<std::size_t>(cursors.data() + i * nruns, nruns),
+        k1 - k0, comp, emit);
+  }
+  return stats;
+}
 
 // Single-pass parallel k-way merge of full records: merges the sorted runs
 // of `src` described by `bounds` into `dst` (resized to src.size()), cut
-// into `ranges` output ranges by splitter search. The ranges run one after
-// another on the calling thread; a DES caller asks for the simulated
-// machine's thread count, so the splitter search runs for real while the
-// cost model charges the ranges as parallel.
+// into `ranges` output ranges (see kway_merge_runs).
 template <typename T, typename Comp = Less>
 ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
                                            const std::vector<std::size_t>& bounds,
@@ -186,38 +210,16 @@ ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
   PGXD_CHECK(!bounds.empty());
   PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == src.size());
-  ParallelKwayMergeStats stats;
-  const std::size_t n = src.size();
-  const std::size_t runs = bounds.size() - 1;
-  stats.runs = runs;
-  dst.resize(n);
-  if (n == 0) return stats;
-  if (runs <= 1) {
-    std::copy(src.begin(), src.end(), dst.begin());
-    return stats;
-  }
-
-  const std::span<const std::size_t> bspan(bounds);
-  ranges = detail::clamp_kway_ranges(ranges, n);
-  stats.ranges = ranges;
-  auto cursors =
-      detail::kway_range_cursors(src.data(), bspan, ranges, comp,
-                                 stats.select_rounds);
-
-  for (std::size_t i = 0; i < ranges; ++i) {
-    std::span<std::size_t> cur(cursors.data() + i * runs, runs);
-    const std::size_t k0 = n * i / ranges;
-    const std::size_t k1 = n * (i + 1) / ranges;
-    std::size_t out = k0;
-    stats.comparisons +=
-        kway_merge_range(src.data(), bspan, cur, k1 - k0, comp,
-                         [&](std::size_t pos) { dst[out++] = src[pos]; });
-  }
-  return stats;
+  dst.resize(src.size());
+  const auto runs = runs_of<T>(src.data(), bounds);
+  T* out = dst.data();
+  return kway_merge_runs<T>(
+      runs, comp, ranges,
+      [&](std::size_t r, std::size_t i) { *out++ = runs[r][i]; });
 }
 
-// SoA variant for the distributed final merge: bare keys plus the compact
-// u32 permutation move through ONE pass (sizeof(Key) + 4 bytes per element,
+// SoA variant over contiguous planes: bare keys plus the compact u32
+// permutation move through ONE pass (sizeof(Key) + 4 bytes per element,
 // once — versus once per level in balanced_merge_soa). The merged result
 // always lands in (key_out, perm_out); there is no ping-pong and no
 // copy-back, the caller reads the output planes directly (the same
@@ -232,40 +234,16 @@ ParallelKwayMergeStats parallel_kway_merge_soa(
   PGXD_CHECK(bounds.front() == 0);
   PGXD_CHECK(bounds.back() == keys.size());
   PGXD_CHECK(perm.size() == keys.size());
-  ParallelKwayMergeStats stats;
-  const std::size_t n = keys.size();
-  const std::size_t runs = bounds.size() - 1;
-  stats.runs = runs;
-  key_out.resize(n);
-  perm_out.resize(n);
-  if (n == 0) return stats;
-  if (runs <= 1) {
-    std::copy(keys.begin(), keys.end(), key_out.begin());
-    std::copy(perm.begin(), perm.end(), perm_out.begin());
-    return stats;
-  }
-
-  const std::span<const std::size_t> bspan(bounds);
-  ranges = detail::clamp_kway_ranges(ranges, n);
-  stats.ranges = ranges;
-  auto cursors =
-      detail::kway_range_cursors(keys.data(), bspan, ranges, comp,
-                                 stats.select_rounds);
-
-  for (std::size_t i = 0; i < ranges; ++i) {
-    std::span<std::size_t> cur(cursors.data() + i * runs, runs);
-    const std::size_t k0 = n * i / ranges;
-    const std::size_t k1 = n * (i + 1) / ranges;
-    std::size_t out = k0;
-    stats.comparisons +=
-        kway_merge_range(keys.data(), bspan, cur, k1 - k0, comp,
-                         [&](std::size_t pos) {
-                           key_out[out] = keys[pos];
-                           perm_out[out] = perm[pos];
-                           ++out;
-                         });
-  }
-  return stats;
+  key_out.resize(keys.size());
+  perm_out.resize(keys.size());
+  const auto runs = runs_of<K>(keys.data(), bounds);
+  K* kout = key_out.data();
+  std::uint32_t* pout = perm_out.data();
+  return kway_merge_runs<K>(runs, comp, ranges,
+                            [&](std::size_t r, std::size_t i) {
+                              *kout++ = runs[r][i];
+                              *pout++ = perm[bounds[r] + i];
+                            });
 }
 
 // The signature from when the merge took a thread pool in this slot.

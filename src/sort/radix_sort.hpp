@@ -3,7 +3,7 @@
 // and a comparison point for the comparison-based kernels.
 //
 // Counting sort per digit, ping-ponging between the input and a scratch
-// buffer. Only the digits below `significant_bits` are processed, so the
+// buffer; after an odd number of passes the two buffers trade places. Only the digits below `significant_bits` are processed, so the
 // distributed baseline can skip the digits its partitioning already fixed.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
@@ -78,7 +78,9 @@ RadixSortStats radix_sort(std::vector<Key>& data, std::vector<Key>& scratch,
     ++stats.passes;
     stats.elements_moved += n;
   }
-  if (src != data.data()) std::copy(src, src + n, data.data());
+  // An odd pass count leaves the result in the scratch buffer: hand the
+  // buffers over instead of copying it back.
+  if (src != data.data()) data.swap(scratch);
   return stats;
 }
 

@@ -1,10 +1,12 @@
 // Allocation discipline of the hot path: the sorting kernels allocate
-// nothing per element, and the exchange allocates nothing per chunk. Every
-// data frame is a read-only view of its sender's sorted run
-// (core::SortedRun), so retransmits and fabric duplicates share the run's
-// storage, and a frame keeps the run alive for as long as the frame exists.
-// Under ASan (scripts/check.sh) a frame that outlived its run would fail
-// these tests as a use-after-free.
+// nothing per element, the exchange allocates nothing per chunk, and a
+// flat sort allocates a bounded number of bytes per key. Every data frame
+// is a read-only view of its sender's sorted run (core::SortedRun), so
+// retransmits and fabric duplicates share the run's storage, and a frame
+// keeps the run alive for as long as the frame exists. The default k-way
+// final merge reads each source's range from that run too, after its
+// sender has let go of it. Under ASan (scripts/check.sh) a frame or a
+// merge that outlived its run would fail these tests as a use-after-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,15 +29,18 @@
 #include "sort/soa_merge.hpp"
 
 // Counting allocator: global operator new/delete instrumented for the whole
-// test binary; individual tests read the counter delta around the call
-// under test. It also counts the allocations of one watched size.
+// test binary; individual tests read the counter deltas (allocations and
+// bytes) around the call under test. It also counts the allocations of one
+// watched size.
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 std::atomic<std::size_t> g_watched_size{0};
 std::atomic<std::uint64_t> g_watched_allocs{0};
 
 void count_alloc(std::size_t size) {
   ++g_allocs;
+  g_alloc_bytes += size;
   if (size == g_watched_size.load(std::memory_order_relaxed))
     ++g_watched_allocs;
 }
@@ -204,6 +209,28 @@ TEST(ExchangeViews, RunAllocatesNoChunkSizedBuffer) {
   // ~80000 * 3/4 remote keys / 257 per chunk: over 200 chunks.
   EXPECT_GT(sent / chunk_keys, 200u);
   EXPECT_EQ(chunk_allocs, 0u) << "the exchange allocated chunk payloads";
+}
+
+// Host bytes allocated per key by a flat p=8 sort (default configuration:
+// one-level sampling, k-way final merge). What remains is one output item
+// per key (24 bytes), the radix sort's scatter buffer (8) and the
+// exactly-once audit's slot map; the exchange and the merge write each key
+// once, into the output partition, with no receive or merge planes.
+TEST(AllocationDiscipline, FlatSortAllocatesAtMost40BytesPerKey) {
+  const std::size_t p = 8;
+  const std::size_t n = std::size_t{1} << 20;
+  rt::Cluster<Msg> cluster(cluster_config(p));
+  Sorter sorter(cluster, SortConfig{});
+  auto shards = uniform_shards(n, p);
+  const std::uint64_t before = g_alloc_bytes.load();
+  sorter.run(std::move(shards));
+  const double per_key =
+      static_cast<double>(g_alloc_bytes.load() - before) /
+      static_cast<double>(n);
+  EXPECT_LE(per_key, 40.0) << "bytes allocated per key inside run()";
+  std::size_t total = 0;
+  for (const auto& part : sorter.partitions()) total += part.size();
+  EXPECT_EQ(total, n);
 }
 
 // Reliable delivery over a lossy, duplicating fabric. The reliable layer

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -67,20 +68,21 @@ TEST(KwaySelect, PrefixMatchesStableMerge) {
   std::vector<std::uint32_t> mperm;
   reference_merge(rs, mkeys, mperm);
   const std::size_t n = rs.keys.size();
+  const auto runs = runs_of<std::uint64_t>(rs.keys.data(), rs.bounds);
   for (std::size_t k = 0; k <= n; k += 97) {
-    const auto cur = kway_select(rs.keys.data(), rs.bounds, k);
+    const auto cur = kway_select<std::uint64_t>(runs, k);
     std::size_t total = 0;
-    for (std::size_t r = 0; r + 1 < rs.bounds.size(); ++r) {
-      ASSERT_GE(cur[r], rs.bounds[r]);
-      ASSERT_LE(cur[r], rs.bounds[r + 1]);
-      total += cur[r] - rs.bounds[r];
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      ASSERT_LE(cur[r], runs[r].size());
+      total += cur[r];
     }
     ASSERT_EQ(total, k);
     // The selected set must be exactly the pre-merge positions of the
     // stable merge's first k elements.
     std::vector<bool> selected(n, false);
-    for (std::size_t r = 0; r + 1 < rs.bounds.size(); ++r)
-      for (std::size_t i = rs.bounds[r]; i < cur[r]; ++i) selected[i] = true;
+    for (std::size_t r = 0; r < runs.size(); ++r)
+      for (std::size_t i = 0; i < cur[r]; ++i)
+        selected[rs.bounds[r] + i] = true;
     for (std::size_t i = 0; i < k; ++i)
       ASSERT_TRUE(selected[mperm[i]]) << "rank " << i << " of prefix " << k;
   }
@@ -220,6 +222,41 @@ TEST(ParallelKwayMerge, RangeSplitMatchesOneRange) {
     EXPECT_GT(soa.ranges, 1u);
     for (std::size_t i = 0; i < got_perm.size(); ++i)
       EXPECT_EQ(rs.keys[got_perm[i]], got_keys[i]);
+  }
+}
+
+TEST(ParallelKwayMerge, SearchAndTournamentWorkIsPinned) {
+  // 52 runs cut into 32 ranges, on full-width and on tie-heavy keys. The
+  // splitter search probes inside each run's candidate window and the
+  // tournament compares cached head keys; both are exact, so they do the
+  // work of a whole-run search and an uncached tree to the round and the
+  // comparison. The counts below were read from the whole-run search and
+  // the uncached tree.
+  const std::pair<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
+      cases[] = {{std::uint64_t{1} << 40, {513, 788536}}, {300, {213, 787438}}};
+  for (const auto& [domain, want] : cases) {
+    Rng rng(2017);
+    std::vector<std::uint64_t> keys;
+    std::vector<std::size_t> bounds{0};
+    for (std::size_t r = 0; r < 52; ++r) {
+      std::vector<std::uint64_t> run(1000 + rng.bounded(3000));
+      for (auto& x : run) x = rng.bounded(domain);
+      std::sort(run.begin(), run.end());
+      keys.insert(keys.end(), run.begin(), run.end());
+      bounds.push_back(keys.size());
+    }
+    ASSERT_EQ(keys.size(), 133815u);
+    std::vector<std::uint32_t> perm(keys.size());
+    std::iota(perm.begin(), perm.end(), 0u);
+    std::vector<std::uint64_t> got_keys;
+    std::vector<std::uint32_t> got_perm;
+    const auto stats = parallel_kway_merge_soa(keys, perm, bounds, got_keys,
+                                               got_perm, Less{},
+                                               /*ranges=*/32);
+    EXPECT_EQ(stats.ranges, 32u);
+    EXPECT_EQ(stats.select_rounds, want.first) << "domain " << domain;
+    EXPECT_EQ(stats.comparisons, want.second) << "domain " << domain;
+    EXPECT_TRUE(std::is_sorted(got_keys.begin(), got_keys.end()));
   }
 }
 

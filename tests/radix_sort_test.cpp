@@ -95,6 +95,25 @@ TEST(RadixSort, Uint32Keys) {
   EXPECT_EQ(v, expect);
 }
 
+TEST(RadixSort, OddPassCountHandsOverTheScratchBuffer) {
+  // 24-bit keys take three passes, so the sorted keys end in the scratch
+  // buffer; the two vectors trade buffers instead of copying them back.
+  Rng rng(23);
+  std::vector<std::uint64_t> v(20000);
+  for (auto& x : v) x = rng.bounded(1 << 24);
+  auto expect = v;
+  std::sort(expect.begin(), expect.end());
+  std::vector<std::uint64_t> scratch(v.size());
+  const std::uint64_t* scratch_buf = scratch.data();
+  const std::uint64_t* input_buf = v.data();
+  const auto stats = radix_sort(v, scratch);
+  EXPECT_EQ(stats.passes, 3u);
+  EXPECT_EQ(stats.elements_moved, 3u * v.size());
+  EXPECT_EQ(v, expect);
+  EXPECT_EQ(v.data(), scratch_buf);
+  EXPECT_EQ(scratch.data(), input_buf);
+}
+
 TEST(RadixSort, ScratchReuseAcrossCalls) {
   std::vector<std::uint64_t> scratch;
   Rng rng(19);
