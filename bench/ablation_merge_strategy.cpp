@@ -1,6 +1,7 @@
 // Ablation: the three final-merge strategies for step (6) — the single-pass
 // parallel k-way merge (default), the Fig. 2 balanced pairwise tree, and a
-// sequential k-way loser-tree pass.
+// sequential k-way loser-tree pass. They differ on the simulated clock
+// only: the host runs one loser-tree merge under all three.
 //
 // Expectation: the pairwise tree parallelizes every level across the
 // machine's worker threads, so it beats the sequential pass by roughly the

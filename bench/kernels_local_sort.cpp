@@ -14,7 +14,6 @@
 #include "sort/merge.hpp"
 #include "sort/parallel_kway_merge.hpp"
 #include "sort/quicksort.hpp"
-#include "sort/soa_merge.hpp"
 #include "sort/timsort.hpp"
 
 namespace {
@@ -219,10 +218,10 @@ void BM_BalancedMergeTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedMergeTree)->Arg(4)->Arg(8)->Arg(32);
 
-// Array-of-records final merge: full key+provenance records (24 bytes with
-// padding) through every level of the Fig. 2 tree — the layout the
-// distributed sorter's structure-of-arrays merge avoids. Baseline for
-// BM_BalancedMergeSoaTree.
+// Array-of-records merge: full key+provenance records (24 bytes with
+// padding) through every level of the Fig. 2 tree, against the keys-only
+// BM_BalancedMergeTree above. The tree runs on records here only; the
+// distributed sorter merges with a loser tree and charges the tree.
 void BM_BalancedMergeItemTree(benchmark::State& state) {
   struct FatItem {
     std::uint64_t key;
@@ -256,43 +255,10 @@ void BM_BalancedMergeItemTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedMergeItemTree)->Arg(4)->Arg(8)->Arg(32);
 
-// SoA merge tree: keys plus a u32 permutation through the same Fig. 2
-// schedule, as the distributed sorter's default final merge runs it — 12
-// payload bytes per element per level instead of BM_BalancedMergeItemTree's
-// 24 (BM_BalancedMergeTree above is the keys-only lower bound).
-void BM_BalancedMergeSoaTree(benchmark::State& state) {
-  const auto runs = static_cast<std::size_t>(state.range(0));
-  const std::size_t per_run = (1u << 21) / runs;
-  Rng rng(5);
-  std::vector<std::uint64_t> base;
-  std::vector<std::size_t> bounds{0};
-  for (std::size_t r = 0; r < runs; ++r) {
-    std::vector<std::uint64_t> run(per_run);
-    for (auto& x : run) x = rng.next();
-    std::sort(run.begin(), run.end());
-    base.insert(base.end(), run.begin(), run.end());
-    bounds.push_back(base.size());
-  }
-  std::vector<std::uint32_t> perm_base(base.size());
-  std::vector<std::uint64_t> key_scratch;
-  std::vector<std::uint32_t> perm_scratch;
-  for (auto _ : state) {
-    auto keys = base;
-    auto perm = perm_base;
-    pgxd::sort::balanced_merge_soa(keys, perm, bounds, key_scratch,
-                                   perm_scratch);
-    benchmark::DoNotOptimize(keys.data());
-    benchmark::DoNotOptimize(perm.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(base.size()));
-}
-BENCHMARK(BM_BalancedMergeSoaTree)->Arg(4)->Arg(8)->Arg(32);
-
-// Single-pass parallel k-way SoA merge over the same input shape as
-// BM_BalancedMergeSoaTree: splitter search + one loser tree per range, 4
-// ranges run one after another. One move per element instead of one per
-// level is this bench against that one.
+// Single-pass parallel k-way SoA merge, keys plus a u32 permutation, over
+// the same input shape as BM_BalancedMergeTree: splitter search + one loser
+// tree per range, 4 ranges run one after another. One move per element
+// instead of one per level is this bench against that one.
 void BM_ParallelKwayMergeSoa(benchmark::State& state) {
   const auto runs = static_cast<std::size_t>(state.range(0));
   const std::size_t per_run = (1u << 21) / runs;

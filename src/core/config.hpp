@@ -14,22 +14,23 @@
 
 namespace pgxd::core {
 
-// Final-merge strategy for step (6). All three run on real data over the
-// same structure-of-arrays planes (bare keys plus a u32 permutation) and
-// emit bit-identical output; they only differ in data movement and
-// intra-merge parallelism.
+// Final-merge strategy for step (6): what the cost model charges for the
+// merge. The host runs the same loser-tree k-way merge
+// (sort/parallel_kway_merge.hpp) under all three, straight from the
+// exchange views, so the output is the same; they differ in the simulated
+// merge time only. AMS level 1 is always charged as kPairwiseTree.
 enum class MergeAlgo {
-  // Fig. 2 pairwise balanced merge tree (the paper's handler): every
-  // element moves once per level, ceil(log2 R) levels, merges parallel.
+  // Fig. 2 pairwise balanced merge tree (the paper's handler), charged as
+  // ceil(log2 R) levels that each move every element once, the merges of a
+  // level in parallel. The host merges with one loser tree.
   kPairwiseTree,
-  // Single-pass parallel loser-tree k-way merge
-  // (sort/parallel_kway_merge.hpp): splitter search cuts the output into
-  // per-thread ranges, each merged by one loser tree — one move per
-  // element. The default.
+  // Single-pass parallel loser-tree k-way merge: splitter search cuts the
+  // output into per-thread ranges, each merged by one loser tree — one
+  // move per element. The host runs the ranges one after another and the
+  // cost model charges them as parallel. The default.
   kParallelKway,
-  // The same kernel with one range: a single sequential loser tree over
-  // the whole partition, charged as a naive k-way merge (the
-  // no-parallelism ablation).
+  // One sequential loser tree over the whole partition, charged as a naive
+  // k-way merge (the no-parallelism ablation).
   kSequentialKway,
 };
 
@@ -125,8 +126,8 @@ struct SortConfig {
   double sample_factor = 1.0;
   // Fig. 3c duplicate-splitter investigator.
   bool use_investigator = true;
-  // Final-merge strategy (see MergeAlgo). All three produce bit-identical
-  // output; kSequentialKway is the no-parallelism ablation.
+  // Final-merge strategy (see MergeAlgo): the merge the cost model charges.
+  // The host merge and the output are the same under all three.
   MergeAlgo final_merge = MergeAlgo::kParallelKway;
   // Local-sort strategy for step (1): comparison sort, radix, or the
   // adaptive per-shard crossover (default). Non-integer keys and custom

@@ -8,13 +8,16 @@
 //   3. Master selects p-1 splitters, broadcasts them.
 //   4. Binary search of splitters on local data, with the duplicate-splitter
 //      investigator (Fig. 3c); per-destination counts broadcast so every
-//      receiver knows its offsets up front.
+//      receiver knows up front how much each source sends it.
 //   5. Simultaneous asynchronous send/receive of data ranges, streamed in
 //      read-buffer-sized chunks through the data-manager request buffers.
-//   6. Balanced parallel merge of the per-source sorted runs, keeping each
-//      element's previous processor and index (provenance). The default
-//      k-way merge reads each source's range in the sender's run and writes
-//      each output item once.
+//      Each chunk is a view of the sender's sorted run; nothing is copied.
+//   6. Merge of the per-source sorted runs, keeping each element's previous
+//      processor and index (provenance). The host runs one loser-tree k-way
+//      merge that reads each source's range in the sender's run and writes
+//      each item once; the cost model charges the configured strategy
+//      (SortConfig::final_merge), the paper's Fig. 2 balanced merge among
+//      them.
 //
 // One routine, partition_phase_impl, runs steps 2-6 for every partition
 // scheme (SortConfig::partition). kOneLevelSample is the paper's single
@@ -70,15 +73,14 @@
 #include "sort/parallel_kway_merge.hpp"
 #include "sort/quicksort.hpp"
 #include "sort/samples.hpp"
-#include "sort/soa_merge.hpp"
 
 namespace pgxd::core {
 
 // A rank's locally sorted run, shared read-only by every bulk data frame
 // (kTagData, kTagL1Data) cut from it: a frame is a view, not a copy, so a
 // fabric duplicate or a retransmit copies a pointer. `origins` is the run's
-// origin plane on the two-hop (AMS) path and empty otherwise. A receiver
-// that merges with a k-way strategy keeps one reference per source and
+// origin plane on the two-hop (AMS) path and empty otherwise. Every
+// receiver, at both AMS levels too, keeps one reference per source and
 // merges straight from the run, so the run lives until its sender, the
 // last receiver merging from it and the last frame viewing it have let go.
 // A frame left in a mailbox (a trailing duplicate, an aborted attempt's
@@ -114,8 +116,10 @@ struct SortMsg {
   // shard size.
   std::uint64_t prov_base = 0;
   // kTagData / kTagL1Data: offset of this frame within the (src -> dst)
-  // range, so receivers place chunks correctly even if the fabric reorders
-  // them (e.g. under latency jitter); 0 for a level-1 bucket.
+  // range; 0 for a level-1 bucket. It names the frame's chunk for the
+  // receiver's dedup, and prov_base - rel_offset is the range's start in
+  // the sender's run, so any frame tells the receiver where the range
+  // lies, whatever order the fabric delivers them in.
   std::uint64_t rel_offset = 0;
   std::uint64_t len = 0;  // kTagData / kTagL1Data: elements viewed
 
@@ -1091,8 +1095,8 @@ class DistributedSorter {
     // ---- Step 1: local sort ------------------------------------------------
     // Provenance convention: an element's previous location is its position
     // in its previous machine's *locally sorted* sequence (what the
-    // exchange actually ships; receivers reconstruct indices from chunk
-    // offsets, so provenance never rides the wire). The shard moves into the
+    // exchange actually ships; receivers derive indices from each frame's
+    // prov_base, so provenance never rides the wire). The shard moves into the
     // sort: nothing reads it again, and a recovery attempt moves from its
     // own copy, leaving input_ whole for re-dealing dead ranks' shards.
     std::vector<Key> local =
@@ -1417,12 +1421,9 @@ class DistributedSorter {
       // chunks; level 1 ships it whole as one kTagL1Data frame, AMS's one
       // message per (sender, group) pair: O(q sqrt(q)) messages
       // cluster-wide instead of O(q^2). "each processor knows how much data
-      // it will receive ... by applying offsets for each received data
-      // entry" — offsets per source member:
-      std::vector<std::size_t> offsets(q + 1, 0);
-      for (std::size_t s = 0; s < q; ++s)
-        offsets[s + 1] = offsets[s] + recv_counts[s];
-      const std::size_t total_recv = offsets[q];
+      // it will receive": recv_counts[s] elements from member s.
+      std::size_t total_recv = 0;
+      for (const std::uint64_t c : recv_counts) total_recv += c;
       // Result keys + provenance live to the end of the sort: persistent.
       if (!level1) mem.alloc_persistent(total_recv * kStoredBytesPerItem);
       const std::uint64_t chunk_elems =
@@ -1430,13 +1431,6 @@ class DistributedSorter {
                  : std::max<std::uint64_t>(
                        1, cfg_.read_buffer_bytes / kDataWireBytesPerKey);
 
-      // Per-source write cursors; arrival order across sources is
-      // irrelevant.
-      std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-
-      PGXD_CHECK_MSG(total_recv <= std::numeric_limits<std::uint32_t>::max(),
-                     "merge: a receive array beyond u32 indexing is "
-                     "unsupported");
       // The sorted run (and its two-hop origin plane) moves into one
       // shared, read-only block; every data frame sent below is a view of
       // it.
@@ -1444,51 +1438,26 @@ class DistributedSorter {
                                                         std::move(lprov));
       // The pass after level 1 ships its run's origin plane along.
       const bool carried = xprov && !level1;
-      // Level 1 merges into its next sorted run with the Fig. 2 pairwise
-      // tree; the last pass merges into the output with cfg_.final_merge.
-      const MergeAlgo merge_algo =
-          level1 ? MergeAlgo::kPairwiseTree : cfg_.final_merge;
-      // The k-way merges read every source's range where it already lies,
-      // in the sender's run: the receiver keeps one reference per source
-      // and copies nothing. The pairwise tree needs contiguous planes, so
-      // it copies each frame on arrival into bare keys at their final
-      // offsets (plus the origin plane on the two-hop pass), which also
-      // lets level-1 senders free their runs early. The modelled receive
-      // buffers are charged either way: PGX.D receives into them.
-      const bool views = merge_algo != MergeAlgo::kPairwiseTree;
-      // src_lo[s]: start of the (member s -> rank) range in s's sorted run,
-      // learned from any of s's frames (prov_base - rel_offset). The
-      // provenance of the element at receive position pos is then
-      // src_lo[s] + (pos - offsets[s]) for the s whose range contains it.
+      // The receiver copies nothing: it keeps one reference per source, to
+      // the run that source's frames view, and step 6 merges from there.
+      // src_lo[s] is the start of the (member s -> rank) range in that run,
+      // learned from any of s's frames (prov_base - rel_offset); got[s]
+      // counts the elements received from s. PGX.D receives into buffers,
+      // so the modelled memory still charges them.
+      std::vector<std::shared_ptr<const SortedRun<Key>>> src_run(q);
       std::vector<std::uint64_t> src_lo(q, 0);
-      std::vector<std::shared_ptr<const SortedRun<Key>>> src_run(views ? q
-                                                                       : 0);
-      std::vector<Key> recv_keys(views ? 0 : total_recv);
-      const rt::TempAlloc recv_keys_mem(mem, total_recv * sizeof(Key));
-      std::vector<std::uint64_t> recv_prov(carried && !views ? total_recv
-                                                             : 0);
-      const rt::TempAlloc recv_prov_mem(
+      std::vector<std::uint64_t> got(q, 0);
+      const rt::TempAlloc recv_mem(mem, total_recv * sizeof(Key));
+      const rt::TempAlloc recv_origins_mem(
           mem, (carried ? total_recv : 0) * sizeof(std::uint64_t));
 
       // Self range: a local memory move, not fabric traffic.
       {
         const std::size_t lo = plan.bounds[part];
         const std::size_t hi = plan.bounds[part + 1];
+        src_run[idx] = run;
         src_lo[idx] = lo;
-        if (views) {
-          src_run[idx] = run;
-        } else {
-          std::copy(
-              run->keys.begin() + static_cast<std::ptrdiff_t>(lo),
-              run->keys.begin() + static_cast<std::ptrdiff_t>(hi),
-              recv_keys.begin() + static_cast<std::ptrdiff_t>(offsets[idx]));
-          if (carried)
-            std::copy(run->origins.begin() + static_cast<std::ptrdiff_t>(lo),
-                      run->origins.begin() + static_cast<std::ptrdiff_t>(hi),
-                      recv_prov.begin() +
-                          static_cast<std::ptrdiff_t>(offsets[idx]));
-        }
-        cursor[idx] += hi - lo;
+        got[idx] = hi - lo;
         co_await m.charge_copy(hi - lo);
       }
 
@@ -1527,9 +1496,8 @@ class DistributedSorter {
       // metadata for the send/receive step).
       std::uint64_t exchange_wire_sent = 0;
 
-      // Places one arriving frame — dedup, range-start bookkeeping, and a
-      // reference to its run (k-way) or a copy to its final offset
-      // (pairwise tree) — and returns the elements placed (0 for a
+      // Places one arriving frame — dedup, bounds, and the reference to its
+      // source's run — and returns the elements placed (0 for a
       // duplicate). The caller charges the simulated copy cost.
       auto place_chunk = [&](const auto& msg) -> std::size_t {
         PGXD_CHECK(msg.src != rank);
@@ -1549,34 +1517,23 @@ class DistributedSorter {
           return 0;
         }
         seen_words[word] |= bit;
-        const std::size_t at = offsets[sj] + msg.payload.rel_offset;
-        PGXD_CHECK_MSG(at + keys.size() <= offsets[sj + 1],
+        PGXD_CHECK_MSG(msg.payload.rel_offset + keys.size() <= recv_counts[sj],
                        "chunk overruns its source's receive range");
+        PGXD_CHECK_MSG(!carried || msg.payload.origins().size() == keys.size(),
+                       "two-hop data chunk arrived without its origin plane");
+        // Every frame of one source views one range of one run.
         const std::uint64_t lo =
             msg.payload.prov_base - msg.payload.rel_offset;
-        const std::span<const std::uint64_t> origins = msg.payload.origins();
-        PGXD_CHECK_MSG(!carried || origins.size() == keys.size(),
-                       "two-hop data chunk arrived without its origin plane");
-        if (views) {
-          // Every frame of one source views one range of one run.
-          if (!src_run[sj]) {
-            src_run[sj] = msg.payload.run;
-            src_lo[sj] = lo;
-          }
-          PGXD_CHECK_MSG(src_run[sj] == msg.payload.run && src_lo[sj] == lo,
-                         "frames of one source view different runs");
-        } else {
+        if (!src_run[sj]) {
+          src_run[sj] = msg.payload.run;
           src_lo[sj] = lo;
-          std::copy(keys.begin(), keys.end(),
-                    recv_keys.begin() + static_cast<std::ptrdiff_t>(at));
-          if (carried)
-            std::copy(origins.begin(), origins.end(),
-                      recv_prov.begin() + static_cast<std::ptrdiff_t>(at));
         }
+        PGXD_CHECK_MSG(src_run[sj] == msg.payload.run && src_lo[sj] == lo,
+                       "frames of one source view different runs");
         const std::size_t placed = keys.size();
-        cursor[sj] += placed;
+        got[sj] += placed;
         remote_placed += placed;
-        if (track_holds && cursor[sj] == offsets[sj + 1])
+        if (track_holds && got[sj] == recv_counts[sj])
           wg.remove_hold(mbox, ctx.scope[sj]);
         if (c_items_recv) c_items_recv->inc(placed);
         return placed;
@@ -1632,11 +1589,10 @@ class DistributedSorter {
       }
       if (!cfg_.async_exchange) co_await comm.barrier(rank);
 
-      // Receives: place each incoming frame at its source's base offset
-      // plus the frame's own relative offset — correct under any arrival
-      // order — discarding frames whose (src, chunk index) bit was already
-      // set, so the loop stays correct when a duplicating fabric
-      // redelivers a frame. It counts placed *elements*, not messages.
+      // Receives: place each incoming frame, in any arrival order,
+      // discarding frames whose (src, chunk index) bit was already set, so
+      // the loop stays correct when a duplicating fabric redelivers a
+      // frame. It counts placed *elements*, not messages.
       while (remote_placed < remote_expected) {
         auto msg =
             co_await recv_sort(m, ctx, tag(level1 ? kTagL1Data : kTagData));
@@ -1644,128 +1600,93 @@ class DistributedSorter {
         if (placed > 0) co_await m.charge_copy(placed);
       }
       for (std::size_t s = 0; s < q; ++s)
-        PGXD_CHECK_MSG(cursor[s] == offsets[s + 1],
+        PGXD_CHECK_MSG(got[s] == recv_counts[s],
                        "exchange delivered wrong element counts");
       if (level1) part_level1_items_ += remote_placed;
       run.reset();  // frames peers have not read yet keep it alive
       stamp(rank, mark, Step::kExchange, exchange_wire_sent);
 
       // ---- Step 6: merge ----------------------------------------------------
-      // Merges the non-empty per-source runs only: at level 1 about sqrt(q)
-      // of the q members send to a rank. Ties go to the lower member. The
-      // k-way merges read the source ranges in place and write each item,
-      // key and provenance, once: the element at index i of source s's
-      // range came from the carried origin plane, or from s at src_lo[s] +
-      // i. The pairwise tree merges bare keys + a u32 permutation as SoA
-      // planes, then reconstructs provenance from each element's
-      // pre-merge position: the carried origin plane, or the position's
-      // source (a u32 plane, host-side bookkeeping outside the modelled
-      // memory) plus its offset into that source's range.
+      // One loser-tree k-way merge over the non-empty per-source ranges
+      // (at level 1 about sqrt(q) of the q members send to a rank), read
+      // in place in the senders' runs. Ties go to the lower member. Each
+      // element is written once, with its origin: the carried origin
+      // plane, or source s at src_lo[s] + i for index i of s's range. The
+      // last pass writes output items; level 1 writes the next sorted run
+      // and its packed origins. kParallelKway cuts the output into one
+      // range per simulated thread by splitter search; the ranges run for
+      // real, one after another. Every other merge runs one loser tree.
+      // The strategy picks only what the cost model charges: the Fig. 2
+      // pairwise tree (kPairwiseTree and level 1), the parallel k-way
+      // merge, or the naive k-way merge. All three emit the same order.
       {
         std::size_t runs = 0;
         for (std::size_t s = 0; s < q; ++s) runs += recv_counts[s] > 0;
         runs = std::max<std::size_t>(1, runs);
-        // The modelled merge planes: SoA keys + permutation, and scratch.
+        // The modelled merge planes: keys + a u32 index, and their scratch.
         const rt::TempAlloc scratch_mem(
             mem, total_recv * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
-        if (views) {
-          // Loser-tree k-way merge, one move per element, straight from
-          // the views into the output partition. kParallelKway cuts the
-          // output into one range per simulated thread by splitter search;
-          // the ranges run for real, one after another, while the cost
-          // model charges them as parallel. kSequentialKway is the
-          // no-parallelism ablation: one loser tree over the whole
-          // partition.
-          std::vector<std::span<const Key>> kruns;
-          std::vector<std::span<const std::uint64_t>> korigins;
-          std::vector<Provenance> kbase;
-          for (std::size_t s = 0; s < q; ++s) {
-            if (recv_counts[s] == 0) continue;
-            const SortedRun<Key>& sr = *src_run[s];
-            const std::size_t lo = src_lo[s];
-            PGXD_CHECK_MSG(lo + recv_counts[s] <= sr.keys.size(),
-                           "a source's range overruns its sorted run");
-            kruns.emplace_back(sr.keys.data() + lo, recv_counts[s]);
-            if (carried)
-              korigins.emplace_back(sr.origins.data() + lo, recv_counts[s]);
-            else
-              kbase.push_back(
-                  Provenance{static_cast<std::uint32_t>(ctx.scope[s]), lo});
-          }
-          const bool parallel = merge_algo == MergeAlgo::kParallelKway;
-          const std::size_t ranges = parallel ? m.threads() : 1;
+        std::vector<std::span<const Key>> kruns;
+        std::vector<std::span<const std::uint64_t>> korigins;
+        std::vector<Provenance> kbase;
+        for (std::size_t s = 0; s < q; ++s) {
+          if (recv_counts[s] == 0) continue;
+          const SortedRun<Key>& sr = *src_run[s];
+          const std::size_t lo = src_lo[s];
+          PGXD_CHECK_MSG(lo + recv_counts[s] <= sr.keys.size(),
+                         "a source's range overruns its sorted run");
+          kruns.emplace_back(sr.keys.data() + lo, recv_counts[s]);
+          if (carried)
+            korigins.emplace_back(sr.origins.data() + lo, recv_counts[s]);
+          else
+            kbase.push_back(
+                Provenance{static_cast<std::uint32_t>(ctx.scope[s]), lo});
+        }
+        const MergeAlgo merge_algo =
+            level1 ? MergeAlgo::kPairwiseTree : cfg_.final_merge;
+        const std::size_t ranges =
+            merge_algo == MergeAlgo::kParallelKway ? m.threads() : 1;
+        const auto merge = [&](auto&& emit) {
+          return sort::kway_merge_runs<Key>(kruns, comp_, ranges, emit);
+        };
+        sort::ParallelKwayMergeStats kres;
+        if (level1) {
+          // Level 1 merges the step-1 runs, which carry no origin plane.
+          local.clear();
+          local.reserve(total_recv);
+          lprov.clear();
+          lprov.reserve(total_recv);
+          kres = merge([&](std::size_t r, std::size_t i) {
+            local.push_back(kruns[r][i]);
+            lprov.push_back(
+                pack_prov(kbase[r].prev_machine, kbase[r].prev_index + i));
+          });
+        } else {
           out.clear();
           out.reserve(total_recv);
-          const auto kres =
-              carried
-                  ? sort::kway_merge_runs<Key>(
-                        kruns, comp_, ranges,
-                        [&](std::size_t r, std::size_t i) {
-                          out.push_back(
-                              ItemT{kruns[r][i], unpack_prov(korigins[r][i])});
-                        })
-                  : sort::kway_merge_runs<Key>(
-                        kruns, comp_, ranges,
-                        [&](std::size_t r, std::size_t i) {
-                          out.push_back(ItemT{
-                              kruns[r][i],
-                              Provenance{kbase[r].prev_machine,
-                                         kbase[r].prev_index + i}});
-                        });
-          src_run.clear();  // frames still in flight keep their runs alive
-          if (parallel) {
-            if (c_kway_ranges) {
-              c_kway_ranges->inc(kres.ranges);
-              c_kway_rounds->inc(kres.select_rounds);
-            }
-            co_await m.charge_parallel_kway_merge(total_recv, runs);
+          if (carried) {
+            kres = merge([&](std::size_t r, std::size_t i) {
+              out.push_back(ItemT{kruns[r][i], unpack_prov(korigins[r][i])});
+            });
           } else {
-            co_await m.charge_naive_kway_merge(total_recv, runs);
+            kres = merge([&](std::size_t r, std::size_t i) {
+              out.push_back(ItemT{kruns[r][i],
+                                  Provenance{kbase[r].prev_machine,
+                                             kbase[r].prev_index + i}});
+            });
           }
-        } else {
-          // Fig. 2 pairwise tree: each level moves sizeof(Key) + 4 bytes
-          // per element, ping-ponging between the planes and the scratch.
-          std::vector<std::size_t> bounds(1, 0);
-          for (std::size_t s = 0; s < q; ++s)
-            if (recv_counts[s] > 0) bounds.push_back(offsets[s + 1]);
-          std::vector<std::uint32_t> perm(total_recv);
-          std::iota(perm.begin(), perm.end(), 0u);
-          std::vector<Key> key_scratch;
-          std::vector<std::uint32_t> perm_scratch;
-          const bool in_scratch =
-              sort::balanced_merge_soa(recv_keys, perm, std::move(bounds),
-                                       key_scratch, perm_scratch, comp_)
-                  .in_scratch;
+        }
+        src_run.clear();  // frames still in flight keep their runs alive
+        if (merge_algo == MergeAlgo::kPairwiseTree) {
           co_await m.charge_balanced_merge(total_recv, runs);
-          std::vector<Key>& mk = in_scratch ? key_scratch : recv_keys;
-          const std::uint32_t* mp = (in_scratch ? perm_scratch : perm).data();
-          std::vector<std::uint32_t> source;
-          if (!carried) {
-            source.resize(total_recv);
-            for (std::size_t s = 0; s < q; ++s)
-              std::fill(
-                  source.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-                  source.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]),
-                  static_cast<std::uint32_t>(s));
+        } else if (merge_algo == MergeAlgo::kParallelKway) {
+          if (c_kway_ranges) {
+            c_kway_ranges->inc(kres.ranges);
+            c_kway_rounds->inc(kres.select_rounds);
           }
-          const auto origin = [&](std::size_t pos) {
-            if (carried) return unpack_prov(recv_prov[pos]);
-            const std::size_t s = source[pos];
-            return Provenance{static_cast<std::uint32_t>(ctx.scope[s]),
-                              src_lo[s] + (pos - offsets[s])};
-          };
-          if (level1) {
-            lprov.resize(total_recv);
-            for (std::size_t i = 0; i < total_recv; ++i) {
-              const Provenance o = origin(mp[i]);
-              lprov[i] = pack_prov(o.prev_machine, o.prev_index);
-            }
-            local = std::move(mk);
-          } else {
-            out.resize(total_recv);
-            for (std::size_t i = 0; i < total_recv; ++i)
-              out[i] = ItemT{mk[i], origin(mp[i])};
-          }
+          co_await m.charge_parallel_kway_merge(total_recv, runs);
+        } else {
+          co_await m.charge_naive_kway_merge(total_recv, runs);
         }
       }
       stamp(rank, mark, Step::kFinalMerge, total_recv * kStoredBytesPerItem);

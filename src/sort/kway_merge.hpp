@@ -6,11 +6,11 @@
 // (`kway_merge_range`) over runs given as spans: it starts from arbitrary
 // per-run cursors and emits the (run, index) of exactly `count` elements in
 // merged order, so the caller decides where each element goes. `kway_merge`
-// runs one engine over a whole buffer (the sequential merge-strategy
-// ablation); sort/parallel_kway_merge.hpp cuts the output into ranges via
-// multisequence selection and runs one engine per range — the single-pass
-// parallel final merge. The runs need not be contiguous: the distributed
-// sorter merges straight from its exchange views.
+// runs one engine over a whole buffer; sort/parallel_kway_merge.hpp cuts the
+// output into ranges via multisequence selection and runs one engine per
+// range — the merge the distributed sorter runs in step 6, one range or
+// several. The runs need not be contiguous: the sorter merges straight from
+// its exchange views.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once

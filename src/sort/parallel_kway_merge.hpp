@@ -1,11 +1,9 @@
-// Single-pass parallel k-way merge — the final-merge strategy that replaces
-// the upper levels of the Fig. 2 pairwise tree (sort/balanced_merge.hpp /
-// sort/soa_merge.hpp).
+// Single-pass parallel k-way merge — the one merge the distributed sorter's
+// step 6 runs on the host, whichever strategy the cost model charges.
 //
-// The pairwise tree moves every element once per level (ceil(log2 R)
-// times); at R = 32 runs that is 5 full passes over the partition, and the
-// committed bench baseline shows it topping out at ~1/6th of a single
-// MergeInto pass. Here every element is moved exactly once:
+// The Fig. 2 pairwise tree (sort/balanced_merge.hpp) moves every element
+// once per level, ceil(log2 R) times: at R = 32 runs that is 5 full passes
+// over the partition. Here every element is moved exactly once:
 //
 //   1. *Splitter search*: the merged output [0, n) is cut into near-equal
 //      per-thread ranges. Each interior boundary is located by
@@ -18,18 +16,21 @@
 //
 // The engine (kway_merge_runs) reads its runs as spans and emits each
 // element's (run, index) in merged order, so the caller writes every
-// element once, wherever it belongs: the distributed sorter's final merge
-// reads the exchange views and writes finished output items. The wrappers
-// below merge contiguous buffers with it. The ranges run one after another
-// on the calling thread. The distributed sorter asks for one range per
-// simulated worker thread, and the cost model (runtime/cost_model.hpp)
-// charges them as running in parallel.
+// element once, wherever it belongs: the distributed sorter reads the
+// exchange views and writes output items (or, at AMS level 1, its next
+// sorted run and the run's origins). The wrappers below merge contiguous
+// buffers with it. The ranges run one after another on the calling thread.
+// Under kParallelKway the sorter asks for one range per simulated worker
+// thread and the cost model (runtime/cost_model.hpp) charges them as
+// running in parallel; otherwise it asks for one range.
 //
 // Boundary cursors deal equal keys to the lower run first — the same tie
-// rule as the loser tree and merge_into — so the concatenated ranges are
-// *bit-identical* to the stable sequential merge (and to the Fig. 2 tree),
-// permutation plane included. tests/parallel_kway_merge_test.cpp holds that
-// property under a randomized sweep.
+// rule as the loser tree, merge_into and the Fig. 2 tree — so the
+// concatenated ranges are *bit-identical* to the stable sequential merge
+// and to the Fig. 2 tree, permutation plane included, and the sorter's
+// output does not depend on the strategy it charges.
+// tests/parallel_kway_merge_test.cpp holds that property under a randomized
+// sweep.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
@@ -220,10 +221,9 @@ ParallelKwayMergeStats parallel_kway_merge(const std::vector<T>& src,
 
 // SoA variant over contiguous planes: bare keys plus the compact u32
 // permutation move through ONE pass (sizeof(Key) + 4 bytes per element,
-// once — versus once per level in balanced_merge_soa). The merged result
-// always lands in (key_out, perm_out); there is no ping-pong and no
-// copy-back, the caller reads the output planes directly (the same
-// no-staging contract as SoaMergeResult with in_scratch == true).
+// once, where a pairwise tree moves them once per level). The merged
+// result always lands in (key_out, perm_out); there is no ping-pong and no
+// copy-back.
 template <typename K, typename Comp = Less>
 ParallelKwayMergeStats parallel_kway_merge_soa(
     const std::vector<K>& keys, const std::vector<std::uint32_t>& perm,

@@ -1,12 +1,13 @@
 // Allocation discipline of the hot path: the sorting kernels allocate
 // nothing per element, the exchange allocates nothing per chunk, and a
-// flat sort allocates a bounded number of bytes per key. Every data frame
-// is a read-only view of its sender's sorted run (core::SortedRun), so
-// retransmits and fabric duplicates share the run's storage, and a frame
-// keeps the run alive for as long as the frame exists. The default k-way
-// final merge reads each source's range from that run too, after its
-// sender has let go of it. Under ASan (scripts/check.sh) a frame or a
-// merge that outlived its run would fail these tests as a use-after-free.
+// sort allocates a bounded number of bytes per key under every merge
+// strategy. Every data frame is a read-only view of its sender's sorted
+// run (core::SortedRun), so retransmits and fabric duplicates share the
+// run's storage, and a frame keeps the run alive for as long as the frame
+// exists. Every merge, the AMS level-1 one included, reads each source's
+// range from that run too, after its sender has let go of it. Under ASan
+// (scripts/check.sh) a frame or a merge that outlived its run would fail
+// these tests as a use-after-free.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <span>
 #include <vector>
@@ -26,7 +28,6 @@
 #include "sim/trace.hpp"
 #include "sort/balanced_merge.hpp"
 #include "sort/quicksort.hpp"
-#include "sort/soa_merge.hpp"
 
 // Counting allocator: global operator new/delete instrumented for the whole
 // test binary; individual tests read the counter deltas (allocations and
@@ -71,6 +72,8 @@ namespace pgxd {
 namespace {
 
 using core::DistributedSorter;
+using core::MergeAlgo;
+using core::PartitionScheme;
 using core::SortConfig;
 using core::SortMsg;
 using Key = std::uint64_t;
@@ -90,10 +93,9 @@ TEST(AllocationDiscipline, QuicksortAllocatesNothing) {
 }
 
 TEST(AllocationDiscipline, BalancedMergeAllocationsIndependentOfRunCount) {
-  // With pre-sized scratch, both Fig. 2 kernels allocate only their run
+  // With pre-sized scratch, the Fig. 2 kernel allocates only its run
   // bounds, so allocations do not grow with the run count: 64 runs must
-  // stay under a small fixed count. The key + permutation kernel is the
-  // one AMS level 1 and kPairwiseTree run.
+  // stay under a small fixed count.
   Rng rng(13);
   const std::size_t runs = 64, per_run = 2000;
   std::vector<Key> data(runs * per_run);
@@ -105,24 +107,12 @@ TEST(AllocationDiscipline, BalancedMergeAllocationsIndependentOfRunCount) {
     std::sort(data.begin() + r * per_run, data.begin() + (r + 1) * per_run);
   }
   bounds[runs] = data.size();
-  std::vector<Key> keys = data;
   std::vector<Key> scratch(data.size());
-  std::uint64_t before = g_allocs.load();
+  const std::uint64_t before = g_allocs.load();
   sort::balanced_merge(data, bounds, scratch);
-  std::uint64_t delta = g_allocs.load() - before;
+  const std::uint64_t delta = g_allocs.load() - before;
   EXPECT_LE(delta, 40u) << "merge allocations must not scale with run count";
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
-
-  std::vector<std::uint32_t> perm(keys.size());
-  std::vector<std::uint32_t> perm_scratch(keys.size());
-  before = g_allocs.load();
-  const bool in_scratch =
-      sort::balanced_merge_soa(keys, perm, bounds, scratch, perm_scratch)
-          .in_scratch;
-  delta = g_allocs.load() - before;
-  EXPECT_LE(delta, 40u) << "SoA merge allocations must not scale with runs";
-  const auto& merged = in_scratch ? scratch : keys;
-  EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end()));
 }
 
 // --- Exchange frames are views ----------------------------------------------
@@ -211,65 +201,111 @@ TEST(ExchangeViews, RunAllocatesNoChunkSizedBuffer) {
   EXPECT_EQ(chunk_allocs, 0u) << "the exchange allocated chunk payloads";
 }
 
-// Host bytes allocated per key by a flat p=8 sort (default configuration:
-// one-level sampling, k-way final merge). What remains is one output item
-// per key (24 bytes), the radix sort's scatter buffer (8) and the
-// exactly-once audit's slot map; the exchange and the merge write each key
-// once, into the output partition, with no receive or merge planes.
+// Host bytes allocated per key inside run() over 2^20 uniform keys, for
+// each merge strategy. The host runs the same merge under all three, so a
+// flat p=8 sort holds one bound under each: one output item per key (24
+// bytes), the radix sort's scatter buffer (8) and the exactly-once audit's
+// slot map; the exchange and the merge write each key once, into the
+// output partition, with no receive or merge planes. Two-level AMS at p=16
+// also merges level 1 into a new sorted run with packed origins (16 bytes
+// per key) and exchanges twice, and is held to 64.
 TEST(AllocationDiscipline, FlatSortAllocatesAtMost40BytesPerKey) {
-  const std::size_t p = 8;
+  struct Input {
+    const char* name;
+    std::size_t p;
+    PartitionScheme partition;
+    MergeAlgo merge;
+    double max_bytes_per_key;
+  };
+  const Input inputs[] = {
+      {"flat p=8, parallel k-way", 8, PartitionScheme::kOneLevelSample,
+       MergeAlgo::kParallelKway, 40.0},
+      {"flat p=8, pairwise tree", 8, PartitionScheme::kOneLevelSample,
+       MergeAlgo::kPairwiseTree, 40.0},
+      {"flat p=8, sequential k-way", 8, PartitionScheme::kOneLevelSample,
+       MergeAlgo::kSequentialKway, 40.0},
+      {"two-level AMS p=16", 16, PartitionScheme::kTwoLevelAms,
+       MergeAlgo::kParallelKway, 64.0},
+  };
   const std::size_t n = std::size_t{1} << 20;
-  rt::Cluster<Msg> cluster(cluster_config(p));
-  Sorter sorter(cluster, SortConfig{});
-  auto shards = uniform_shards(n, p);
-  const std::uint64_t before = g_alloc_bytes.load();
-  sorter.run(std::move(shards));
-  const double per_key =
-      static_cast<double>(g_alloc_bytes.load() - before) /
-      static_cast<double>(n);
-  EXPECT_LE(per_key, 40.0) << "bytes allocated per key inside run()";
-  std::size_t total = 0;
-  for (const auto& part : sorter.partitions()) total += part.size();
-  EXPECT_EQ(total, n);
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    SortConfig cfg;
+    cfg.partition = in.partition;
+    cfg.final_merge = in.merge;
+    rt::Cluster<Msg> cluster(cluster_config(in.p));
+    Sorter sorter(cluster, cfg);
+    auto shards = uniform_shards(n, in.p);
+    const std::uint64_t before = g_alloc_bytes.load();
+    sorter.run(std::move(shards));
+    const double per_key =
+        static_cast<double>(g_alloc_bytes.load() - before) /
+        static_cast<double>(n);
+    EXPECT_LE(per_key, in.max_bytes_per_key)
+        << "bytes allocated per key inside run()";
+    std::size_t total = 0;
+    for (const auto& part : sorter.partitions()) total += part.size();
+    EXPECT_EQ(total, n);
+  }
 }
+
+// The exchanges the two tests below drive: the flat one (kTagData) and
+// AMS level 1 (kTagL1Data), whose receivers merge the buckets into the run
+// the level-2 exchange sends from. Either way the frames view the step-1
+// sorted run, and the exchange is the rank's first send/receive span.
+struct ExchangeInput {
+  const char* name;
+  PartitionScheme partition;
+  std::size_t p;
+  int tag;
+};
+const ExchangeInput kAmsLevel1 = {"two-level AMS p=16, level 1",
+                                  PartitionScheme::kTwoLevelAms, 16,
+                                  Sorter::kTagL1Data};
 
 // Reliable delivery over a lossy, duplicating fabric. The reliable layer
 // keeps a frame until its first accepted delivery, so a frame whose first
 // copy was dropped lands by retransmit — for some frames after their sender
-// finished its exchange and let go of its run. The frame's own reference
-// keeps the run alive, and the receiver still places the sender's keys.
+// finished that exchange and let go of its run. The frame's own reference
+// keeps the run alive, and the receiver still merges the sender's keys.
 TEST(ExchangeViews, RetransmittedFramesOutliveTheirSendersHold) {
-  const std::size_t p = 5;
-  SortConfig cfg;
-  cfg.read_buffer_bytes = 4096;
-  net::FaultConfig fc;
-  fc.drop_prob = 0.08;
-  fc.duplicate_prob = 0.08;
-  rt::ClusterConfig ccfg = cluster_config(p, fc);
-  ccfg.reliable.enabled = true;
-  rt::Cluster<Msg> cluster(ccfg);
-  Sorter sorter(cluster, cfg);
-  sim::Trace trace;
-  sorter.set_trace(&trace);
-  const auto shards = uniform_shards(30000, p);
-  sorter.run(shards);  // the sorter audits exactly-once
-  expect_output_matches_origins(sorter, shards);
+  const ExchangeInput flat = {"flat p=5", PartitionScheme::kOneLevelSample, 5,
+                              Sorter::kTagData};
+  for (const ExchangeInput& in : {flat, kAmsLevel1}) {
+    SCOPED_TRACE(in.name);
+    SortConfig cfg;
+    cfg.read_buffer_bytes = 4096;
+    cfg.partition = in.partition;
+    net::FaultConfig fc;
+    fc.drop_prob = 0.08;
+    fc.duplicate_prob = 0.08;
+    rt::ClusterConfig ccfg = cluster_config(in.p, fc);
+    ccfg.reliable.enabled = true;
+    rt::Cluster<Msg> cluster(ccfg);
+    Sorter sorter(cluster, cfg);
+    sim::Trace trace;
+    sorter.set_trace(&trace);
+    const auto shards = uniform_shards(30000, in.p);
+    sorter.run(shards);  // the sorter audits exactly-once
+    expect_output_matches_origins(sorter, shards);
 
-  const auto& rs = cluster.comm().reliable_stats();
-  EXPECT_GT(rs.retransmits, 0u);
-  EXPECT_GT(rs.duplicates_suppressed, 0u);
-  for (const auto& ms : sorter.stats().machines)
-    EXPECT_EQ(ms.duplicate_chunks, 0u);
-  // A rank lets go of its run where its send/receive span ends.
-  std::vector<sim::SimTime> released(p, 0);
-  for (const auto& span : trace.spans())
-    if (span.label == core::step_name(core::Step::kExchange))
-      released[span.lane] = span.end;
-  std::size_t late = 0;
-  for (const auto& f : trace.flows())
-    if (f.tag == Sorter::kTagData && !f.duplicate && f.recv > released[f.src])
-      ++late;
-  EXPECT_GT(late, 0u) << "no frame landed after its sender let go of its run";
+    const auto& rs = cluster.comm().reliable_stats();
+    EXPECT_GT(rs.retransmits, 0u);
+    EXPECT_GT(rs.duplicates_suppressed, 0u);
+    for (const auto& ms : sorter.stats().machines)
+      EXPECT_EQ(ms.duplicate_chunks, 0u);
+    // A rank lets go of its step-1 run where its first send/receive span
+    // ends.
+    constexpr sim::SimTime kNever = std::numeric_limits<sim::SimTime>::max();
+    std::vector<sim::SimTime> released(in.p, kNever);
+    for (const auto& span : trace.spans())
+      if (span.label == core::step_name(core::Step::kExchange))
+        released[span.lane] = std::min(released[span.lane], span.end);
+    std::size_t late = 0;
+    for (const auto& f : trace.flows())
+      if (f.tag == in.tag && !f.duplicate && f.recv > released[f.src]) ++late;
+    EXPECT_GT(late, 0u) << "no frame landed after its sender let go of its run";
+  }
 }
 
 // A duplicating fabric without the reliable layer: copies reach the
@@ -278,38 +314,43 @@ TEST(ExchangeViews, RetransmittedFramesOutliveTheirSendersHold) {
 // let go of the run by then, so such a stray frame is its run's last
 // owner, and it still reads the sender's sorted keys.
 TEST(ExchangeViews, TrailingDuplicatesStillViewTheSortedRun) {
-  const std::size_t p = 8;
-  SortConfig cfg;
-  cfg.read_buffer_bytes = 4096;
-  net::FaultConfig fc;
-  fc.duplicate_prob = 0.30;
-  rt::ClusterConfig ccfg = cluster_config(p, fc);
-  ccfg.allow_undrained = true;  // trailing duplicates stay in mailboxes
-  rt::Cluster<Msg> cluster(ccfg);
-  Sorter sorter(cluster, cfg);
-  const auto shards = uniform_shards(30000, p);
-  sorter.run(shards);
-  expect_output_matches_origins(sorter, shards);
+  const ExchangeInput flat = {"flat p=8", PartitionScheme::kOneLevelSample, 8,
+                              Sorter::kTagData};
+  for (const ExchangeInput& in : {flat, kAmsLevel1}) {
+    SCOPED_TRACE(in.name);
+    SortConfig cfg;
+    cfg.read_buffer_bytes = 4096;
+    cfg.partition = in.partition;
+    net::FaultConfig fc;
+    fc.duplicate_prob = 0.30;
+    rt::ClusterConfig ccfg = cluster_config(in.p, fc);
+    ccfg.allow_undrained = true;  // trailing duplicates stay in mailboxes
+    rt::Cluster<Msg> cluster(ccfg);
+    Sorter sorter(cluster, cfg);
+    const auto shards = uniform_shards(30000, in.p);
+    sorter.run(shards);
+    expect_output_matches_origins(sorter, shards);
 
-  std::uint64_t dup_chunks = 0;
-  for (const auto& ms : sorter.stats().machines)
-    dup_chunks += ms.duplicate_chunks;
-  EXPECT_GT(dup_chunks, 0u);
+    std::uint64_t dup_chunks = 0;
+    for (const auto& ms : sorter.stats().machines)
+      dup_chunks += ms.duplicate_chunks;
+    EXPECT_GT(dup_chunks, 0u);
 
-  const auto runs = sorted_shards(shards);
-  std::size_t strays = 0;
-  for (std::size_t r = 0; r < p; ++r)
-    while (auto frame = cluster.comm().try_recv(r, Sorter::kTagData)) {
-      const std::span<const Key> keys = frame->payload.view();
-      const auto& run = runs[frame->src];
-      ASSERT_LE(frame->payload.prov_base + keys.size(), run.size());
-      EXPECT_TRUE(std::equal(
-          keys.begin(), keys.end(),
-          run.begin() +
-              static_cast<std::ptrdiff_t>(frame->payload.prov_base)));
-      ++strays;
-    }
-  EXPECT_GT(strays, 0u);
+    const auto runs = sorted_shards(shards);
+    std::size_t strays = 0;
+    for (std::size_t r = 0; r < in.p; ++r)
+      while (auto frame = cluster.comm().try_recv(r, in.tag)) {
+        const std::span<const Key> keys = frame->payload.view();
+        const auto& run = runs[frame->src];
+        ASSERT_LE(frame->payload.prov_base + keys.size(), run.size());
+        EXPECT_TRUE(std::equal(
+            keys.begin(), keys.end(),
+            run.begin() +
+                static_cast<std::ptrdiff_t>(frame->payload.prov_base)));
+        ++strays;
+      }
+    EXPECT_GT(strays, 0u);
+  }
 }
 
 }  // namespace

@@ -15,8 +15,10 @@
 // Every combination runs twice. The "Soa" case checks the output with
 // validate_sorted. The "Aos" case also rebuilds every partition from the
 // sorted input shards as array-of-`Item` records, merged by the AoS kernel
-// of the configured strategy, and requires the sorter's structure-of-arrays
-// output to match it item for item — keys, provenance and tie order.
+// of the configured strategy, and requires the sorter's output to match it
+// item for item — keys, provenance and tie order. The sorter merges with
+// one loser tree under every strategy, so the match also shows that each
+// strategy's own kernel would give the same output.
 //
 // Combinations SortConfig::validate rejects (two-level AMS without the
 // async exchange) are asserted to be rejected rather than run: the sweep

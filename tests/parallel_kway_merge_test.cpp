@@ -1,7 +1,9 @@
 // Tests for the single-pass parallel k-way merge: the multisequence
 // selection (kway_select), bit-identical agreement with the Fig. 2 pairwise
-// tree on both planes (keys AND permutation — provenance rides the perm),
-// and the per-range split on inputs large enough to engage it.
+// tree on both planes (keys AND permutation: the tree runs over (key,
+// index) records, and the sorter's provenance rides the (run, index) the
+// merge emits), and the per-range split on inputs large enough to engage
+// it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,6 @@
 #include "sort/balanced_merge.hpp"
 #include "sort/kway_merge.hpp"
 #include "sort/parallel_kway_merge.hpp"
-#include "sort/soa_merge.hpp"
 
 namespace pgxd::sort {
 namespace {
@@ -42,20 +43,27 @@ RunSet make_runs(std::size_t runs, std::size_t max_per_run, std::uint64_t seed,
   return rs;
 }
 
-// Reference: the Fig. 2 pairwise SoA tree, whose output (both planes) the
-// parallel k-way merge must reproduce bit for bit.
+// Reference: the Fig. 2 pairwise tree over (key, index) records, ordered by
+// key alone, whose output (both planes) the parallel k-way merge must
+// reproduce bit for bit. The tree breaks ties toward the lower run, as the
+// loser tree does.
 void reference_merge(const RunSet& rs, std::vector<std::uint64_t>& keys,
                      std::vector<std::uint32_t>& perm) {
-  keys = rs.keys;
-  perm.resize(keys.size());
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::vector<std::uint64_t> ks;
-  std::vector<std::uint32_t> ps;
-  auto bounds = rs.bounds;
-  const auto res = balanced_merge_soa(keys, perm, std::move(bounds), ks, ps);
-  if (res.in_scratch) {
-    keys.swap(ks);
-    perm.swap(ps);
+  struct Rec {
+    std::uint64_t key;
+    std::uint32_t index;
+  };
+  std::vector<Rec> recs(rs.keys.size());
+  for (std::size_t i = 0; i < recs.size(); ++i)
+    recs[i] = {rs.keys[i], static_cast<std::uint32_t>(i)};
+  std::vector<Rec> scratch;
+  balanced_merge(recs, rs.bounds, scratch,
+                 [](const Rec& a, const Rec& b) { return a.key < b.key; });
+  keys.resize(recs.size());
+  perm.resize(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    keys[i] = recs[i].key;
+    perm[i] = recs[i].index;
   }
 }
 
