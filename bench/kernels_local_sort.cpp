@@ -288,16 +288,19 @@ BENCHMARK(BM_ParallelKwayMergeSoa)->Arg(4)->Arg(8)->Arg(32);
 
 // Single-range variant: one loser tree over the whole output and no
 // splitter search, so its gap to BM_ParallelKwayMergeSoa/32 is what the
-// search costs.
+// search costs. Args: runs, key domain (0 = full-width). 256 runs is the
+// p=256 merge, 8 tree levels deep; domain 40 puts long stretches of equal
+// keys in every run, so most keys skip their replay.
 void BM_ParallelKwayMergeSoaSeq(benchmark::State& state) {
   const auto runs = static_cast<std::size_t>(state.range(0));
+  const auto domain = static_cast<std::uint64_t>(state.range(1));
   const std::size_t per_run = (1u << 21) / runs;
   Rng rng(5);
   std::vector<std::uint64_t> base;
   std::vector<std::size_t> bounds{0};
   for (std::size_t r = 0; r < runs; ++r) {
     std::vector<std::uint64_t> run(per_run);
-    for (auto& x : run) x = rng.next();
+    for (auto& x : run) x = domain ? rng.bounded(domain) : rng.next();
     std::sort(run.begin(), run.end());
     base.insert(base.end(), run.begin(), run.end());
     bounds.push_back(base.size());
@@ -314,7 +317,7 @@ void BM_ParallelKwayMergeSoaSeq(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(base.size()));
 }
-BENCHMARK(BM_ParallelKwayMergeSoaSeq)->Arg(32);
+BENCHMARK(BM_ParallelKwayMergeSoaSeq)->ArgsProduct({{32, 256}, {0, 40}});
 
 }  // namespace
 

@@ -11,8 +11,9 @@
 //      across all R runs at once, the classic multiway-partition algorithm
 //      (Varman et al.; also __gnu_parallel::multiseq_partition).
 //   2. *Per-range loser trees*: each range merges independently with the
-//      tournament engine from sort/kway_merge.hpp, paying log2(R)
-//      comparisons but only ONE move per element.
+//      tournament engine from sort/kway_merge.hpp, paying one successor
+//      check plus, unless the next key of the element's run is equal,
+//      log2(R) comparisons, but only ONE move per element.
 //
 // The engine (kway_merge_runs) reads its runs as spans and emits each
 // element's (run, index) in merged order, so the caller writes every

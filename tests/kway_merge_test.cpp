@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -98,11 +101,71 @@ TEST(KwayMerge, ComparisonCountIsNLogK) {
   auto data = make_runs(16, 4000, 9, bounds);
   std::vector<std::uint64_t> scratch;
   const auto stats = kway_merge(data, bounds, scratch);
-  // One root-to-leaf replay (log2 16 = 4 comparisons) per element, plus the
-  // build; allow slack for sentinel comparisons.
+  // One root-to-leaf replay (log2 16 = 4 comparisons) per element, plus one
+  // successor check per element whose run has a next key, plus the build.
+  // Equal successors (rare over 2^20 values) skip their replay, and
+  // matches against exhausted runs are not counted, so the total stays
+  // under 5n.
   const auto n = 16u * 4000u;
   EXPECT_LE(stats.comparisons, n * 5);
   EXPECT_GE(stats.comparisons, n * 3);
+}
+
+TEST(KwayMerge, EqualSuccessorsSkipTheReplay) {
+  // Runs made of long stretches of equal keys: a key followed by an equal
+  // key in its own run is emitted without a replay. Bound, for R non-empty
+  // runs of n keys over D distinct values and L = ceil(log2 R) levels:
+  //   build            R - 1 matches (each removes one live contestant),
+  //   successor checks n - R (one per key whose run has a next key),
+  //   replays          at most R * D (one per stretch of equal keys in a
+  //                    run: after its last key), L matches each,
+  // so comparisons <= n - 1 + R * D * L. A replay after every key costs
+  // about n * L.
+  struct Tagged {
+    std::uint64_t key;
+    std::uint32_t run;
+    std::uint32_t index;
+  };
+  for (const std::size_t runs : {2u, 8u, 33u}) {
+    for (const std::uint64_t values : {1u, 3u}) {
+      Rng rng(runs * 7 + values);
+      std::vector<std::uint64_t> keys;
+      std::vector<std::size_t> bounds{0};
+      for (std::size_t r = 0; r < runs; ++r) {
+        std::vector<std::uint64_t> run(1000 + rng.bounded(1000));
+        for (auto& x : run) x = 5 + 10 * rng.bounded(values);
+        std::sort(run.begin(), run.end());
+        keys.insert(keys.end(), run.begin(), run.end());
+        bounds.push_back(keys.size());
+      }
+      const std::size_t n = keys.size();
+
+      std::vector<Tagged> want;
+      for (std::size_t r = 0; r < runs; ++r)
+        for (std::size_t i = bounds[r]; i < bounds[r + 1]; ++i)
+          want.push_back({keys[i], static_cast<std::uint32_t>(r),
+                          static_cast<std::uint32_t>(i - bounds[r])});
+      std::vector<Tagged> scratch;
+      balanced_merge(want, bounds, scratch, [](const Tagged& a, const Tagged& b) {
+        return a.key < b.key;
+      });
+
+      const auto spans = runs_of<std::uint64_t>(keys.data(), bounds);
+      std::vector<std::size_t> cursor(runs, 0);
+      std::vector<std::pair<std::size_t, std::size_t>> got;
+      const std::uint64_t comparisons = kway_merge_range<std::uint64_t>(
+          spans, cursor, n, Less{},
+          [&](std::size_t r, std::size_t i) { got.emplace_back(r, i); });
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(got[j].first, want[j].run) << "position " << j;
+        ASSERT_EQ(got[j].second, want[j].index) << "position " << j;
+      }
+      const std::uint64_t levels = std::bit_width(runs - 1);
+      EXPECT_LE(comparisons, n - 1 + runs * values * levels)
+          << runs << " runs, " << values << " values";
+    }
+  }
 }
 
 TEST(KwayMerge, AllEqualKeys) {
