@@ -88,9 +88,9 @@ namespace pgxd::core {
 template <typename Key>
 struct SortedRun {
   std::vector<Key> keys;
-  std::vector<std::uint64_t> origins;
+  std::vector<Provenance> origins;
 
-  SortedRun(std::vector<Key> k, std::vector<std::uint64_t> o)
+  SortedRun(std::vector<Key> k, std::vector<Provenance> o)
       : keys(std::move(k)), origins(std::move(o)) {}
 };
 
@@ -156,7 +156,7 @@ struct SortMsg {
   std::span<const Key> view() const {
     return {run->keys.data() + prov_base, len};
   }
-  std::span<const std::uint64_t> origins() const {
+  std::span<const Provenance> origins() const {
     if (run->origins.empty()) return {};
     return {run->origins.data() + prov_base, len};
   }
@@ -257,7 +257,9 @@ class DistributedSorter {
   // per-message header.
   static constexpr std::uint64_t kDataWireBytesPerKey = sizeof(Key);
   static constexpr std::uint64_t kChunkHeaderBytes = 16;
-  // Receiver-side storage per element: key + provenance record.
+  // Receiver-side storage per element in the model: key + PGX.D's 12-byte
+  // provenance record (20 bytes for a u64 key). The host's Item is smaller
+  // (16 bytes; see core/provenance.hpp); this constant charges PGX.D's.
   static constexpr std::uint64_t kStoredBytesPerItem =
       sizeof(Key) + kProvenanceBytes;
 
@@ -268,6 +270,8 @@ class DistributedSorter {
     const std::string why = cfg_.validate();
     PGXD_CHECK_MSG(why.empty(), why.c_str());
     const std::size_t p = cluster_.size();
+    PGXD_CHECK_MSG(p <= Provenance::kMachineLimit,
+                   "more machines than Provenance::prev_machine can name");
     input_.resize(p);
     output_.resize(p);
     boundary_.resize(p);
@@ -312,6 +316,7 @@ class DistributedSorter {
 
   // Aggregates per-machine stats; call after the cluster run completes.
   void finalize(sim::SimTime elapsed) {
+    radix_scratch_ = std::vector<Key>();  // frees it: step 1 is over
     stats_.total_time = elapsed;
     stats_.steps_max = StepTimings{};
     for (const auto& ms : stats_.machines) stats_.steps_max.max_with(ms.steps);
@@ -458,25 +463,6 @@ class DistributedSorter {
   };
 
   enum class AttemptOutcome { kNotRun, kOk, kCrashed, kAborted };
-
-  // Origin provenance packed into one u64 for the two-hop (AMS) path. The
-  // level-1 exchange destroys the "contiguous slice of the sender's sorted
-  // shard" property the flat exchange relies on, so the group exchange
-  // carries each element's true origin explicitly: machine in the top 24
-  // bits, index into the origin's locally sorted shard below. Viewed from
-  // the run's origin plane as audit metadata — not counted as modeled wire
-  // bytes, matching the provenance.hpp convention that provenance is an
-  // audit artifact, not protocol payload.
-  static constexpr std::uint64_t kProvIndexBits = 40;
-  static std::uint64_t pack_prov(std::size_t machine, std::uint64_t index) {
-    PGXD_CHECK(machine < (std::uint64_t{1} << (64 - kProvIndexBits)) &&
-               index < (std::uint64_t{1} << kProvIndexBits));
-    return (static_cast<std::uint64_t>(machine) << kProvIndexBits) | index;
-  }
-  static Provenance unpack_prov(std::uint64_t packed) {
-    return Provenance{static_cast<std::uint32_t>(packed >> kProvIndexBits),
-                      packed & ((std::uint64_t{1} << kProvIndexBits) - 1)};
-  }
 
   // Physical rank -> position in an ordered rank list (an attempt's
   // membership or a partition scope).
@@ -1104,10 +1090,11 @@ class DistributedSorter {
     const std::size_t n = local.size();
     {
       // Scratch for the in-node sort (the Fig. 2 ping-pong buffer / radix
-      // scatter buffer).
+      // scatter buffer), charged per machine. The host sorts every rank's
+      // shard through one scatter buffer, radix_scratch_.
       rt::TempAlloc scratch_mem(m.memory(), n * sizeof(Key));
-      const sort::LocalSortStats ls =
-          sort::local_sort(local, cfg_.local_sort, comp_);
+      const sort::LocalSortStats ls = sort::local_sort(
+          local, cfg_.local_sort, comp_, {}, &radix_scratch_);
       if (ls.used_radix) {
         co_await m.charge_local_radix_sort(n, ls.radix_passes);
         if (telemetry) {
@@ -1166,11 +1153,11 @@ class DistributedSorter {
     // shared by every scope member — a rank with an empty local array
     // still receives origin planes from its peers. After the level-1
     // exchange, elements of `local` originate from other ranks' shards:
-    // `lprov[i]` records element i's true origin (pack_prov) so the group
-    // exchange can ship it and the final provenance — and the exactly-once
-    // audit — still point at original shard positions.
+    // `lprov[i]` records element i's true origin so the group exchange can
+    // ship it and the final provenance — and the exactly-once audit — still
+    // point at original shard positions.
     const bool xprov = layout.groups > 1;
-    std::vector<std::uint64_t> lprov;
+    std::vector<Provenance> lprov;
     ScopeIndex midx(cluster_.size(), ctx.scope);
     std::size_t q = ctx.scope.size();
     std::size_t idx = midx.pos[rank];
@@ -1613,7 +1600,7 @@ class DistributedSorter {
       // element is written once, with its origin: the carried origin
       // plane, or source s at src_lo[s] + i for index i of s's range. The
       // last pass writes output items; level 1 writes the next sorted run
-      // and its packed origins. kParallelKway cuts the output into one
+      // and its origin plane. kParallelKway cuts the output into one
       // range per simulated thread by splitter search; the ranges run for
       // real, one after another. Every other merge runs one loser tree.
       // The strategy picks only what the cost model charges: the Fig. 2
@@ -1627,7 +1614,7 @@ class DistributedSorter {
         const rt::TempAlloc scratch_mem(
             mem, total_recv * (sizeof(Key) + 2 * sizeof(std::uint32_t)));
         std::vector<std::span<const Key>> kruns;
-        std::vector<std::span<const std::uint64_t>> korigins;
+        std::vector<std::span<const Provenance>> korigins;
         std::vector<Provenance> kbase;
         for (std::size_t s = 0; s < q; ++s) {
           if (recv_counts[s] == 0) continue;
@@ -1639,8 +1626,7 @@ class DistributedSorter {
           if (carried)
             korigins.emplace_back(sr.origins.data() + lo, recv_counts[s]);
           else
-            kbase.push_back(
-                Provenance{static_cast<std::uint32_t>(ctx.scope[s]), lo});
+            kbase.emplace_back(ctx.scope[s], lo);
         }
         const MergeAlgo merge_algo =
             level1 ? MergeAlgo::kPairwiseTree : cfg_.final_merge;
@@ -1659,20 +1645,20 @@ class DistributedSorter {
           kres = merge([&](std::size_t r, std::size_t i) {
             local.push_back(kruns[r][i]);
             lprov.push_back(
-                pack_prov(kbase[r].prev_machine, kbase[r].prev_index + i));
+                Provenance(kbase[r].prev_machine, kbase[r].prev_index + i));
           });
         } else {
           out.clear();
           out.reserve(total_recv);
           if (carried) {
             kres = merge([&](std::size_t r, std::size_t i) {
-              out.push_back(ItemT{kruns[r][i], unpack_prov(korigins[r][i])});
+              out.push_back(ItemT{kruns[r][i], korigins[r][i]});
             });
           } else {
             kres = merge([&](std::size_t r, std::size_t i) {
               out.push_back(ItemT{kruns[r][i],
-                                  Provenance{kbase[r].prev_machine,
-                                             kbase[r].prev_index + i}});
+                                  Provenance(kbase[r].prev_machine,
+                                             kbase[r].prev_index + i)});
             });
           }
         }
@@ -1726,6 +1712,11 @@ class DistributedSorter {
   std::vector<obs::MetricsRegistry> metrics_;  // one per rank
   std::vector<std::vector<Key>> input_;
   std::vector<std::vector<ItemT>> output_;
+  // Step 1's radix scatter buffer, one for every rank: the DES runs one
+  // rank's local sort at a time and local_sort never suspends. After an odd
+  // pass count it holds the previous shard's storage, so equal shards reuse
+  // it and a larger one grows it once.
+  std::vector<Key> radix_scratch_;
   SortStats<Key> stats_;
   // Each rank's right partition boundary: the splitter between its output
   // and the next member's, written by the rank at step (3). finalize()

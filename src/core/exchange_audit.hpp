@@ -31,11 +31,18 @@ namespace pgxd::core {
 class AuditSlots {
  public:
   // Sizes the map for shards[m].size() slots on machine m, none named.
+  // Every attempt's shards pass through here, so this is also where a
+  // shard too long for Provenance::prev_index is rejected, before any
+  // index into it is packed.
   template <typename Shards>
   void arm(const Shards& shards) {
     base_.assign(shards.size() + 1, 0);
-    for (std::size_t m = 0; m < shards.size(); ++m)
+    for (std::size_t m = 0; m < shards.size(); ++m) {
+      PGXD_CHECK_MSG(shards[m].size() < Provenance::kIndexLimit,
+                     "a shard has 2^40 keys or more, past what "
+                     "Provenance::prev_index holds");
       base_[m + 1] = base_[m] + shards[m].size();
+    }
     named_.assign(base_.back(), 0);
   }
 

@@ -21,6 +21,10 @@
 // Keys that are signed, non-integral, or sorted by a custom comparator
 // always take the comparison path — radix on raw bits would sort a
 // different order than the one requested.
+//
+// The radix path's scatter buffer comes from the caller: the distributed
+// sorter passes one buffer for every rank's step 1, so a run allocates one
+// scatter buffer instead of one per shard. A call without one uses its own.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once
@@ -61,9 +65,13 @@ inline constexpr std::size_t kRadixMinN = std::size_t{1} << 13;
 
 // Sorts `data` with the selected strategy; `comp` must order ascending for
 // the radix path to be eligible (enforced by requiring exactly `Less`).
+// `radix_scratch`, when given, is the radix path's scatter buffer: it is
+// resized to the shard, and after an odd pass count it trades storage with
+// `data` (see radix_sort), so equal shards sorted in turn reuse it.
 template <typename Key, typename Comp = Less>
 LocalSortStats local_sort(std::vector<Key>& data, LocalSortAlgo algo,
-                          Comp comp = {}, const QuicksortConfig& qcfg = {}) {
+                          Comp comp = {}, const QuicksortConfig& qcfg = {},
+                          std::vector<Key>* radix_scratch = nullptr) {
   LocalSortStats stats;
   const std::size_t n = data.size();
   if constexpr (std::is_unsigned_v<Key> && std::is_same_v<Comp, Less>) {
@@ -80,7 +88,9 @@ LocalSortStats local_sort(std::vector<Key>& data, LocalSortAlgo algo,
                static_cast<double>(std::bit_width(n - 1)) *
                    kComparisonNsPerElemLevel);
       if (radix) {
-        const RadixSortStats rs = radix_sort(data, bits);
+        std::vector<Key> own;
+        const RadixSortStats rs =
+            radix_sort(data, radix_scratch ? *radix_scratch : own, bits);
         stats.used_radix = true;
         stats.radix_passes = rs.passes;
         stats.significant_bits = bits;

@@ -3,8 +3,12 @@
 // and a comparison point for the comparison-based kernels.
 //
 // Counting sort per digit, ping-ponging between the input and a scratch
-// buffer; after an odd number of passes the two buffers trade places. Only the digits below `significant_bits` are processed, so the
-// distributed baseline can skip the digits its partitioning already fixed.
+// buffer that the caller owns, so one buffer can serve many sorts (the
+// distributed sorter's step 1 passes one for every rank); the overload
+// without one allocates its own. After an odd number of passes the two
+// buffers trade places. Only the digits below `significant_bits` are
+// processed, so the distributed baseline can skip the digits its
+// partitioning already fixed.
 // pgxd-lint: hot-path  (tools/lint_pgxd.py: no std::function, naked new,
 // or std::set in this file)
 #pragma once

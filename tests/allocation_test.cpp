@@ -27,6 +27,7 @@
 #include "runtime/cluster.hpp"
 #include "sim/trace.hpp"
 #include "sort/balanced_merge.hpp"
+#include "sort/local_sort.hpp"
 #include "sort/quicksort.hpp"
 
 // Counting allocator: global operator new/delete instrumented for the whole
@@ -201,15 +202,47 @@ TEST(ExchangeViews, RunAllocatesNoChunkSizedBuffer) {
   EXPECT_EQ(chunk_allocs, 0u) << "the exchange allocated chunk payloads";
 }
 
+// Step 1 sorts every rank's shard through one scatter buffer, so a flat
+// run() on the radix path allocates at most one buffer of one shard's
+// scatter size, not one per rank. At p=4 and 3 * 2^16 keys that size is
+// 384 KiB, which no other buffer of this run has: a vector that grows by
+// doubling never reaches it, the audit's slot map is 192 KiB and each
+// output partition about 768 KiB. Powers of two collide: at p=8 and 2^20
+// keys the slot map is one shard's 1 MiB, and at p=4 and 2^18 keys the
+// master's sample pool grows to one shard's 512 KiB.
+TEST(AllocationDiscipline, RunAllocatesOneRadixScatterBuffer) {
+  const std::size_t p = 4;
+  const std::size_t n = std::size_t{3} << 16;
+  SortConfig cfg;
+  cfg.local_sort = sort::LocalSortAlgo::kRadix;
+  cfg.telemetry = true;
+  rt::Cluster<Msg> cluster(cluster_config(p));
+  Sorter sorter(cluster, cfg);
+  auto shards = uniform_shards(n, p);
+  for (const auto& shard : shards) ASSERT_EQ(shard.size(), n / p);
+
+  g_watched_size = n / p * sizeof(Key);
+  g_watched_allocs = 0;
+  sorter.run(std::move(shards));
+  const std::uint64_t scatter_allocs = g_watched_allocs.load();
+  g_watched_size = 0;
+
+  EXPECT_EQ(sorter.merged_metrics().counter_value("sort.local.radix_sorts"),
+            p);
+  EXPECT_LE(scatter_allocs, 1u)
+      << "step 1 allocated a scatter buffer per rank";
+}
+
 // Host bytes allocated per key inside run() over 2^20 uniform keys, for
 // each merge strategy. The host runs the same merge under all three, so a
-// flat p=8 sort holds one bound under each: one output item per key (24
-// bytes), the radix sort's scatter buffer (8) and the exactly-once audit's
-// slot map; the exchange and the merge write each key once, into the
-// output partition, with no receive or merge planes. Two-level AMS at p=16
-// also merges level 1 into a new sorted run with packed origins (16 bytes
-// per key) and exchanges twice, and is held to 64.
-TEST(AllocationDiscipline, FlatSortAllocatesAtMost40BytesPerKey) {
+// flat p=8 sort holds one bound under each: one 16-byte output item per
+// key, one radix scatter buffer per run (one shard's 8 bytes per key, so 1
+// byte per key of the run) and the exactly-once audit's slot map (1); the
+// exchange and the merge write each key once, into the output partition,
+// with no receive or merge planes. Two-level AMS at p=16 also merges level
+// 1 into a new sorted run with its origin plane (16 bytes per key) and
+// exchanges twice, and is held to 48.
+TEST(AllocationDiscipline, FlatSortAllocatesAtMost24BytesPerKey) {
   struct Input {
     const char* name;
     std::size_t p;
@@ -219,13 +252,13 @@ TEST(AllocationDiscipline, FlatSortAllocatesAtMost40BytesPerKey) {
   };
   const Input inputs[] = {
       {"flat p=8, parallel k-way", 8, PartitionScheme::kOneLevelSample,
-       MergeAlgo::kParallelKway, 40.0},
+       MergeAlgo::kParallelKway, 24.0},
       {"flat p=8, pairwise tree", 8, PartitionScheme::kOneLevelSample,
-       MergeAlgo::kPairwiseTree, 40.0},
+       MergeAlgo::kPairwiseTree, 24.0},
       {"flat p=8, sequential k-way", 8, PartitionScheme::kOneLevelSample,
-       MergeAlgo::kSequentialKway, 40.0},
+       MergeAlgo::kSequentialKway, 24.0},
       {"two-level AMS p=16", 16, PartitionScheme::kTwoLevelAms,
-       MergeAlgo::kParallelKway, 64.0},
+       MergeAlgo::kParallelKway, 48.0},
   };
   const std::size_t n = std::size_t{1} << 20;
   for (const Input& in : inputs) {

@@ -1,8 +1,11 @@
 // The sorter's exactly-once audit (core/exchange_audit.hpp) driven with
 // hand-built partitions: an exact partition passes, and each defect the
-// audit exists to catch aborts with its own message.
+// audit exists to catch aborts with its own message. Also the one-word
+// Provenance record the audit reads, and the per-attempt range check that
+// keeps its fields from overflowing.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +49,35 @@ void audit_two_hop(const Part& part) {
   AuditSlots slots;
   slots.arm(kShards);
   audit_two_hop_exchange(part, slots);
+}
+
+// The constructor packs machine above index into one word, and the
+// bit-fields read both back, at both ends of their ranges. A bit-field
+// layout that differed from the packing would fail here.
+TEST(ProvenanceWord, RoundTripsThroughTheConstructorAndBothFields) {
+  struct Case {
+    std::uint64_t machine;
+    std::uint64_t index;
+  };
+  const Case cases[] = {
+      {0, 0},
+      {Provenance::kMachineLimit - 1, Provenance::kIndexLimit - 1},
+      {0xa55a01, 0xf00f0ff00f},
+  };
+  for (const Case& c : cases) {
+    const Provenance prov(c.machine, c.index);
+    EXPECT_EQ(prov.prev_machine, c.machine);
+    EXPECT_EQ(prov.prev_index, c.index);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(prov), c.machine << 40 | c.index);
+    EXPECT_TRUE(prov == Provenance(c.machine, c.index));
+    EXPECT_FALSE(prov != Provenance(c.machine, c.index));
+  }
+  // Either field alone tells two records apart, down to the bits that meet
+  // in the middle of the word.
+  const Provenance mixed(0xa55a01, 0xf00f0ff00f);
+  EXPECT_NE(mixed, Provenance(0xa55a00, 0xf00f0ff00f));
+  EXPECT_NE(mixed, Provenance(0xa55a01, 0x700f0ff00f));
+  EXPECT_NE(Provenance(1, 0), Provenance(0, Provenance::kIndexLimit - 1));
 }
 
 TEST(ExchangeAudit, AcceptsAnExactSingleHopPartition) {
@@ -119,6 +151,19 @@ TEST(ExchangeAuditDeath, SlotsSpanTheAttemptAndResetOnRearm) {
                "duplicated in the two-hop exchange");
   slots.arm(kShards);
   audit_two_hop_exchange(Part{item(3, 1, 1)}, slots);
+}
+
+// Every attempt's shards are armed before any index into them is packed,
+// so a shard of 2^40 keys, which prev_index cannot address, aborts there.
+// The shards are stand-ins whose size() reports 2^40: nothing is allocated.
+TEST(ExchangeAuditDeath, ShardPastTheIndexFieldAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  struct HugeShard {
+    std::uint64_t size() const { return Provenance::kIndexLimit; }
+  };
+  const std::vector<HugeShard> shards(2);
+  AuditSlots slots;
+  EXPECT_DEATH(slots.arm(shards), "past what Provenance::prev_index holds");
 }
 
 }  // namespace
