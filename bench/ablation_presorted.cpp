@@ -2,7 +2,8 @@
 //
 // The paper notes Spark chose TimSort because "it performs better when the
 // data is partially sorted". The Spark baseline's reduce-stage sort charge
-// follows the *real* TimSort run decomposition (adaptive_sort_time), so
+// follows TimSort's run decomposition of each fetched partition, counted by
+// one scan (spark::timsort_runs, charged by adaptive_sort_time), so
 // sorted-ish data genuinely narrows Spark's gap; the PGX.D local sort is a
 // non-adaptive parallel quicksort and keeps its cost. This bench sweeps the
 // disorder fraction from fully sorted to fully random.

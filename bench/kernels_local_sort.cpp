@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) of the real local sorting kernels:
-// quicksort, radix sort, TimSort, the Fig. 2 balanced merge handler and the
-// k-way merges. Every kernel runs on the calling thread; the simulator's
+// quicksort, radix sort, the Fig. 2 balanced merge handler and the k-way
+// merges. Every kernel runs on the calling thread; the simulator's
 // cost model (runtime/cost_model.cpp) charges the paper's per-machine
 // threads on the simulated clock.
 #include <benchmark/benchmark.h>
@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/provenance.hpp"
 #include "sort/balanced_merge.hpp"
 #include "sort/local_sort.hpp"
 #include "sort/merge.hpp"
 #include "sort/parallel_kway_merge.hpp"
 #include "sort/quicksort.hpp"
-#include "sort/timsort.hpp"
 
 namespace {
 
@@ -141,43 +141,6 @@ void BM_StdSort(benchmark::State& state) {
 }
 BENCHMARK(BM_StdSort)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_TimsortRandom(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto base = random_keys(n, 0);
-  for (auto _ : state) {
-    auto v = base;
-    pgxd::sort::timsort(std::span<std::uint64_t>(v));
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_TimsortRandom)->Arg(1 << 17)->Arg(1 << 20);
-
-// TimSort's home turf: data made of pre-sorted runs (the paper notes Spark
-// picked TimSort because "it performs better when the data is partially
-// sorted").
-void BM_TimsortPresortedRuns(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> base;
-  Rng rng(7);
-  const std::size_t run_len = 4096;
-  while (base.size() < n) {
-    std::vector<std::uint64_t> run(std::min(run_len, n - base.size()));
-    for (auto& x : run) x = rng.next();
-    std::sort(run.begin(), run.end());
-    base.insert(base.end(), run.begin(), run.end());
-  }
-  for (auto _ : state) {
-    auto v = base;
-    pgxd::sort::timsort(std::span<std::uint64_t>(v));
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_TimsortPresortedRuns)->Arg(1 << 20);
-
 void BM_MergeInto(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto a = random_keys(n / 2, 0, 1);
@@ -218,33 +181,28 @@ void BM_BalancedMergeTree(benchmark::State& state) {
 }
 BENCHMARK(BM_BalancedMergeTree)->Arg(4)->Arg(8)->Arg(32);
 
-// Array-of-records merge: full key+provenance records (24 bytes with
-// padding) through every level of the Fig. 2 tree, against the keys-only
-// BM_BalancedMergeTree above. The tree runs on records here only; the
-// distributed sorter merges with a loser tree and charges the tree.
+// Array-of-records merge: the sorter's 16-byte output items (a u64 key
+// and its one-word provenance) through every level of the Fig. 2 tree,
+// against the keys-only BM_BalancedMergeTree above. The tree runs on
+// records here only; the distributed sorter merges with a loser tree and
+// charges the tree.
 void BM_BalancedMergeItemTree(benchmark::State& state) {
-  struct FatItem {
-    std::uint64_t key;
-    std::uint32_t src;
-    std::uint64_t idx;
-  };
+  using Item = pgxd::core::Item<std::uint64_t>;
   const auto runs = static_cast<std::size_t>(state.range(0));
   const std::size_t per_run = (1u << 21) / runs;
   Rng rng(5);
-  std::vector<FatItem> base;
+  std::vector<Item> base;
   std::vector<std::size_t> bounds{0};
   for (std::size_t r = 0; r < runs; ++r) {
     std::vector<std::uint64_t> run(per_run);
     for (auto& x : run) x = rng.next();
     std::sort(run.begin(), run.end());
     for (std::size_t i = 0; i < run.size(); ++i)
-      base.push_back({run[i], static_cast<std::uint32_t>(r), i});
+      base.push_back({run[i], pgxd::core::Provenance(r, i)});
     bounds.push_back(base.size());
   }
-  std::vector<FatItem> scratch;
-  const auto less = [](const FatItem& a, const FatItem& b) {
-    return a.key < b.key;
-  };
+  std::vector<Item> scratch;
+  const auto less = [](const Item& a, const Item& b) { return a.key < b.key; };
   for (auto _ : state) {
     auto v = base;
     pgxd::sort::balanced_merge(v, bounds, scratch, less);

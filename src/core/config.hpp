@@ -15,10 +15,10 @@
 namespace pgxd::core {
 
 // Final-merge strategy for step (6): what the cost model charges for the
-// merge. The host runs the same loser-tree k-way merge
-// (sort/parallel_kway_merge.hpp) under all three, straight from the
-// exchange views, so the output is the same; they differ in the simulated
-// merge time only. AMS level 1 is always charged as kPairwiseTree.
+// merge. The host runs the same one-range loser-tree k-way merge
+// (sort::kway_merge_runs) under all three, straight from the exchange
+// views, so the output is the same; they differ in the simulated merge time
+// only. AMS level 1 is always charged as kPairwiseTree.
 enum class MergeAlgo {
   // Fig. 2 pairwise balanced merge tree (the paper's handler), charged as
   // ceil(log2 R) levels that each move every element once, the merges of a
@@ -26,8 +26,9 @@ enum class MergeAlgo {
   kPairwiseTree,
   // Single-pass parallel loser-tree k-way merge: splitter search cuts the
   // output into per-thread ranges, each merged by one loser tree — one
-  // move per element. The host runs the ranges one after another and the
-  // cost model charges them as parallel. The default.
+  // move per element. The cost model charges the search and the ranges in
+  // parallel from n, the run count and the thread count; the host merges
+  // in one range. The default.
   kParallelKway,
   // One sequential loser tree over the whole partition, charged as a naive
   // k-way merge (the no-parallelism ablation).

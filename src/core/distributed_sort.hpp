@@ -14,10 +14,10 @@
 //      Each chunk is a view of the sender's sorted run; nothing is copied.
 //   6. Merge of the per-source sorted runs, keeping each element's previous
 //      processor and index (provenance). The host runs one loser-tree k-way
-//      merge that reads each source's range in the sender's run and writes
-//      each item once; the cost model charges the configured strategy
-//      (SortConfig::final_merge), the paper's Fig. 2 balanced merge among
-//      them.
+//      merge, in one range, that reads each source's range in the sender's
+//      run and writes each item once; the cost model charges the configured
+//      strategy (SortConfig::final_merge), the paper's Fig. 2 balanced merge
+//      among them.
 //
 // One routine, partition_phase_impl, runs steps 2-6 for every partition
 // scheme (SortConfig::partition). kOneLevelSample is the paper's single
@@ -1174,8 +1174,6 @@ class DistributedSorter {
     obs::Counter* c_items_recv = nullptr;
     obs::Counter* c_wire_sent = nullptr;
     obs::LogHistogram* h_chunk_elems = nullptr;
-    obs::Counter* c_kway_ranges = nullptr;
-    obs::Counter* c_kway_rounds = nullptr;
     if (telemetry) {
       c_chunks_sent = &reg.counter("sort.exchange.chunks_sent");
       c_chunks_recv = &reg.counter("sort.exchange.chunks_received");
@@ -1184,8 +1182,6 @@ class DistributedSorter {
       c_items_recv = &reg.counter("sort.exchange.items_received");
       c_wire_sent = &reg.counter("sort.exchange.wire_bytes_sent");
       h_chunk_elems = &reg.histogram("sort.exchange.chunk_elems");
-      c_kway_ranges = &reg.counter("sort.merge.kway_ranges");
-      c_kway_rounds = &reg.counter("sort.merge.kway_select_rounds");
     }
 
     for (bool level1 = xprov;; level1 = false) {
@@ -1600,12 +1596,11 @@ class DistributedSorter {
       // element is written once, with its origin: the carried origin
       // plane, or source s at src_lo[s] + i for index i of s's range. The
       // last pass writes output items; level 1 writes the next sorted run
-      // and its origin plane. kParallelKway cuts the output into one
-      // range per simulated thread by splitter search; the ranges run for
-      // real, one after another. Every other merge runs one loser tree.
-      // The strategy picks only what the cost model charges: the Fig. 2
-      // pairwise tree (kPairwiseTree and level 1), the parallel k-way
-      // merge, or the naive k-way merge. All three emit the same order.
+      // and its origin plane. Every strategy runs the same one-range loser
+      // tree and picks only what the cost model charges: the Fig. 2
+      // pairwise tree (kPairwiseTree and level 1), the parallel k-way merge
+      // (its splitter search and per-thread ranges are modelled from n,
+      // runs and the thread count), or the naive k-way merge.
       {
         std::size_t runs = 0;
         for (std::size_t s = 0; s < q; ++s) runs += recv_counts[s] > 0;
@@ -1630,19 +1625,16 @@ class DistributedSorter {
         }
         const MergeAlgo merge_algo =
             level1 ? MergeAlgo::kPairwiseTree : cfg_.final_merge;
-        const std::size_t ranges =
-            merge_algo == MergeAlgo::kParallelKway ? m.threads() : 1;
         const auto merge = [&](auto&& emit) {
-          return sort::kway_merge_runs<Key>(kruns, comp_, ranges, emit);
+          sort::kway_merge_runs<Key>(kruns, comp_, 1, emit);
         };
-        sort::ParallelKwayMergeStats kres;
         if (level1) {
           // Level 1 merges the step-1 runs, which carry no origin plane.
           local.clear();
           local.reserve(total_recv);
           lprov.clear();
           lprov.reserve(total_recv);
-          kres = merge([&](std::size_t r, std::size_t i) {
+          merge([&](std::size_t r, std::size_t i) {
             local.push_back(kruns[r][i]);
             lprov.push_back(
                 Provenance(kbase[r].prev_machine, kbase[r].prev_index + i));
@@ -1651,11 +1643,11 @@ class DistributedSorter {
           out.clear();
           out.reserve(total_recv);
           if (carried) {
-            kres = merge([&](std::size_t r, std::size_t i) {
+            merge([&](std::size_t r, std::size_t i) {
               out.push_back(ItemT{kruns[r][i], korigins[r][i]});
             });
           } else {
-            kres = merge([&](std::size_t r, std::size_t i) {
+            merge([&](std::size_t r, std::size_t i) {
               out.push_back(ItemT{kruns[r][i],
                                   Provenance(kbase[r].prev_machine,
                                              kbase[r].prev_index + i)});
@@ -1666,10 +1658,6 @@ class DistributedSorter {
         if (merge_algo == MergeAlgo::kPairwiseTree) {
           co_await m.charge_balanced_merge(total_recv, runs);
         } else if (merge_algo == MergeAlgo::kParallelKway) {
-          if (c_kway_ranges) {
-            c_kway_ranges->inc(kres.ranges);
-            c_kway_rounds->inc(kres.select_rounds);
-          }
           co_await m.charge_parallel_kway_merge(total_recv, runs);
         } else {
           co_await m.charge_naive_kway_merge(total_recv, runs);

@@ -8,9 +8,9 @@
 // merged order, so the caller decides where each element goes. `kway_merge`
 // runs one engine over a whole buffer; sort/parallel_kway_merge.hpp cuts the
 // output into ranges via multisequence selection and runs one engine per
-// range — the merge the distributed sorter runs in step 6, one range or
-// several. The runs need not be contiguous: the sorter merges straight from
-// its exchange views.
+// range; the distributed sorter's step 6 runs it in one range. The runs
+// need not be contiguous: the sorter merges straight from its exchange
+// views.
 //
 // Three things keep the replay cheap:
 //   - *One comparison per level.* Leaf r sits at node k + r, so every run in

@@ -1,5 +1,6 @@
-// Single-pass parallel k-way merge — the one merge the distributed sorter's
-// step 6 runs on the host, whichever strategy the cost model charges.
+// Single-pass parallel k-way merge. Its span engine (kway_merge_runs) is
+// the one merge the distributed sorter's step 6 runs on the host, in one
+// range, whichever strategy the cost model charges.
 //
 // The Fig. 2 pairwise tree (sort/balanced_merge.hpp) moves every element
 // once per level, ceil(log2 R) times: at R = 32 runs that is 5 full passes
@@ -21,9 +22,11 @@
 // exchange views and writes output items (or, at AMS level 1, its next
 // sorted run and the run's origins). The wrappers below merge contiguous
 // buffers with it. The ranges run one after another on the calling thread.
-// Under kParallelKway the sorter asks for one range per simulated worker
-// thread and the cost model (runtime/cost_model.hpp) charges them as
-// running in parallel; otherwise it asks for one range.
+// The sorter asks for one range under every strategy: the cost model
+// (runtime/cost_model.hpp) charges kParallelKway's splitter search and
+// per-thread ranges from n, the run count and the thread count, not from a
+// host run. The range split runs in the unit tests and in the repo
+// benchmark's step-6 replay (benchmark/pgxd_bench.cpp).
 //
 // Boundary cursors deal equal keys to the lower run first — the same tie
 // rule as the loser tree, merge_into and the Fig. 2 tree — so the
@@ -163,9 +166,7 @@ inline std::size_t clamp_kway_ranges(std::size_t want, std::size_t n) {
 // The span engine: merges the sorted `runs`, cut into `ranges` output
 // ranges by splitter search, and calls emit(r, i) for every element in
 // ascending merged order, with runs[r][i] the element. The ranges run one
-// after another on the calling thread; a DES caller asks for the simulated
-// machine's thread count, so the splitter search runs for real while the
-// cost model charges the ranges as parallel.
+// after another on the calling thread.
 template <typename K, typename Comp, typename Emit>
 ParallelKwayMergeStats kway_merge_runs(std::span<const std::span<const K>> runs,
                                        Comp comp, std::size_t ranges,

@@ -5,12 +5,16 @@
 // a small random sample (RangePartitioner), shuffle materialization, and
 // TimSort as the local sort in the reduce stage. Data movement is real;
 // time is charged through the shared cost model plus the Spark cost profile.
+// The reduce stage charges TimSort by the run decomposition it would find
+// (timsort_runs) and sorts with std::stable_sort: a stable sort's output is
+// unique under a strict weak order, so it is TimSort's output.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,10 +24,44 @@
 #include "runtime/cluster.hpp"
 #include "sim/trace.hpp"
 #include "sort/samples.hpp"
-#include "sort/timsort.hpp"
 #include "spark/cost_profile.hpp"
 
 namespace pgxd::spark {
+
+// The number of runs TimSort (Peters, 2002) pushes when it sorts `a`, from
+// one scan of the unsorted keys. A run starts strictly descending if its
+// second key is below its first, and then extends while keys strictly
+// fall; otherwise it extends while they do not fall. A run shorter than
+// minrun takes min(n - lo, minrun) keys, as TimSort's binary insertion
+// sort extends it. TimSort reverses and insertion-sorts only inside the run
+// it is counting, so the scan sees the runs it saw. Below 2 keys there is
+// no run; below 64 the whole array is one.
+template <typename Key, typename Comp>
+std::size_t timsort_runs(std::span<const Key> a, Comp comp) {
+  constexpr std::size_t kMinMerge = 64;
+  const std::size_t n = a.size();
+  if (n < 2) return 0;
+  if (n < kMinMerge) return 1;
+  // minrun: n's top bits, plus one if any bit shifted out was set.
+  std::size_t min_run = n;
+  std::size_t shifted_out = 0;
+  while (min_run >= kMinMerge) {
+    shifted_out |= min_run & 1;
+    min_run >>= 1;
+  }
+  min_run += shifted_out;
+  std::size_t runs = 0;
+  for (std::size_t lo = 0; lo < n; ++runs) {
+    std::size_t end = lo + 1;
+    if (end < n) {
+      const bool descending = comp(a[end], a[lo]);
+      ++end;
+      while (end < n && comp(a[end], a[end - 1]) == descending) ++end;
+    }
+    lo += std::max(end - lo, std::min(n - lo, min_run));
+  }
+  return runs;
+}
 
 template <typename Key>
 struct SparkMsg {
@@ -220,12 +258,13 @@ class SparkSortByKey {
       out.insert(out.end(), msg.payload.keys.begin(), msg.payload.keys.end());
     }
     co_await m.compute(serialization_time(fetched_bytes));  // deserialize
-    // TimSort is adaptive: charge by the number of natural runs the real
-    // sort found — "it performs better when the data is partially sorted"
-    // is thereby measurable (see bench/ablation_presorted).
-    const auto ts = sort::timsort(std::span<Key>(out), comp_);
+    // TimSort is adaptive: charge by the number of runs it finds in the
+    // fetched partition — "it performs better when the data is partially
+    // sorted" is thereby measurable (see bench/ablation_presorted).
+    const std::size_t runs = timsort_runs(std::span<const Key>(out), comp_);
+    std::stable_sort(out.begin(), out.end(), comp_);
     const sim::SimTime serial = m.cost().adaptive_sort_time(
-        out.size(), std::max<std::size_t>(1, ts.runs_found));
+        out.size(), std::max<std::size_t>(1, runs));
     co_await m.compute(static_cast<sim::SimTime>(
         static_cast<double>(m.cost().parallel(serial, m.threads())) *
         profile_.cpu_factor));

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,7 +11,6 @@
 #include "common/stats.hpp"
 #include "graph/csr.hpp"
 #include "graph/generate.hpp"
-#include "graph/io.hpp"
 #include "graph/partition.hpp"
 #include "graph/twitter.hpp"
 
@@ -185,72 +182,6 @@ TEST(EdgeChunks, CoverMachineEdgesExactly) {
       EXPECT_LE(ch.first_vertex, ch.last_vertex);
     }
   }
-}
-
-TEST(GraphIo, EdgeListRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto path = dir / "pgxd_io_test_edges.txt";
-  RmatConfig cfg;
-  cfg.num_vertices = 256;
-  cfg.num_edges = 2000;
-  const auto edges = rmat_edges(cfg);
-  write_edge_list(path, edges);
-  const auto g = read_edge_list(path, cfg.num_vertices);
-  const auto expect = CsrGraph::from_edges(cfg.num_vertices, edges);
-  ASSERT_EQ(g.num_vertices(), expect.num_vertices());
-  ASSERT_EQ(g.num_edges(), expect.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto a = g.neighbors(v);
-    const auto b = expect.neighbors(v);
-    ASSERT_EQ(std::vector<VertexId>(a.begin(), a.end()),
-              std::vector<VertexId>(b.begin(), b.end()));
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(GraphIo, EdgeListInfersVertexCountAndSkipsComments) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "pgxd_io_test_comments.txt";
-  {
-    std::ofstream out(path);
-    out << "# header comment\n\n0 5\n5 2\n\n# tail\n2 0\n";
-  }
-  const auto g = read_edge_list(path);
-  EXPECT_EQ(g.num_vertices(), 6u);  // max id 5 -> 6 vertices
-  EXPECT_EQ(g.num_edges(), 3u);
-  EXPECT_EQ(g.out_degree(0), 1u);
-  std::filesystem::remove(path);
-}
-
-TEST(GraphIo, CsrBinaryRoundTrip) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "pgxd_io_test_csr.bin";
-  RmatConfig cfg;
-  cfg.num_vertices = 512;
-  cfg.num_edges = 4000;
-  const auto g = rmat_graph(cfg);
-  write_csr_binary(path, g);
-  const auto back = read_csr_binary(path);
-  ASSERT_EQ(back.num_vertices(), g.num_vertices());
-  ASSERT_EQ(back.num_edges(), g.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto a = g.neighbors(v);
-    const auto b = back.neighbors(v);
-    ASSERT_EQ(std::vector<VertexId>(a.begin(), a.end()),
-              std::vector<VertexId>(b.begin(), b.end()));
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(GraphIo, RejectsWrongMagic) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "pgxd_io_test_bad.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a csr file at all";
-  }
-  EXPECT_DEATH((void)read_csr_binary(path), "not a pgxd CSR");
-  std::filesystem::remove(path);
 }
 
 TEST(Twitter, KeysInTableIIIDomain) {

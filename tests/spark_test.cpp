@@ -4,8 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <numeric>
+#include <ostream>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/distributed_sort.hpp"
 #include "datagen/distributions.hpp"
 #include "spark/sort_by_key.hpp"
@@ -156,6 +163,151 @@ TEST(Spark, WireBytesIncludeRowOverhead) {
   spark.run(std::move(shards));
   // ~3/4 of rows shuffle remotely at 16 wire bytes each.
   EXPECT_GT(spark.stats().wire_bytes, 40000ull * 3 / 4 * 16 / 2);
+}
+
+// TimSort's run decomposition, counted by the reduce stage's scan. Every
+// expected count is the runs_found of the TimSort port the scan replaced,
+// on the same input.
+std::size_t runs_of(const std::vector<int>& v) {
+  return timsort_runs(std::span<const int>(v), std::less<int>{});
+}
+
+TEST(TimsortRuns, MatchTimsortOnPatterns) {
+  std::vector<int> sorted(10000);
+  std::iota(sorted.begin(), sorted.end(), 0);
+  const std::vector<int> reversed(sorted.rbegin(), sorted.rend());
+  EXPECT_EQ(runs_of(sorted), 1u);
+  EXPECT_EQ(runs_of(reversed), 1u);  // one strictly descending run
+  EXPECT_EQ(timsort_runs(std::span<const int>(reversed), std::greater<int>{}),
+            1u);
+  EXPECT_EQ(runs_of(std::vector<int>(100000, 7)), 1u);
+
+  std::vector<int> organ_pipe;
+  for (int i = 0; i < 30000; ++i) organ_pipe.push_back(i);
+  for (int i = 30000; i > 0; --i) organ_pipe.push_back(i);
+  EXPECT_EQ(runs_of(organ_pipe), 2u);  // one ascending, one descending
+
+  // 300 ramps of 10-209 keys, each ascending or descending.
+  std::vector<int> sawtooth;
+  Rng rng(23);
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    const int len = 10 + static_cast<int>(rng.bounded(200));
+    const bool asc = rng.bounded(2) == 0;
+    for (int i = 0; i < len; ++i) sawtooth.push_back(asc ? i : len - i);
+  }
+  EXPECT_EQ(runs_of(sawtooth), 299u);
+  EXPECT_EQ(timsort_runs(std::span<const int>(sawtooth), std::greater<int>{}),
+            299u);
+
+  // Eight sorted blocks of 4,096 random keys: eight natural runs.
+  std::vector<int> blocks;
+  Rng block_rng(3);
+  for (int b = 0; b < 8; ++b) {
+    std::vector<int> block(4096);
+    for (auto& x : block) x = static_cast<int>(block_rng.bounded(1 << 20));
+    std::sort(block.begin(), block.end());
+    blocks.insert(blocks.end(), block.begin(), block.end());
+  }
+  EXPECT_EQ(runs_of(blocks), 8u);
+
+  // Equal neighbours end a descending run: 500, 500, 499, 499, ... is 500
+  // non-descending pairs, each extended to minrun (63 at n = 1000).
+  std::vector<int> plateaus(1000);
+  for (int i = 0; i < 1000; ++i) plateaus[i] = (1000 - i) / 2;
+  EXPECT_EQ(runs_of(plateaus), 16u);
+}
+
+TEST(TimsortRuns, ShortRunsExtendToMinRun) {
+  // 0, 1, 0, 1, ...: every natural run is two keys, so every run but the
+  // last takes minrun keys (n below 64 is one run; minrun is 32 at 64 and
+  // at 1024, 33 at 65 and 63 at 1000).
+  const std::pair<std::size_t, std::size_t> want[] = {
+      {0, 0}, {1, 0}, {2, 1}, {63, 1}, {64, 2}, {65, 2}, {1000, 16}, {1024, 32}};
+  for (const auto& [n, runs] : want) {
+    std::vector<int> v(n);
+    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<int>(i & 1);
+    EXPECT_EQ(runs_of(v), runs) << "n=" << n;
+  }
+}
+
+// What the reduce stage's sort must not move: the simulated total, each
+// stage's max, the wire bytes and the output keys. The values were recorded
+// with the TimSort port the reduce stage used to run, so they pin the run
+// count it charges by and the order it leaves.
+struct SparkOutcome {
+  sim::SimTime total = 0;
+  std::array<sim::SimTime, kStageCount> stages{};
+  std::uint64_t wire_bytes = 0;
+  std::uint64_t output_hash = 0;
+  std::size_t largest_partition = 0;
+
+  bool operator==(const SparkOutcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SparkOutcome& o) {
+  return os << "{" << o.total << ", {" << o.stages[0] << ", " << o.stages[1]
+            << ", " << o.stages[2] << "}, " << o.wire_bytes << ", 0x"
+            << std::hex << o.output_hash << std::dec << "ull, "
+            << o.largest_partition << "}";
+}
+
+SparkOutcome spark_outcome(std::vector<std::vector<Key>> shards) {
+  rt::Cluster<Spark::Msg> cluster(test_cluster(shards.size()));
+  Spark spark(cluster);
+  spark.run(std::move(shards));
+  SparkOutcome o{spark.stats().total_time, spark.stats().stage_time,
+                 spark.stats().wire_bytes, 0xcbf29ce484222325ull, 0};
+  // FNV-1a over every partition's size and keys.
+  const auto add = [&](std::uint64_t v) {
+    o.output_hash = (o.output_hash ^ v) * 0x100000001b3ull;
+  };
+  for (const auto& part : spark.partitions()) {
+    add(part.size());
+    for (const Key k : part) add(k);
+    o.largest_partition = std::max(o.largest_partition, part.size());
+  }
+  return o;
+}
+
+std::vector<std::vector<Key>> almost_sorted_shards(std::size_t total_n,
+                                                   double disorder,
+                                                   std::size_t machines) {
+  std::vector<std::vector<Key>> shards;
+  for (std::size_t r = 0; r < machines; ++r)
+    shards.push_back(
+        gen::almost_sorted_shard(total_n, 1ull << 40, disorder, 7, machines, r));
+  return shards;
+}
+
+TEST(Spark, SimulatedOutcomeIsPinned) {
+  constexpr std::size_t kN = 1 << 15;
+  // A global descending ramp, cut into contiguous shards.
+  std::vector<std::vector<Key>> descending(6);
+  for (std::size_t i = 0; i < kN; ++i)
+    descending[i * 6 / kN].push_back(3 * (kN - i));
+  const struct {
+    const char* name;
+    std::vector<std::vector<Key>> shards;
+    SparkOutcome want;
+  } cases[] = {
+      {"uniform", make_shards(gen::Distribution::kUniform, kN, 6),
+       {527605, {164501, 167916, 195188}, 287581, 0xa4fef3086aaa80dbull, 6632}},
+      {"right-skewed", make_shards(gen::Distribution::kRightSkewed, kN, 6),
+       {607176, {164501, 167916, 274759}, 286950, 0x10280b6ce98f41feull, 22931}},
+      {"almost-sorted 0%", almost_sorted_shards(kN, 0.0, 6),
+       {495614, {164501, 167916, 163197}, 10336, 0x2e73b176d830f91bull, 5601}},
+      {"almost-sorted 1%", almost_sorted_shards(kN, 0.01, 6),
+       {509103, {164501, 167916, 176686}, 24377, 0x16c7c706e84f58c3ull, 5704}},
+      {"descending", descending,
+       {516222, {164501, 167916, 183805}, 343830, 0x52457655ad9dd44bull, 5817}},
+      // 400 keys over 12 reducers: every partition is below TimSort's
+      // 64-key minimum merge size.
+      {"tiny partitions", make_shards(gen::Distribution::kUniform, 400, 12),
+       {493305, {166950, 150112, 176243}, 8840, 0xfaf1e6a32c16123bull, 34}},
+  };
+  for (const auto& c : cases)
+    EXPECT_EQ(spark_outcome(c.shards), c.want) << c.name;
+  EXPECT_LT(cases[5].want.largest_partition, 64u);
 }
 
 TEST(Spark, StageNames) {
