@@ -172,49 +172,65 @@ std::size_t runs_of(const std::vector<int>& v) {
   return timsort_runs(std::span<const int>(v), std::less<int>{});
 }
 
-TEST(TimsortRuns, MatchTimsortOnPatterns) {
-  std::vector<int> sorted(10000);
-  std::iota(sorted.begin(), sorted.end(), 0);
-  const std::vector<int> reversed(sorted.rbegin(), sorted.rend());
-  EXPECT_EQ(runs_of(sorted), 1u);
-  EXPECT_EQ(runs_of(reversed), 1u);  // one strictly descending run
-  EXPECT_EQ(timsort_runs(std::span<const int>(reversed), std::greater<int>{}),
-            1u);
-  EXPECT_EQ(runs_of(std::vector<int>(100000, 7)), 1u);
+TEST(Timsort, AlreadySortedUsesOneRunAndNoMerges) {
+  std::vector<int> v(10000);
+  std::iota(v.begin(), v.end(), 0);
+  EXPECT_EQ(runs_of(v), 1u);  // one run, so TimSort merges nothing
+}
 
-  std::vector<int> organ_pipe;
-  for (int i = 0; i < 30000; ++i) organ_pipe.push_back(i);
-  for (int i = 30000; i > 0; --i) organ_pipe.push_back(i);
-  EXPECT_EQ(runs_of(organ_pipe), 2u);  // one ascending, one descending
+TEST(Timsort, ReverseSortedIsOneReversedRun) {
+  std::vector<int> v(10000);
+  std::iota(v.begin(), v.end(), 0);
+  std::reverse(v.begin(), v.end());
+  EXPECT_EQ(runs_of(v), 1u);  // one strictly descending run
+  EXPECT_EQ(timsort_runs(std::span<const int>(v), std::greater<int>{}), 1u);
+}
 
+TEST(Timsort, PartiallySortedFindsLongRuns) {
+  // Eight sorted blocks of 4,096 random keys: eight natural runs, far fewer
+  // than random data's n / minrun.
+  std::vector<int> v;
+  Rng rng(3);
+  for (int b = 0; b < 8; ++b) {
+    std::vector<int> block(4096);
+    for (auto& x : block) x = static_cast<int>(rng.bounded(1 << 20));
+    std::sort(block.begin(), block.end());
+    v.insert(v.end(), block.begin(), block.end());
+  }
+  EXPECT_EQ(runs_of(v), 8u);
+}
+
+TEST(Timsort, SawtoothManyRuns) {
   // 300 ramps of 10-209 keys, each ascending or descending.
-  std::vector<int> sawtooth;
+  std::vector<int> v;
   Rng rng(23);
   for (int cycle = 0; cycle < 300; ++cycle) {
     const int len = 10 + static_cast<int>(rng.bounded(200));
     const bool asc = rng.bounded(2) == 0;
-    for (int i = 0; i < len; ++i) sawtooth.push_back(asc ? i : len - i);
+    for (int i = 0; i < len; ++i) v.push_back(asc ? i : len - i);
   }
-  EXPECT_EQ(runs_of(sawtooth), 299u);
-  EXPECT_EQ(timsort_runs(std::span<const int>(sawtooth), std::greater<int>{}),
-            299u);
+  EXPECT_EQ(runs_of(v), 299u);
+  EXPECT_EQ(timsort_runs(std::span<const int>(v), std::greater<int>{}), 299u);
+}
 
-  // Eight sorted blocks of 4,096 random keys: eight natural runs.
-  std::vector<int> blocks;
-  Rng block_rng(3);
-  for (int b = 0; b < 8; ++b) {
-    std::vector<int> block(4096);
-    for (auto& x : block) x = static_cast<int>(block_rng.bounded(1 << 20));
-    std::sort(block.begin(), block.end());
-    blocks.insert(blocks.end(), block.begin(), block.end());
-  }
-  EXPECT_EQ(runs_of(blocks), 8u);
+TEST(Timsort, AllEqual) {
+  EXPECT_EQ(runs_of(std::vector<int>(100000, 7)), 1u);
+}
 
-  // Equal neighbours end a descending run: 500, 500, 499, 499, ... is 500
-  // non-descending pairs, each extended to minrun (63 at n = 1000).
-  std::vector<int> plateaus(1000);
-  for (int i = 0; i < 1000; ++i) plateaus[i] = (1000 - i) / 2;
-  EXPECT_EQ(runs_of(plateaus), 16u);
+TEST(Timsort, OrganPipe) {
+  std::vector<int> v;
+  for (int i = 0; i < 30000; ++i) v.push_back(i);
+  for (int i = 30000; i > 0; --i) v.push_back(i);
+  EXPECT_EQ(runs_of(v), 2u);  // one ascending, one descending
+}
+
+TEST(TimsortRuns, EqualNeighboursEndADescendingRun) {
+  // 500, 499, 499, 498, 498, ...: an equal neighbour ends every strictly
+  // descending run after two keys, so each run is extended to minrun (63 at
+  // n = 1000).
+  std::vector<int> v(1000);
+  for (int i = 0; i < 1000; ++i) v[i] = (1000 - i) / 2;
+  EXPECT_EQ(runs_of(v), 16u);
 }
 
 TEST(TimsortRuns, ShortRunsExtendToMinRun) {
